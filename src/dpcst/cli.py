@@ -77,16 +77,10 @@ def cmd_verify(args) -> int:
     trace = sim.read_trace(args.trace)
     exact = exact_pcst(inst) if inst.n <= MAX_EXACT_NODES and not args.no_exact else None
     try:
-        cert = verify.reconstruct_duals(trace, inst)
+        reports = verify.verify_trace(trace, inst, exact=exact)
     except verify.ReplayDivergence as exc:
         print(json.dumps({"check": "replay", "status": "divergence", "witnesses": [str(exc)]}))
         return 3
-    reports = [
-        verify.check_edge_packing(cert, inst),
-        verify.check_penalty_packing(cert, inst),
-        verify.check_ratio(cert, inst, exact),
-        verify.check_bounds(trace, inst),
-    ]
     for rep in reports:
         print(json.dumps(rep.to_json_dict()))
     return 0 if all(r.ok for r in reports) else 2

@@ -3,8 +3,9 @@
 Sequential moat growing: all active components grow simultaneously each
 iteration by the largest epsilon that keeps every dual constraint satisfied,
 then the tight constraint is resolved (merge on a tight edge, deactivate on a
-tight penalty).  Produces the same kind of dual certificate as the
-distributed solver's trace replay, so both feed one checker.
+tight penalty).  Moats, deficits and component weights live in the same
+``verify.MoatLedger`` that the distributed solver's trace replay uses, so
+both produce one kind of dual certificate and feed one checker.
 """
 
 from __future__ import annotations
@@ -12,80 +13,49 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .instance import Edge, PcstInstance, Solution, make_solution, norm_edge
-from .verify import DualCertificate, Moat
+from .instance import Edge, PcstInstance, Solution, make_solution
+from .verify import DualCertificate, MoatLedger
 
 INF = float("inf")
 
 
 @dataclass
 class GwState:
-    """Growth-phase bookkeeping; final state feeds the pruning step."""
+    """Growth-phase state beside the moat ledger; final state feeds the
+    pruning step."""
 
     inst: PcstInstance
+    ledger: MoatLedger = field(init=False)
     forest: set[Edge] = field(default_factory=set)
-    parent: dict[int, int] = field(default_factory=dict)
     active: dict[int, bool] = field(default_factory=dict)  # by component root
-    comp_w: dict[int, Fraction] = field(default_factory=dict)
-    deficit: dict[int, Fraction] = field(default_factory=dict)
-    y: dict[frozenset[int], Fraction] = field(default_factory=dict)
-    y_order: list[frozenset[int]] = field(default_factory=list)
-    marks: dict[int, list[frozenset[int]]] = field(default_factory=dict)
-    deactivated: list[frozenset[int]] = field(default_factory=list)
     iterations: int = 0
 
     def __post_init__(self):
-        for v in self.inst.node_ids:
-            self.parent[v] = v
-            self.active[v] = v != self.inst.root
-            self.comp_w[v] = Fraction(0)
-            self.deficit[v] = Fraction(0)
-            self.marks[v] = []
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def members(self, root: int) -> frozenset[int]:
-        return frozenset(u for u in self.inst.node_ids if self.find(u) == root)
-
-    def component_roots(self) -> list[int]:
-        return sorted({self.find(v) for v in self.inst.node_ids})
-
-    def total_prize(self, root: int) -> Fraction:
-        return sum((self.inst.prizes[v] for v in self.members(root)), Fraction(0))
-
-    def leader(self, root: int) -> int:
-        return max(self.members(root))
+        self.ledger = MoatLedger(self.inst.node_ids)
+        self.active = {v: v != self.inst.root for v in self.inst.node_ids}
 
     def check_invariants(self):
-        for r in self.component_roots():
-            members = self.members(r)
-            inner = sum((y for s, y in self.y.items() if s <= members), Fraction(0))
-            assert self.comp_w[r] == inner, f"W({sorted(members)}) != inner moat sum"
-        for v in self.inst.node_ids:
-            covering = sum((y for s, y in self.y.items() if v in s), Fraction(0))
-            assert self.deficit[v] == covering, f"d_{v} != covering moat sum"
+        lg = self.ledger
+        mismatch = lg.check_identities()
+        assert mismatch is None, mismatch
         for (u, v), w in self.inst.weights.items():
-            cut = sum((y for s, y in self.y.items() if (u in s) != (v in s)), Fraction(0))
+            cut = sum((y for s, y in lg.y.items() if (u in s) != (v in s)), Fraction(0))
             assert cut <= w, f"edge {(u, v)} overgrown"
-            if self.find(u) != self.find(v):
+            if lg.find(u) != lg.find(v):
                 # distinct components never shared a moat, so the cut sum is
                 # exactly the deficit sum there
-                assert cut == self.deficit[u] + self.deficit[v]
-        root_comp = self.find(self.inst.root)
-        assert not self.active[root_comp], "root component must stay inactive"
+                assert cut == lg.d[u] + lg.d[v]
+        assert not self.active[lg.find(self.inst.root)], "root component must stay inactive"
 
 
 def gw_grow(inst: PcstInstance, check: bool = False) -> GwState:
     """Run the growth phase to completion (no active components left)."""
     inst.validate()
     g = GwState(inst)
+    lg = g.ledger
     n = inst.n
     while True:
-        roots = g.component_roots()
+        roots = sorted(lg.members)
         if not any(g.active[r] for r in roots):
             break
         g.iterations += 1
@@ -95,49 +65,37 @@ def gw_grow(inst: PcstInstance, check: bool = False) -> GwState:
         best_edge = None
         for e in sorted(inst.weights):
             u, v = e
-            ru, rv = g.find(u), g.find(v)
+            ru, rv = lg.find(u), lg.find(v)
             if ru == rv:
                 continue
             cs = int(g.active[ru]) + int(g.active[rv])
             if cs == 0:
                 continue
-            eps = (inst.weights[e] - g.deficit[u] - g.deficit[v]) / cs
+            eps = (inst.weights[e] - lg.d[u] - lg.d[v]) / cs
             if eps < best_edge_eps:
                 best_edge_eps = eps
                 best_edge = e
         best_pen_eps: Fraction | float = INF
         best_pen = None
-        for r in sorted((r for r in roots if g.active[r]), key=lambda r: g.leader(r)):
-            eps = g.total_prize(r) - g.comp_w[r]
+        for r in sorted((r for r in roots if g.active[r]), key=lambda r: max(lg.members[r])):
+            eps = sum((inst.prizes[v] for v in lg.members[r]), Fraction(0)) - lg.w[r]
             if eps < best_pen_eps:
                 best_pen_eps = eps
                 best_pen = r
         eps = min(best_edge_eps, best_pen_eps)
         assert eps != INF, "active component with no growth bound"
         for r in roots:
-            if not g.active[r]:
-                continue
-            members = g.members(r)
-            if members not in g.y:
-                g.y[members] = Fraction(0)
-                g.y_order.append(members)
-            g.y[members] += eps
-            g.comp_w[r] += eps
-            for u in members:
-                g.deficit[u] += eps
+            if g.active[r]:
+                lg.grow(r, eps)
         if best_pen_eps <= best_edge_eps:
-            members = g.members(best_pen)
             g.active[best_pen] = False
-            g.deactivated.append(members)
-            for v in members:
-                g.marks[v].append(members)
+            lg.deactivate(best_pen)
         else:
             u, v = best_edge
-            ru, rv = g.find(u), g.find(v)
             g.forest.add(best_edge)
-            g.parent[ru] = rv
-            g.comp_w[rv] = g.comp_w[ru] + g.comp_w[rv]
-            g.active[rv] = g.find(inst.root) != rv
+            lg.union(u, v)
+            rv = lg.find(v)
+            g.active[rv] = lg.find(inst.root) != rv
         if check:
             g.check_invariants()
     return g
@@ -157,7 +115,7 @@ def gw_prune(inst: PcstInstance, g: GwState) -> Solution:
                 tree_nodes.add(u)
                 stack.append(u)
     tree_edges = {e for e in g.forest if e[0] in tree_nodes and e[1] in tree_nodes}
-    labels = list(g.deactivated)
+    labels = list(g.ledger.deactivated)
     maximal = [
         s for s in labels if not any(s < t for t in labels)
     ]
@@ -175,12 +133,7 @@ def gw_prune(inst: PcstInstance, g: GwState) -> Solution:
     return make_solution(inst, tree_edges, tree_nodes)
 
 
-def gw_certificate(g: GwState, sol: Solution) -> DualCertificate:
-    moats = [Moat(s, g.y[s]) for s in g.y_order]
-    return DualCertificate(moats, sol, list(g.deactivated))
-
-
 def gw_solve(inst: PcstInstance, check: bool = False) -> tuple[Solution, DualCertificate]:
     g = gw_grow(inst, check=check)
     sol = gw_prune(inst, g)
-    return sol, gw_certificate(g, sol)
+    return sol, g.ledger.certificate(sol)

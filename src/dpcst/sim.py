@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import typing
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -18,22 +19,10 @@ from fractions import Fraction
 from . import node as nd
 from .instance import Edge, PcstInstance, Solution, format_rational, make_solution, norm_edge
 
+_MSG_TYPES = {cls.__name__: cls for cls in typing.get_args(nd.Message)}
 # growth-phase wire types count against the per-round cap; Prune and
 # BackwardPrune have their own totals
-GROWTH_TYPES = (
-    "Initiate",
-    "Test",
-    "Status",
-    "Reject",
-    "Report",
-    "Merge",
-    "Connect",
-    "Accept",
-    "RefindEpsilon",
-    "UpdateInfo",
-    "Proceed",
-    "Back",
-)
+GROWTH_TYPES = tuple(name for name in _MSG_TYPES if name not in ("Prune", "BackwardPrune"))
 
 
 class LivelockError(RuntimeError):
@@ -83,7 +72,6 @@ class PhaseBoundary:
 
 
 Record = Delivery | StateChange | EpsilonRecord | RoundBoundary | PhaseBoundary
-Trace = list
 
 
 def message_bound(n: int, m: int) -> int:
@@ -144,7 +132,7 @@ class Simulation:
             for (u, v) in ((a, b), (b, a))
         }
         self.links = sorted(self.queues)
-        self.trace: Trace = []
+        self.trace: list[Record] = []
         self.step = 0
         self.send_seq = 0
         self.round_index = 0
@@ -227,7 +215,7 @@ class Simulation:
         sender, receiver = link
         self._apply(receiver, nd.Deliver(norm_edge(sender, receiver), msg, self.step), tag)
 
-    def run_to_quiescence(self) -> Trace:
+    def run_to_quiescence(self) -> list[Record]:
         while self.in_flight():
             if self.step > self.budget:
                 raise LivelockError(
@@ -235,10 +223,6 @@ class Simulation:
                 )
             self.step_once()
         return self.trace
-
-
-def new_simulation(inst: PcstInstance, schedule: Schedule | None = None) -> Simulation:
-    return Simulation(inst, schedule)
 
 
 def run(inst: PcstInstance, schedule: Schedule | None = None) -> Simulation:
@@ -266,7 +250,7 @@ def extract_solution(sim: Simulation) -> Solution:
     return make_solution(sim.inst, branch, steiner)
 
 
-def count_messages(trace: Trace) -> dict:
+def count_messages(trace: list[Record]) -> dict:
     """Totals by type, growth-phase counts per round, leader-level action
     counts, and prune receipts per node."""
     by_type: dict[str, int] = {}
@@ -315,16 +299,6 @@ def _message_to_json(msg: nd.Message) -> dict:
     for f in fields(msg):
         d[f.name] = _to_jsonable(getattr(msg, f.name))
     return d
-
-
-_MSG_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        nd.Initiate, nd.Test, nd.Status, nd.Reject, nd.Report, nd.Merge,
-        nd.Connect, nd.Accept, nd.RefindEpsilon, nd.UpdateInfo, nd.Proceed,
-        nd.Back, nd.Prune, nd.BackwardPrune,
-    )
-}
 
 
 def _rational_from_json(x):
@@ -422,13 +396,13 @@ def record_from_json(d: dict) -> Record:
     raise ValueError(f"unknown record kind {kind!r}")
 
 
-def write_trace(trace: Trace, path: str):
+def write_trace(trace: list[Record], path: str):
     with open(path, "w") as fh:
         for rec in trace:
             fh.write(json.dumps(record_to_json(rec), sort_keys=False) + "\n")
 
 
-def read_trace(path: str) -> Trace:
+def read_trace(path: str) -> list[Record]:
     out = []
     with open(path) as fh:
         for line in fh:

@@ -8,8 +8,10 @@ around itself, a merge grows the joining side(s) by the merge epsilon, and a
 deactivation grows the component's moat to penalty tightness.  Negative
 epsilons subtract with ordinary signed arithmetic.
 
-Divergence between the shadow and the traced state changes means the system
-under test and the reconstruction disagree: exit-code-3 territory.
+The moats, deficits and component weights live in a ``MoatLedger``, which
+the centralized reference solver (``gw``) shares.  Divergence between the
+shadow and the traced state changes means the system under test and the
+reconstruction disagree: exit-code-3 territory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from . import node as nd
 from . import sim as sm
-from .exact import ExactResult
+from .exact import ExactResult, UnionFind
 from .instance import Edge, PcstInstance, Solution, format_rational, make_solution, norm_edge
 
 
@@ -67,7 +69,7 @@ class DualCertificate:
 @dataclass
 class Report:
     check: str
-    status: str  # "pass" | "violation" | "partial"
+    status: str  # "pass" | "violation"
     witnesses: list = field(default_factory=list)
 
     @property
@@ -78,71 +80,121 @@ class Report:
         return {"check": self.check, "status": self.status, "witnesses": self.witnesses}
 
 
+class MoatLedger:
+    """Components that grow and merge, and the moats credited to them.
+
+    A moat is a component snapshot; components only merge, so the moats form
+    a laminar family.  Deficits are kept per node, member sets and component
+    weights per union-find root, and moat masses in crediting order.  Both
+    the reference solver and the trace replay keep their duals here.
+    """
+
+    def __init__(self, node_ids):
+        self.uf = UnionFind(node_ids)
+        self.members = {v: frozenset([v]) for v in node_ids}  # by component root
+        self.d = {v: Fraction(0) for v in node_ids}
+        self.w = {v: Fraction(0) for v in node_ids}  # by component root
+        self.y: dict[frozenset[int], Fraction] = {}  # in the order first credited
+        self.deactivated: list[frozenset[int]] = []
+
+    def find(self, v: int) -> int:
+        return self.uf.find(v)
+
+    def component(self, v: int) -> frozenset[int]:
+        return self.members[self.uf.find(v)]
+
+    def credit(self, nodes: frozenset[int], eps: Fraction):
+        if eps != 0:
+            self.y[nodes] = self.y.get(nodes, Fraction(0)) + eps
+
+    def grow(self, v: int, eps: Fraction):
+        """Grow the component of v by eps: its moat, member deficits and weight."""
+        r = self.uf.find(v)
+        members = self.members[r]
+        self.credit(members, eps)
+        for u in members:
+            self.d[u] += eps
+        self.w[r] += eps
+
+    def union(self, u: int, v: int) -> frozenset[int]:
+        """Merge u's component into v's; returns the merged members."""
+        ru, rv = self.uf.find(u), self.uf.find(v)
+        self.uf.union(ru, rv)
+        merged = self.members.pop(ru) | self.members[rv]
+        self.members[rv] = merged
+        self.w[rv] += self.w.pop(ru)
+        return merged
+
+    def deactivate(self, v: int) -> frozenset[int]:
+        comp = self.component(v)
+        self.deactivated.append(comp)
+        return comp
+
+    def check_identities(self) -> str | None:
+        """The first node whose deficit, or component whose weight, differs
+        from its covering, resp. inner, moat sum; None if all agree."""
+        covering = dict.fromkeys(self.d, Fraction(0))
+        inner = dict.fromkeys(self.members, Fraction(0))
+        for s, y in self.y.items():
+            for v in s:
+                covering[v] += y
+            r = self.uf.find(next(iter(s)))
+            if s <= self.members[r]:
+                inner[r] += y
+        for v, d in self.d.items():
+            if d != covering[v]:
+                return f"node {v} deficit {d} != moat sum {covering[v]}"
+        for r, members in self.members.items():
+            if self.w[r] != inner[r]:
+                return f"component of {min(members)} weight {self.w[r]} != moat sum {inner[r]}"
+        return None
+
+    def certificate(self, solution: Solution) -> DualCertificate:
+        moats = [Moat(s, y) for s, y in self.y.items()]
+        return DualCertificate(moats, solution, list(self.deactivated))
+
+
 # ---------------------------------------------------------------------------
 # Replay
 
 
 class _Replay:
+    """Replay-only state beside the ledger: the CS shadow, the mirrors of the
+    traced state and the merge edges."""
+
     def __init__(self, inst: PcstInstance):
         self.inst = inst
-        self.parent = {v: v for v in inst.node_ids}
+        self.ledger = MoatLedger(inst.node_ids)
         self.cs = {v: nd.CS.SLEEPING for v in inst.node_ids}
         self.cs[inst.root] = nd.CS.INACTIVE
-        self.d = {v: Fraction(0) for v in inst.node_ids}
-        self.w = {v: Fraction(0) for v in inst.node_ids}  # by component root
-        self.y: dict[frozenset[int], Fraction] = {}
-        self.order: list[frozenset[int]] = []
-        self.deactivated: list[frozenset[int]] = []
         self.merge_edges: set[Edge] = set()
         # mirror of the system under test, driven by StateChange records
         self.traced_d = {v: Fraction(0) for v in inst.node_ids}
         self.traced_w = {v: Fraction(0) for v in inst.node_ids}
         self.traced_prize = {v: v != inst.root for v in inst.node_ids}
 
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def members(self, v: int) -> frozenset[int]:
-        r = self.find(v)
-        return frozenset(u for u in self.inst.node_ids if self.find(u) == r)
-
-    def credit(self, nodes: frozenset[int], eps: Fraction):
-        if eps == 0:
-            return
-        if nodes not in self.y:
-            self.y[nodes] = Fraction(0)
-            self.order.append(nodes)
-        self.y[nodes] += eps
-
-    def grow(self, comp_of: int, eps: Fraction):
-        members = self.members(comp_of)
-        self.credit(members, eps)
-        for u in members:
-            self.d[u] += eps
-        self.w[self.find(comp_of)] += eps
-
     def wake(self, v: int, d_k: Fraction):
+        # a sleeping node is an untouched singleton (d = w = 0)
         self.cs[v] = nd.CS.ACTIVE
-        self.d[v] = d_k
-        self.w[self.find(v)] = d_k
-        self.credit(frozenset([v]), d_k)
+        self.ledger.grow(v, d_k)
 
-    def union(self, u: int, v: int, new_w: Fraction, active: bool):
-        ru, rv = self.find(u), self.find(v)
-        self.parent[ru] = rv
-        self.w[rv] = new_w
-        state = nd.CS.ACTIVE if active else nd.CS.INACTIVE
-        for x in self.members(v):
+    def deactivate(self, v: int):
+        for u in self.ledger.deactivate(v):
+            self.cs[u] = nd.CS.INACTIVE
+
+    def merge(self, sender: int, receiver: int, e: Edge):
+        lg = self.ledger
+        if lg.find(sender) == lg.find(receiver):
+            raise ReplayDivergence(f"connect from {sender} to {receiver} within one component")
+        state = nd.CS.INACTIVE if lg.find(receiver) == lg.find(self.inst.root) else nd.CS.ACTIVE
+        for x in lg.union(sender, receiver):
             self.cs[x] = state
-
-    def contains_root(self, v: int) -> bool:
-        return self.find(v) == self.find(self.inst.root)
+        self.merge_edges.add(e)
 
 
-def reconstruct_duals(trace: sm.Trace, inst: PcstInstance, solution: Solution | None = None) -> DualCertificate:
+def reconstruct_duals(
+    trace: list[sm.Record], inst: PcstInstance, solution: Solution | None = None
+) -> DualCertificate:
     """Replay a growth trace into an explicit dual certificate.
 
     Credits moats from delivery events, cross-checks its shadow state against
@@ -151,6 +203,7 @@ def reconstruct_duals(trace: sm.Trace, inst: PcstInstance, solution: Solution | 
     at every round boundary.
     """
     rp = _Replay(inst)
+    lg = rp.ledger
     pending_checks: list[tuple[int, int]] = []  # (step, leader)
     step_records: list[sm.Record] = []
     current_step = None
@@ -178,64 +231,45 @@ def reconstruct_duals(trace: sm.Trace, inst: PcstInstance, solution: Solution | 
             _replay_delivery(rp, rec)
         elif isinstance(rec, sm.EpsilonRecord):
             if rec.chosen == "deactivate":
-                rp.grow(rec.leader, rec.eps2)
-                rp.cs[rec.leader] = nd.CS.INACTIVE
-                members = rp.members(rec.leader)
-                for u in members:
-                    rp.cs[u] = nd.CS.INACTIVE
-                rp.deactivated.append(members)
+                lg.grow(rec.leader, rec.eps2)
+                rp.deactivate(rec.leader)
         elif isinstance(rec, sm.RoundBoundary):
             pending_checks.append((rec.step, rec.leader))
     flush()
     for v in inst.node_ids:
-        if rp.d[v] != rp.traced_d[v]:
+        if lg.d[v] != rp.traced_d[v]:
             raise ReplayDivergence(
-                f"final deficit of node {v}: traced {rp.traced_d[v]}, replayed {rp.d[v]}"
+                f"final deficit of node {v}: traced {rp.traced_d[v]}, replayed {lg.d[v]}"
             )
     # deficit overshoot across an edge between two components that never met
     # is a certificate infeasibility, not a replay mismatch: the cut sum over
     # such an edge equals the deficit sum, so check_edge_packing reports it
-    moats = [Moat(nodes, y) for nodes, y in ((s, rp.y[s]) for s in rp.order)]
     if solution is None:
         # Distributed output: prize flags name the steiner part; its tree is
         # the merge edges both of whose endpoints survived pruning.
         steiner = {v for v in inst.node_ids if not rp.traced_prize[v]}
         branch = [e for e in rp.merge_edges if e[0] in steiner and e[1] in steiner]
         solution = make_solution(inst, branch, steiner)
-    return DualCertificate(moats, solution, rp.deactivated)
+    return lg.certificate(solution)
 
 
 def _check_identities(rp: _Replay, leader: int, step: int):
     """Deficits and component weights must equal their moat sums; the round
     leader's replicas must match the trace exactly."""
-    if rp.traced_d[leader] != rp.d[leader]:
+    lg = rp.ledger
+    if rp.traced_d[leader] != lg.d[leader]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} deficit traced {rp.traced_d[leader]} "
-            f"!= replayed {rp.d[leader]}"
+            f"!= replayed {lg.d[leader]}"
         )
-    if rp.cs[leader] != nd.CS.SLEEPING and rp.traced_w[leader] != rp.w[rp.find(leader)]:
+    if rp.cs[leader] != nd.CS.SLEEPING and rp.traced_w[leader] != lg.w[lg.find(leader)]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} component weight traced "
-            f"{rp.traced_w[leader]} != replayed {rp.w[rp.find(leader)]}"
+            f"{rp.traced_w[leader]} != replayed {lg.w[lg.find(leader)]}"
         )
-    for v in rp.inst.node_ids:
-        covering = sum((y for s, y in rp.y.items() if v in s), Fraction(0))
-        if rp.d[v] != covering:
-            raise ReplayDivergence(
-                f"step {step}: node {v} deficit {rp.d[v]} != moat sum {covering}"
-            )
-    seen = set()
-    for v in rp.inst.node_ids:
-        r = rp.find(v)
-        if r in seen:
-            continue
-        seen.add(r)
-        members = rp.members(v)
-        inner = sum((y for s, y in rp.y.items() if s <= members), Fraction(0))
-        if rp.w[r] != inner:
-            raise ReplayDivergence(
-                f"step {step}: component of {v} weight {rp.w[r]} != moat sum {inner}"
-            )
+    mismatch = lg.check_identities()
+    if mismatch is not None:
+        raise ReplayDivergence(f"step {step}: {mismatch}")
 
 
 def _replay_delivery(rp: _Replay, rec: sm.Delivery):
@@ -243,35 +277,29 @@ def _replay_delivery(rp: _Replay, rec: sm.Delivery):
     sender, receiver = rec.link
     e = norm_edge(sender, receiver)
     w_e = rp.inst.weights[e]
+    lg = rp.ledger
     if isinstance(msg, nd.Proceed):
         if rp.cs[receiver] == nd.CS.SLEEPING:
             rp.wake(receiver, msg.d_h)
     elif isinstance(msg, nd.Connect):
-        if msg.deficit != rp.d[sender]:
+        if msg.deficit != lg.d[sender]:
             raise ReplayDivergence(
-                f"connect from {sender} carries deficit {msg.deficit}, replay has {rp.d[sender]}"
+                f"connect from {sender} carries deficit {msg.deficit}, replay has {lg.d[sender]}"
             )
         if rp.cs[receiver] == nd.CS.SLEEPING:
             rp.wake(receiver, msg.d_h)
-            eps1 = (w_e - rp.d[receiver] - msg.deficit) / 2
-            eps2 = rp.inst.prizes[receiver] - rp.w[rp.find(receiver)]
+            eps1 = (w_e - lg.d[receiver] - msg.deficit) / 2
+            eps2 = rp.inst.prizes[receiver] - lg.w[lg.find(receiver)]
             if eps1 < eps2:
-                rp.grow(receiver, eps1)
-                rp.grow(sender, eps1)
-                new_w = rp.w[rp.find(receiver)] + rp.w[rp.find(sender)]
-                rp.union(sender, receiver, new_w, active=not rp.contains_root(receiver))
-                rp.merge_edges.add(e)
+                lg.grow(receiver, eps1)
+                lg.grow(sender, eps1)
+                rp.merge(sender, receiver, e)
             else:
-                rp.grow(receiver, eps2)
-                rp.cs[receiver] = nd.CS.INACTIVE
-                rp.deactivated.append(frozenset([receiver]))
+                lg.grow(receiver, eps2)
+                rp.deactivate(receiver)
         elif rp.cs[receiver] == nd.CS.INACTIVE:
-            eps1 = w_e - rp.d[receiver] - msg.deficit
-            rp.grow(sender, eps1)
-            new_w = rp.w[rp.find(receiver)] + rp.w[rp.find(sender)]
-            contains_root = rp.contains_root(receiver)
-            rp.union(sender, receiver, new_w, active=not contains_root)
-            rp.merge_edges.add(e)
+            lg.grow(sender, w_e - lg.d[receiver] - msg.deficit)
+            rp.merge(sender, receiver, e)
         else:
             raise ReplayDivergence(f"connect delivered to active node {receiver}")
 
@@ -306,52 +334,43 @@ def check_edge_packing(cert: DualCertificate, inst: PcstInstance) -> Report:
 def check_penalty_packing(cert: DualCertificate, inst: PcstInstance) -> Report:
     """Moat mass inside any root-free node set stays within its prizes.
 
-    Exhaustive over all subsets up to 12 nodes; on the laminar support family
-    only (reported as partial) beyond that.  Deactivated components that ended
-    up penalized must be exactly tight.
+    The root-free moats must form a laminar family.  Over a laminar family
+    with nonnegative prizes the largest excess of inner moat mass over prizes
+    is reached at a disjoint union of moats, so testing each moat on its own
+    is exact.  Deactivated components that ended up penalized must be exactly
+    tight.
     """
     witnesses = []
-    others = sorted(v for v in inst.node_ids if v != inst.root)
-    exhaustive = len(inst.node_ids) <= 12
-    if exhaustive:
-        idx = {v: i for i, v in enumerate(others)}
-        moat_masks = []
-        for m in cert.moats:
-            if inst.root in m.nodes:
-                if m.y != 0:
-                    witnesses.append({"set": sorted(m.nodes), "reason": "root moat with mass"})
-                continue
-            mask = 0
-            for v in m.nodes:
-                mask |= 1 << idx[v]
-            moat_masks.append((mask, m.y))
-        prize_list = [inst.prizes[v] for v in others]
-        for u_mask in range(1, 1 << len(others)):
-            inner = Fraction(0)
-            for mask, y in moat_masks:
-                if mask & ~u_mask == 0:
-                    inner += y
-            cap = Fraction(0)
-            for i in range(len(others)):
-                if u_mask >> i & 1:
-                    cap += prize_list[i]
-            if inner > cap:
-                witnesses.append(
-                    {
-                        "set": sorted(others[i] for i in range(len(others)) if u_mask >> i & 1),
-                        "sum": format_rational(inner),
-                        "prizes": format_rational(cap),
-                    }
-                )
+    mass: dict[frozenset[int], Fraction] = {}
+    for m in cert.moats:
+        if inst.root in m.nodes:
+            if m.y != 0:
+                witnesses.append({"set": sorted(m.nodes), "reason": "root moat with mass"})
+        else:
+            mass[m.nodes] = mass.get(m.nodes, Fraction(0)) + m.y
+    # Largest sets first: a set is laminar with the ones before it iff all of
+    # its nodes share the smallest earlier set holding them (or none holds them).
+    smallest: dict[int, frozenset[int]] = {}
+    parent: dict[frozenset[int], frozenset[int] | None] = {}
+    for s in sorted(mass, key=len, reverse=True):
+        holders = {smallest.get(v) for v in s}
+        if len(holders) > 1:
+            crossing = next(t for t in holders if t is not None and not s <= t)
+            witnesses.append({"set": sorted(s), "crosses": sorted(crossing), "reason": "not laminar"})
+            break
+        parent[s] = holders.pop() if holders else None
+        for v in s:
+            smallest[v] = s
     else:
-        for m in cert.moats:
-            if inst.root in m.nodes:
-                continue
-            inner = cert.inside_sum(m.nodes)
-            cap = sum((inst.prizes[v] for v in m.nodes), Fraction(0))
-            if inner > cap:
+        inside = dict(mass)
+        for s in reversed(parent):  # children before their parents
+            if parent[s] is not None:
+                inside[parent[s]] += inside[s]
+        for s in mass:
+            cap = sum((inst.prizes[v] for v in s), Fraction(0))
+            if inside[s] > cap:
                 witnesses.append(
-                    {"set": sorted(m.nodes), "sum": format_rational(inner), "prizes": format_rational(cap)}
+                    {"set": sorted(s), "sum": format_rational(inside[s]), "prizes": format_rational(cap)}
                 )
     for comp in cert.deactivated:
         if comp <= cert.solution.penalty_nodes:
@@ -366,9 +385,7 @@ def check_penalty_packing(cert: DualCertificate, inst: PcstInstance) -> Report:
                         "required": "equality (deactivated and pruned)",
                     }
                 )
-    if witnesses:
-        return Report("penalty_packing", "violation", witnesses)
-    return Report("penalty_packing", "pass" if exhaustive else "partial", [])
+    return Report("penalty_packing", "violation" if witnesses else "pass", witnesses)
 
 
 def check_ratio(cert: DualCertificate, inst: PcstInstance, exact: ExactResult | None = None) -> Report:
@@ -404,7 +421,7 @@ def check_ratio(cert: DualCertificate, inst: PcstInstance, exact: ExactResult | 
     return Report("ratio", "violation" if witnesses else "pass", witnesses)
 
 
-def check_bounds(trace: sm.Trace, inst: PcstInstance) -> Report:
+def check_bounds(trace: list[sm.Record], inst: PcstInstance) -> Report:
     """Message and round counts against their worst-case caps."""
     n, m = inst.n, inst.m
     counts = sm.count_messages(trace)
@@ -433,11 +450,12 @@ def check_bounds(trace: sm.Trace, inst: PcstInstance) -> Report:
 
 
 def verify_trace(
-    trace: sm.Trace,
+    trace: list[sm.Record],
     inst: PcstInstance,
-    solution: Solution,
+    solution: Solution | None = None,
     exact: ExactResult | None = None,
 ) -> list[Report]:
+    """All four checks on a trace; a None solution is derived from the trace."""
     cert = reconstruct_duals(trace, inst, solution)
     return [
         check_edge_packing(cert, inst),

@@ -98,7 +98,7 @@ def test_criterion_2_dual_certificate_validity(corpus):
         if not edge.ok:
             failures.append(f"k={c.k}: edge packing {edge.witnesses[:1]}")
         pen = verify.check_penalty_packing(c.cert, c.inst)
-        if pen.status != "pass":  # exhaustive check required at this scale
+        if pen.status != "pass":  # the laminar check is exact at every n
             failures.append(f"k={c.k}: penalty packing {pen.status} {pen.witnesses[:1]}")
         if c.cert.total() > c.exact.opt_value:
             failures.append(

@@ -66,7 +66,7 @@ def test_verify_clean_run_exits_zero(two_penal, tmp_path, capsys):
     assert main(["verify", two_penal, str(trace_path)]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert {l["check"] for l in lines} == {"edge_packing", "penalty_packing", "ratio", "bounds"}
-    assert all(l["status"] in ("pass", "partial") for l in lines)
+    assert all(l["status"] == "pass" for l in lines)
 
 
 def test_verify_corrupted_trace_exits_three(two_penal, tmp_path, capsys):

@@ -11,8 +11,8 @@ def test_two_node_deactivate():
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10")
     g = gw_grow(inst, check=True)
     assert g.forest == set()
-    assert g.deactivated == [frozenset({2})]
-    assert g.y[frozenset({2})] == 3
+    assert g.ledger.deactivated == [frozenset({2})]
+    assert g.ledger.y[frozenset({2})] == 3
     sol, cert = gw_solve(inst)
     assert sol.objective == 3
 
@@ -30,7 +30,7 @@ def test_single_node():
     inst = parse_instance("nodes 3\nroot 3")
     g = gw_grow(inst, check=True)
     assert g.iterations == 0
-    assert not g.y
+    assert not g.ledger.y
     sol, _ = gw_solve(inst)
     assert sol.steiner_nodes == {3}
 
@@ -75,11 +75,11 @@ def test_branch_edges_tight_and_deactivated_tight():
         sol = gw_prune(inst, g)
         for e in sol.branch_edges:
             cut = sum(
-                (y for s, y in g.y.items() if (e[0] in s) != (e[1] in s)), Fraction(0)
+                (y for s, y in g.ledger.y.items() if (e[0] in s) != (e[1] in s)), Fraction(0)
             )
             assert cut == inst.weights[e]
-        for comp in g.deactivated:
-            inner = sum((y for s, y in g.y.items() if s <= comp), Fraction(0))
+        for comp in g.ledger.deactivated:
+            inner = sum((y for s, y in g.ledger.y.items() if s <= comp), Fraction(0))
             assert inner == sum((inst.prizes[v] for v in comp), Fraction(0))
 
 

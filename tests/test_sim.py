@@ -13,11 +13,11 @@ from dpcst.sim import (
     PhaseBoundary,
     RoundBoundary,
     Schedule,
+    Simulation,
     StateChange,
     count_messages,
     extract_solution,
     message_bound,
-    new_simulation,
     read_trace,
     record_from_json,
     record_to_json,
@@ -31,7 +31,7 @@ TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10"
 
 
 def test_new_simulation_shape():
-    s = new_simulation(parse_instance(TWO_MERGE))
+    s = Simulation(parse_instance(TWO_MERGE))
     assert set(s.queues) == {(1, 2), (2, 1)}
     assert all(not q for q in s.queues.values())
     assert s.in_flight() == 1  # the root wakeup
@@ -39,8 +39,8 @@ def test_new_simulation_shape():
 
 def test_seeded_initial_state_deterministic():
     inst = parse_instance(TWO_MERGE)
-    a = new_simulation(inst, Schedule.seeded(7))
-    b = new_simulation(inst, Schedule.seeded(7))
+    a = Simulation(inst, Schedule.seeded(7))
+    b = Simulation(inst, Schedule.seeded(7))
     assert a.nodes == b.nodes
 
 
@@ -103,7 +103,7 @@ def test_count_messages_caps():
 
 
 def test_budget_guard_exists():
-    s = new_simulation(parse_instance(TWO_MERGE))
+    s = Simulation(parse_instance(TWO_MERGE))
     s.budget = 0
     with pytest.raises(sim.LivelockError):
         s.run_to_quiescence()

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from dpcst import sim
 from dpcst.exact import exact_pcst
+from dpcst.gw import gw_solve
 from dpcst.instance import generate_random_instance, make_solution, parse_instance
 from dpcst.sim import EpsilonRecord, RoundBoundary, extract_solution, run
 from dpcst.verify import (
@@ -92,6 +94,23 @@ def test_replay_divergence_on_edited_connect_payload():
         reconstruct_duals(doctored, inst, sol)
 
 
+def test_replay_divergence_on_repeated_connect():
+    from dpcst.node import Connect
+
+    inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
+    s = run(inst)
+    doctored = []
+    for rec in s.trace:
+        doctored.append(rec)
+        if isinstance(rec, sim.Delivery) and isinstance(rec.message, Connect):
+            # the same connect again, carrying the sender's deficit after the merge
+            msg = rec.message
+            again = Connect(msg.nid, msg.comp_w, inst.weights[(1, 2)], msg.d_h)
+            doctored.append(sim.Delivery(rec.step, rec.link, again, rec.round_index))
+    with pytest.raises(ReplayDivergence):
+        reconstruct_duals(doctored, inst)
+
+
 def test_edge_packing_flags_violation():
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
     sol = make_solution(inst, [(1, 2)], [1, 2])
@@ -117,11 +136,75 @@ def test_penalty_packing_exhaustive_flags_violation():
     assert any(w.get("set") == [2, 3] for w in rep.witnesses)
 
 
-def test_penalty_packing_partial_beyond_twelve_nodes():
+def test_penalty_packing_exact_beyond_twelve_nodes():
     inst = generate_random_instance(13, 14, 1)
     sol = make_solution(inst, [], [inst.root])
-    cert = DualCertificate([], sol)
-    assert check_penalty_packing(cert, inst).status == "partial"
+    assert check_penalty_packing(DualCertificate([], sol), inst).status == "pass"
+    inst, s, sol, cert = _run_and_reconstruct(inst)
+    assert check_penalty_packing(cert, inst).status == "pass"
+
+
+def test_penalty_packing_flags_crossing_moats():
+    inst = parse_instance(
+        "nodes 1 2 3 4\nroot 1\nprize 2 5\nprize 3 5\nprize 4 5\nedge 1 2 9\nedge 2 3 9\nedge 3 4 9\n"
+    )
+    sol = make_solution(inst, [], [1])
+    cert = DualCertificate([Moat(frozenset({2, 3}), F(1)), Moat(frozenset({3, 4}), F(1))], sol)
+    rep = check_penalty_packing(cert, inst)
+    assert rep.status == "violation"
+    assert rep.witnesses == [{"set": [3, 4], "crosses": [2, 3], "reason": "not laminar"}]
+
+
+def _exhaustive_penalty_witnesses(cert, inst):
+    """Reference oracle: every root-free node subset, plus the root-moat and
+    deactivated-tightness clauses of the checker."""
+    witnesses = []
+    others = sorted(v for v in inst.node_ids if v != inst.root)
+    idx = {v: i for i, v in enumerate(others)}
+    moat_masks = []
+    for m in cert.moats:
+        if inst.root in m.nodes:
+            if m.y != 0:
+                witnesses.append(sorted(m.nodes))
+            continue
+        mask = 0
+        for v in m.nodes:
+            mask |= 1 << idx[v]
+        moat_masks.append((mask, m.y))
+    for u_mask in range(1, 1 << len(others)):
+        inner = sum((y for mask, y in moat_masks if mask & ~u_mask == 0), F(0))
+        cap = sum((inst.prizes[v] for i, v in enumerate(others) if u_mask >> i & 1), F(0))
+        if inner > cap:
+            witnesses.append(u_mask)
+    for comp in cert.deactivated:
+        if comp <= cert.solution.penalty_nodes:
+            if cert.inside_sum(comp) != sum((inst.prizes[v] for v in comp), F(0)):
+                witnesses.append(sorted(comp))
+    return witnesses
+
+
+def test_penalty_packing_agrees_with_exhaustive_oracle():
+    rng = random.Random(5)
+    certs = []
+    for seed in range(40):
+        n = 3 + seed % 8
+        inst = generate_random_instance(n, rng.randint(n - 1, n * (n - 1) // 2), seed + 300)
+        certs.append((inst, _run_and_reconstruct(inst)[3]))
+        certs.append((inst, gw_solve(inst)[1]))
+    perturbed = []
+    for inst, cert in certs:
+        for _ in range(3):
+            # signed masses on the same laminar sets; without the deactivated
+            # list only the packing itself decides
+            moats = [Moat(m.nodes, m.y + F(rng.randint(-8, 8), rng.randint(1, 4))) for m in cert.moats]
+            perturbed.append((inst, DualCertificate(moats, cert.solution)))
+    violating = 0
+    for inst, cert in certs + perturbed:
+        expected = not _exhaustive_penalty_witnesses(cert, inst)
+        assert check_penalty_packing(cert, inst).ok == expected
+        violating += not expected
+    assert violating >= 100
+    assert violating <= len(certs + perturbed) - 100
 
 
 def test_ratio_factor_one_at_two_nodes():
