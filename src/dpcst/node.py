@@ -13,7 +13,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -234,17 +233,25 @@ class NodeState:
     received_ts: int | float = INF
     ts: int | float = INF
     prune_seen: bool = False
+    # sorted(weights), shared by every copy; weights never change
+    sorted_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
-    def edges(self) -> list[Edge]:
-        return sorted(self.weights)
+    def __post_init__(self):
+        self.sorted_edges = tuple(sorted(self.weights))
+
+    def edges(self) -> tuple[Edge, ...]:
+        return self.sorted_edges
 
     def branch_edges(self) -> list[Edge]:
-        return [e for e in self.edges() if self.se[e] == SE.BRANCH]
+        return [e for e in self.sorted_edges if self.se[e] == SE.BRANCH]
 
     def copy(self) -> "NodeState":
-        return dataclasses.replace(
-            self, se=dict(self.se), epm=dict(self.epm), weights=self.weights
-        )
+        # one copy per transition: skip __init__ and share the static fields
+        new = object.__new__(NodeState)
+        new.__dict__.update(self.__dict__)
+        new.se = dict(self.se)
+        new.epm = dict(self.epm)
+        return new
 
 
 def initialize(node_id: int, is_root: bool, prize: Fraction, weights: dict[Edge, Fraction]) -> NodeState:

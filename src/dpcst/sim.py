@@ -12,17 +12,29 @@ from __future__ import annotations
 import json
 import random
 import typing
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from . import node as nd
-from .instance import Edge, PcstInstance, Solution, format_rational, make_solution, norm_edge
+from .instance import (
+    Edge,
+    PcstInstance,
+    Solution,
+    format_rational,
+    make_solution,
+    norm_edge,
+    parse_rational,
+)
 
 _MSG_TYPES = {cls.__name__: cls for cls in typing.get_args(nd.Message)}
 # growth-phase wire types count against the per-round cap; Prune and
 # BackwardPrune have their own totals
 GROWTH_TYPES = tuple(name for name in _MSG_TYPES if name not in ("Prune", "BackwardPrune"))
+# control traffic preempts everything else (see Simulation._pick)
+_CONTROL = (nd.UpdateInfo, nd.Initiate)
 
 
 class LivelockError(RuntimeError):
@@ -118,7 +130,18 @@ def _plain(x):
 
 
 class Simulation:
-    """One protocol execution over an instance under a delivery schedule."""
+    """One protocol execution over an instance under a delivery schedule.
+
+    The scheduler's view of the queues is kept up to date as messages are
+    queued and delivered, so a delivery costs O(log m) bookkeeping plus a
+    list insert or delete, never a scan of every link:
+
+    - ``ready``: the non-empty links, sorted;
+    - ``control_links``: the links holding at least one queued control
+      message (UpdateInfo or Initiate) anywhere in their queue, sorted;
+    - for eager runs, a heap of (head send_seq, link) whose entries are live
+      only while that message is still at the head of its link.
+    """
 
     def __init__(self, inst: PcstInstance, schedule: Schedule | None = None):
         inst.validate()
@@ -135,7 +158,13 @@ class Simulation:
             for (a, b) in sorted(inst.weights)
             for (u, v) in ((a, b), (b, a))
         }
-        self.links = sorted(self.queues)
+        # one shared tuple per link, so Delivery records do not each hold a copy
+        self.link_of = {link: link for link in self.queues}
+        self.ready: list[tuple[int, int]] = []
+        self.control_links: list[tuple[int, int]] = []
+        self.control_count = dict.fromkeys(self.queues, 0)
+        self.heads: list[tuple[int, tuple[int, int]]] | None = [] if self.rng is None else None
+        self.queued = 0
         self.trace: list[Record] = []
         self.step = 0
         self.send_seq = 0
@@ -147,12 +176,23 @@ class Simulation:
     # -- plumbing
 
     def in_flight(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + (1 if self.root_wakeup_pending else 0)
+        return self.queued + (1 if self.root_wakeup_pending else 0)
 
     def _enqueue(self, sender: int, edge: Edge, msg: nd.Message, round_tag: int):
         receiver = edge[0] if edge[1] == sender else edge[1]
-        self.queues[(sender, receiver)].append((msg, self.send_seq, round_tag))
+        link = self.link_of[(sender, receiver)]
+        q = self.queues[link]
+        if not q:
+            insort(self.ready, link)
+            if self.heads is not None:
+                heappush(self.heads, (self.send_seq, link))
+        q.append((msg, self.send_seq, round_tag))
         self.send_seq += 1
+        self.queued += 1
+        if isinstance(msg, _CONTROL):
+            if not self.control_count[link]:
+                insort(self.control_links, link)
+            self.control_count[link] += 1
         if isinstance(msg, nd.Prune) and not self.pruning_started:
             self.pruning_started = True
             self.trace.append(PhaseBoundary(self.step))
@@ -181,18 +221,35 @@ class Simulation:
                     self.trace.append(PhaseBoundary(self.step))
         for f in _TRACKED_FIELDS:
             a, b = getattr(old, f), getattr(new, f)
-            if a != b:
+            if a is not b and a != b:
                 self.trace.append(StateChange(self.step, node_id, f, _plain(a), _plain(b)))
 
-    def deliverable_links(self) -> list[tuple[int, int]]:
-        return [l for l in self.links if self.queues[l]]
-
-    def step_once(self):
-        """Deliver one message (or the root wakeup) per the schedule.
+    def _pick(self) -> tuple[int, int]:
+        """The link to deliver from next.
 
         Component-update floods (UpdateInfo) and round starts (Initiate)
         preempt other traffic: members must see their component's new state
         before a concurrent probe over a shortcut edge can ask them for it.
+        The pool is every link with such a message queued, at its head or
+        behind other traffic, or every non-empty link if there is none.
+        Seeded runs draw an index into the pool sorted by link; eager runs
+        take the pool's smallest head send_seq.
+        """
+        if self.rng is not None:
+            pool = self.control_links or self.ready
+            return pool[self.rng.randrange(len(pool))]
+        if self.control_links:
+            return min(self.control_links, key=lambda l: self.queues[l][0][1])
+        heads = self.heads
+        while True:
+            seq, link = heappop(heads)
+            q = self.queues[link]
+            if q and q[0][1] == seq:
+                return link
+
+    def step_once(self):
+        """Deliver one message (or the root wakeup) per the schedule.
+
         Per-link FIFO is never violated.
         """
         if self.root_wakeup_pending:
@@ -200,20 +257,20 @@ class Simulation:
             self.step += 1
             self._apply(self.inst.root, nd.SpontaneousWakeup(), self.round_index)
             return
-        candidates = self.deliverable_links()
-        if not candidates:
+        if not self.ready:
             raise RuntimeError("step_once called at quiescence")
-        control = [
-            l
-            for l in candidates
-            if any(isinstance(m, (nd.UpdateInfo, nd.Initiate)) for (m, _s, _t) in self.queues[l])
-        ]
-        pool = control or candidates
-        if self.rng is not None:
-            link = pool[self.rng.randrange(len(pool))]
-        else:
-            link = min(pool, key=lambda l: self.queues[l][0][1])
-        msg, _seq, tag = self.queues[link].popleft()
+        link = self._pick()
+        q = self.queues[link]
+        msg, _seq, tag = q.popleft()
+        self.queued -= 1
+        if not q:
+            del self.ready[bisect_left(self.ready, link)]
+        elif self.heads is not None:
+            heappush(self.heads, (q[0][1], link))
+        if isinstance(msg, _CONTROL):
+            self.control_count[link] -= 1
+            if not self.control_count[link]:
+                del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
         self.trace.append(Delivery(self.step, link, msg, tag))
         sender, receiver = link
@@ -305,41 +362,60 @@ def _message_to_json(msg: nd.Message) -> dict:
     return d
 
 
-def _rational_from_json(x):
-    if x == "inf":
-        return nd.INF
-    if isinstance(x, str):
-        if "/" in x:
-            n, _, d = x.partition("/")
-            return Fraction(int(n), int(d))
-        return Fraction(int(x))
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _int_from_json(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
     return x
 
 
+def _bool_from_json(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a boolean")
+    return x
+
+
+def _rational_from_json(x) -> Fraction:
+    if not isinstance(x, str):
+        raise ValueError(f"{x!r} is not a rational string")
+    return parse_rational(x)
+
+
+def _epsilon_from_json(x) -> Fraction | float:
+    return nd.INF if x == "inf" else _rational_from_json(x)
+
+
+def _timestamp_from_json(x) -> int | float:
+    return nd.INF if x == "inf" else _int_from_json(x)
+
+
+# one decoder per field annotation used by node.Message
+_FIELD_DECODERS = {
+    int: _int_from_json,
+    bool: _bool_from_json,
+    Fraction: _rational_from_json,
+    Fraction | float: _epsilon_from_json,
+    int | float: _timestamp_from_json,
+    nd.SN: nd.SN,
+    nd.CS: nd.CS,
+}
+
+
+def _field_decoders(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _FIELD_DECODERS[hints[f.name]]) for f in fields(cls))
+
+
+# message type name -> (class, ((field name, decoder), ...) in constructor order)
+_MSG_DECODERS = {name: (cls, _field_decoders(cls)) for name, cls in _MSG_TYPES.items()}
+
+
 def _message_from_json(d: dict) -> nd.Message:
-    cls = _MSG_TYPES.get(d["type"])
-    if cls is None:
-        raise ValueError(f"unknown message type {d['type']!r}")
-    kwargs = {}
-    for f in fields(cls):
-        v = d[f.name]
-        if f.name in ("leader", "nid"):
-            kwargs[f.name] = v
-        elif f.name == "sn":
-            kwargs[f.name] = nd.SN(v)
-        elif f.name == "cs":
-            kwargs[f.name] = nd.CS(v)
-        elif f.name in ("pf", "root_flag", "leader_flag", "deactivate_flag"):
-            kwargs[f.name] = bool(v)
-        elif f.name == "ts":
-            kwargs[f.name] = nd.INF if v == "inf" else v
-        else:
-            kwargs[f.name] = _rational_from_json(v)
-    return cls(**kwargs)
+    name = d["type"]
+    entry = _MSG_DECODERS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown message type {name!r}")
+    cls, decoders = entry
+    return cls(*[decode(d[key]) for key, decode in decoders])
 
 
 def record_to_json(rec: Record) -> dict:
@@ -394,7 +470,7 @@ def record_from_json(d: dict) -> Record:
         return EpsilonRecord(
             d["step"],
             d["leader"],
-            _rational_from_json(d["eps1"]),
+            _epsilon_from_json(d["eps1"]),
             None if eps2 is None else _rational_from_json(eps2),
             d["chosen"],
         )

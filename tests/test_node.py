@@ -95,6 +95,19 @@ def test_transition_is_pure():
     assert a1 == a2
 
 
+def test_copy_shares_static_fields_and_owns_edge_marks():
+    st = mk(2, False, 4, {(2, 4): 6, (1, 2): 3, (2, 3): 5})
+    assert st.edges() == ((1, 2), (2, 3), (2, 4))
+    c = st.copy()
+    assert c == st and c is not st
+    assert c.weights is st.weights and c.edges() is st.edges()
+    c.se[(1, 2)] = SE.BRANCH
+    c.epm[(2, 3)] = True
+    c.d_v = F(1)
+    assert st.se[(1, 2)] == SE.BASIC and st.epm[(2, 3)] is False and st.d_v == 0
+    assert c.branch_edges() == [(1, 2)] and st.branch_edges() == []
+
+
 def test_initiate_forwards_and_counts():
     st = mk(2, False, 4, {(1, 2): 3, (2, 3): 5, (2, 4): 6})
     st.cs = CS.INACTIVE

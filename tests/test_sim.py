@@ -6,7 +6,7 @@ import pytest
 from dpcst import node as nd
 from dpcst import sim
 from dpcst.exact import exact_pcst
-from dpcst.instance import generate_random_instance, parse_instance
+from dpcst.instance import generate_random_instance, norm_edge, parse_instance
 from dpcst.sim import (
     Delivery,
     EpsilonRecord,
@@ -140,8 +140,178 @@ def test_back_record_carries_root_flag():
     assert record_from_json(d) == rec
 
 
+def test_report_record_round_trips_infinite_epsilon_and_timestamp():
+    rec = Delivery(4, (2, 1), nd.Report(nd.INF, Fraction(7, 2), Fraction(3), False, nd.INF), 1)
+    d = record_to_json(rec)
+    assert d["message"]["best_epsilon"] == "inf" and d["message"]["ts"] == "inf"
+    assert record_from_json(d) == rec
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        {"type": "Back", "root_flag": "yes"},
+        {"type": "Test", "leader": "1"},
+        {"type": "Test", "leader": True},
+        {"type": "Initiate", "leader": 1, "sn": "lost"},
+        {"type": "Status", "cs": "asleep", "deficit": "0"},
+        {"type": "Merge", "epsilon": 1.5, "d_h": "0"},
+        {"type": "Merge", "epsilon": "inf", "d_h": "0"},
+        {"type": "Report", "best_epsilon": "1", "d_h": "0", "tp": "0", "pf": False, "ts": "7"},
+    ],
+)
+def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
+    path = tmp_path / "t.jsonl"
+    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": message}
+    path.write_text('{"kind": "phase", "step": 0}\n' + json.dumps(rec) + "\n")
+    with pytest.raises(sim.TraceFormatError, match="t.jsonl:2:"):
+        read_trace(str(path))
+
+
 def test_extract_rejects_asymmetric_marks():
     s = run(parse_instance(TWO_MERGE))
     s.nodes[1].se[(1, 2)] = nd.SE.BASIC  # corrupt one side
     with pytest.raises(nd.ProtocolError):
         extract_solution(s)
+
+
+# ---------------------------------------------------------------------------
+# Scheduler equivalence against the scanning reference
+
+_CONTROL = (nd.UpdateInfo, nd.Initiate)
+
+
+class _ScanningSimulation(Simulation):
+    """The scheduler as first written: every step rescans all links and every
+    queued message.  Kept as the reference the incremental scheduler must
+    match delivery for delivery."""
+
+    def __init__(self, inst, schedule=None):
+        super().__init__(inst, schedule)
+        self.links = sorted(self.queues)
+
+    def in_flight(self):
+        return sum(len(q) for q in self.queues.values()) + (1 if self.root_wakeup_pending else 0)
+
+    def _enqueue(self, sender, edge, msg, round_tag):
+        receiver = edge[0] if edge[1] == sender else edge[1]
+        self.queues[(sender, receiver)].append((msg, self.send_seq, round_tag))
+        self.send_seq += 1
+        if isinstance(msg, nd.Prune) and not self.pruning_started:
+            self.pruning_started = True
+            self.trace.append(PhaseBoundary(self.step))
+
+    def deliverable_links(self):
+        return [l for l in self.links if self.queues[l]]
+
+    def step_once(self):
+        if self.root_wakeup_pending:
+            self.root_wakeup_pending = False
+            self.step += 1
+            self._apply(self.inst.root, nd.SpontaneousWakeup(), self.round_index)
+            return
+        candidates = self.deliverable_links()
+        if not candidates:
+            raise RuntimeError("step_once called at quiescence")
+        control = [
+            l for l in candidates if any(isinstance(m, _CONTROL) for (m, _s, _t) in self.queues[l])
+        ]
+        pool = control or candidates
+        if self.rng is not None:
+            link = pool[self.rng.randrange(len(pool))]
+        else:
+            link = min(pool, key=lambda l: self.queues[l][0][1])
+        msg, _seq, tag = self.queues[link].popleft()
+        self.step += 1
+        self.trace.append(Delivery(self.step, link, msg, tag))
+        sender, receiver = link
+        self._apply(receiver, nd.Deliver(norm_edge(sender, receiver), msg, self.step), tag)
+
+
+def _assert_scheduler_state(s: Simulation) -> bool:
+    """Assert that the incremental scheduler state equals what a rescan of the
+    queues gives; return whether some control message sits behind a
+    non-control head."""
+    queued = {l: q for l, q in s.queues.items() if q}
+    control = [l for l, q in queued.items() if any(isinstance(m, _CONTROL) for (m, _s, _t) in q)]
+    assert s.in_flight() == sum(map(len, queued.values())) + s.root_wakeup_pending
+    assert s.ready == sorted(queued)
+    assert s.control_links == sorted(control)
+    if s.heads is None:
+        assert s.rng is not None  # seeded runs keep no heap
+    else:
+        live = {(seq, l) for (seq, l) in s.heads if l in queued and queued[l][0][1] == seq}
+        assert live == {(q[0][1], l) for l, q in queued.items()}
+    return any(not isinstance(queued[l][0][0], _CONTROL) for l in control)
+
+
+_EQUIVALENCE_CORPUS = [
+    (6, 5, 1),
+    (6, 12, 2),
+    (10, 9, 3),
+    (10, 30, 4),
+    (16, 24, 5),
+    (20, 60, 6),
+    (30, 45, 7),
+    (40, 120, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [Schedule.eager()] + [Schedule.seeded(k) for k in range(5)],
+    ids=["eager"] + [f"seeded:{k}" for k in range(5)],
+)
+def test_incremental_scheduler_matches_scanning_reference(schedule, example11):
+    instances = [example11] + [generate_random_instance(*args) for args in _EQUIVALENCE_CORPUS]
+    behind = 0
+    for inst in instances:
+        s = Simulation(inst, schedule)
+        _assert_scheduler_state(s)
+        while s.in_flight():
+            s.step_once()
+            behind += _assert_scheduler_state(s)
+        ref = _ScanningSimulation(inst, schedule)
+        ref.run_to_quiescence()
+        assert s.trace == ref.trace
+        # every delivery holds the link's one shared tuple, not a fresh copy
+        assert all(r.link is s.link_of[r.link] for r in s.trace if isinstance(r, Delivery))
+    # the pool rule that differs from a head-only test is exercised
+    assert behind > 0
+
+
+@pytest.mark.parametrize("schedule", [Schedule.eager(), Schedule.seeded(0)], ids=["eager", "seeded:0"])
+def test_control_message_behind_other_traffic_selects_its_link(schedule):
+    inst = parse_instance("nodes 1 2 3\nroot 1\nprize 2 5\nprize 3 5\nedge 1 2 4\nedge 2 3 4")
+    for sim_cls in (Simulation, _ScanningSimulation):
+        s = sim_cls(inst, schedule)
+        s.root_wakeup_pending = False
+        s._enqueue(3, (2, 3), nd.Test(3), 0)  # the oldest message
+        s._enqueue(1, (1, 2), nd.Test(1), 0)
+        s._enqueue(1, (1, 2), nd.UpdateInfo(Fraction(0), True, False, Fraction(0), Fraction(0)), 0)
+        if sim_cls is Simulation:
+            assert s.ready == [(1, 2), (3, 2)]
+            assert s.control_links == [(1, 2)]
+            _assert_scheduler_state(s)
+        # (1, 2) is the only control link although its head is a Test, so it
+        # is served before the older Test on (3, 2)
+        for _ in range(2):
+            s.step_once()
+        delivered = [(r.link, type(r.message).__name__) for r in s.trace if isinstance(r, Delivery)]
+        assert delivered == [((1, 2), "Test"), ((1, 2), "UpdateInfo")]
+
+
+def test_step_at_quiescence_raises(example11):
+    s = run(example11)
+    assert s.in_flight() == 0 and s.ready == [] and s.control_links == []
+    with pytest.raises(RuntimeError, match="quiescence"):
+        s.step_once()
+
+
+@pytest.mark.parametrize("schedule", [Schedule.eager(), Schedule.seeded(2)], ids=["eager", "seeded:2"])
+def test_livelock_budget_fires_mid_run(example11, schedule):
+    s = Simulation(example11, schedule)
+    s.budget = 5
+    with pytest.raises(sim.LivelockError, match="budget 5"):
+        s.run_to_quiescence()
+    assert s.step == 6 and s.in_flight() > 0
