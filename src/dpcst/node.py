@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Literal
 
 from .instance import Edge, norm_edge
 
@@ -179,6 +180,9 @@ LocalEvent = SpontaneousWakeup | Deliver
 
 # Actions reported to the harness alongside the state transition.
 
+# a leader's decision once it knows its round's epsilons
+Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
+
 
 @dataclass(frozen=True)
 class RoundStarted:
@@ -190,7 +194,7 @@ class EpsilonComputed:
     leader: int
     eps1: Fraction | float
     eps2: Fraction | None
-    chosen: str  # merge | deactivate | proceed | back | prune
+    chosen: Choice
 
 
 Action = RoundStarted | EpsilonComputed

@@ -16,6 +16,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 
 from . import node as nd
@@ -48,6 +49,12 @@ class TraceFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Trace records
 
+# the NodeState fields whose changes are traced
+TrackedField = typing.Literal[
+    "cs", "d_v", "comp_w", "d_h", "prize_flag", "labelled_flag", "root_flag", "lc"
+]
+_TRACKED_FIELDS = typing.get_args(TrackedField)
+
 
 @dataclass(frozen=True)
 class Delivery:
@@ -61,8 +68,8 @@ class Delivery:
 class StateChange:
     step: int
     node: int
-    field: str
-    old: object
+    field: TrackedField
+    old: object  # typed by the NodeState field
     new: object
 
 
@@ -72,7 +79,7 @@ class EpsilonRecord:
     leader: int
     eps1: Fraction | float
     eps2: Fraction | None
-    chosen: str
+    chosen: nd.Choice
 
 
 @dataclass(frozen=True)
@@ -111,22 +118,6 @@ class Schedule:
     @staticmethod
     def seeded(seed: int) -> "Schedule":
         return Schedule("seeded", seed)
-
-
-_TRACKED_FIELDS = (
-    "cs",
-    "d_v",
-    "comp_w",
-    "d_h",
-    "prize_flag",
-    "labelled_flag",
-    "root_flag",
-    "lc",
-)
-
-
-def _plain(x):
-    return x.value if isinstance(x, nd.CS) else x
 
 
 class Simulation:
@@ -222,7 +213,7 @@ class Simulation:
         for f in _TRACKED_FIELDS:
             a, b = getattr(old, f), getattr(new, f)
             if a is not b and a != b:
-                self.trace.append(StateChange(self.step, node_id, f, _plain(a), _plain(b)))
+                self.trace.append(StateChange(self.step, node_id, f, a, b))
 
     def _pick(self) -> tuple[int, int]:
         """The link to deliver from next.
@@ -341,25 +332,11 @@ def count_messages(trace: list[Record]) -> dict:
 
 # ---------------------------------------------------------------------------
 # JSON-lines trace serialization
-
-
-def _to_jsonable(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if x == nd.INF and isinstance(x, float):
-        return "inf"
-    if isinstance(x, nd.CS) or isinstance(x, nd.SN):
-        return x.value
-    if isinstance(x, tuple):
-        return list(x)
-    return x
-
-
-def _message_to_json(msg: nd.Message) -> dict:
-    d = {"type": type(msg).__name__}
-    for f in fields(msg):
-        d[f.name] = _to_jsonable(getattr(msg, f.name))
-    return d
+#
+# Every line is written and read through one table keyed by field
+# annotation.  The writer compiles one f-string per message class and per
+# record kind at import; the reader decodes each field by its annotation, so
+# a value of the wrong JSON type is a TraceFormatError, never a traceback.
 
 
 def _int_from_json(x) -> int:
@@ -374,10 +351,17 @@ def _bool_from_json(x) -> bool:
     return x
 
 
+# A trace repeats few distinct rationals (299 distinct values among the 74k
+# rational fields of the eager n = 160, m = 3n trace), so records share the
+# parsed, immutable Fractions.
+_shared_rational = lru_cache(maxsize=1024)(parse_rational)
+
+
 def _rational_from_json(x) -> Fraction:
+    # checked before the cache lookup, so an int or a list raises this error
     if not isinstance(x, str):
         raise ValueError(f"{x!r} is not a rational string")
-    return parse_rational(x)
+    return _shared_rational(x)
 
 
 def _epsilon_from_json(x) -> Fraction | float:
@@ -388,106 +372,206 @@ def _timestamp_from_json(x) -> int | float:
     return nd.INF if x == "inf" else _int_from_json(x)
 
 
-# one decoder per field annotation used by node.Message
-_FIELD_DECODERS = {
-    int: _int_from_json,
-    bool: _bool_from_json,
-    Fraction: _rational_from_json,
-    Fraction | float: _epsilon_from_json,
-    int | float: _timestamp_from_json,
-    nd.SN: nd.SN,
-    nd.CS: nd.CS,
-}
+def _optional_rational_from_json(x) -> Fraction | None:
+    return None if x is None else _rational_from_json(x)
 
 
-def _field_decoders(cls) -> tuple:
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, _FIELD_DECODERS[hints[f.name]]) for f in fields(cls))
+def _link_from_json(x) -> tuple[int, int]:
+    if type(x) is not list or len(x) != 2 or type(x[0]) is not int or type(x[1]) is not int:
+        raise ValueError(f"link {x!r} is not a (sender, receiver) pair of integers")
+    return (x[0], x[1])
 
 
-# message type name -> (class, ((field name, decoder), ...) in constructor order)
-_MSG_DECODERS = {name: (cls, _field_decoders(cls)) for name, cls in _MSG_TYPES.items()}
+def _literal_from_json(values: tuple, x) -> str:
+    if x not in values:
+        raise ValueError(f"{x!r} is not one of {', '.join(values)}")
+    return x
 
 
 def _message_from_json(d: dict) -> nd.Message:
     name = d["type"]
-    entry = _MSG_DECODERS.get(name)
-    if entry is None:
+    decode = _MSG_DECODERS.get(name)
+    if decode is None:
         raise ValueError(f"unknown message type {name!r}")
-    cls, decoders = entry
+    return decode(d)
+
+
+def _quoted(x) -> str:
+    return f'"{x}"'
+
+
+def _rational_to_json(x: Fraction) -> str:
+    return f'"{format_rational(x)}"'
+
+
+def _epsilon_to_json(x: Fraction | float) -> str:
+    return '"inf"' if x == nd.INF else _rational_to_json(x)
+
+
+def _timestamp_to_json(x: int | float) -> str:
+    return '"inf"' if x == nd.INF else str(x)
+
+
+def _optional_rational_to_json(x: Fraction | None) -> str:
+    return "null" if x is None else _rational_to_json(x)
+
+
+def _enum_to_json(x: nd.SN | nd.CS) -> str:
+    return f'"{x.value}"'
+
+
+def _link_to_json(x: tuple[int, int]) -> str:
+    return f"[{x[0]}, {x[1]}]"
+
+
+def _message_to_text(msg: nd.Message) -> str:
+    return _MSG_ENCODERS[type(msg)](msg)
+
+
+# field annotation -> (decoder from the parsed JSON value, encoder to JSON text)
+_CODECS = {
+    int: (_int_from_json, str),
+    bool: (_bool_from_json, {True: "true", False: "false"}.__getitem__),
+    Fraction: (_rational_from_json, _rational_to_json),
+    Fraction | float: (_epsilon_from_json, _epsilon_to_json),
+    int | float: (_timestamp_from_json, _timestamp_to_json),
+    Fraction | None: (_optional_rational_from_json, _optional_rational_to_json),
+    nd.SN: (nd.SN, _enum_to_json),
+    nd.CS: (nd.CS, _enum_to_json),
+    tuple[int, int]: (_link_from_json, _link_to_json),
+    nd.Message: (_message_from_json, _message_to_text),
+}
+
+
+def _codec(hint) -> tuple:
+    if typing.get_origin(hint) is typing.Literal:
+        return partial(_literal_from_json, typing.get_args(hint)), _quoted
+    return _CODECS[hint]
+
+
+# the one field whose JSON key differs from its name
+_KEYS = {"round_index": "round"}
+
+
+def _fields_from_json(cls, decoders: tuple, d: dict):
     return cls(*[decode(d[key]) for key, decode in decoders])
 
 
+def _object_decoder(cls, hints: dict) -> partial:
+    """Decoder of a cls from its JSON object, each field by its annotation."""
+    decoders = tuple((_KEYS.get(f.name, f.name), _codec(hints[f.name])[0]) for f in fields(cls))
+    return partial(_fields_from_json, cls, decoders)
+
+
+def _text_encoder(head: str, items, line: bool = False):
+    """Compile ``lambda x: f'{head, "key": <value>, ...}'``, each value
+    written by the encoder of its annotation, with a newline if ``line``;
+    ``items`` holds (attribute, annotation) pairs in line order.  One
+    compiled f-string per class, not a loop over its fields, because the
+    writer runs once per record; the source is built only from the record
+    and message classes' own field names."""
+    env = {}
+    parts = [head]
+    for i, (attr, hint) in enumerate(items):
+        encode = _codec(hint)[1]
+        value = f"x.{attr}"
+        if encode is not str:  # an int is written by the f-string itself
+            env[f"e{i}"] = encode
+            value = f"e{i}({value})"
+        parts.append(f'"{_KEYS.get(attr, attr)}": {{{value}}}')
+    end = "\\n" if line else ""
+    return eval("lambda x: f'{{" + ", ".join(parts) + "}}" + end + "'", env)
+
+
+def _message_encoder(cls):
+    hints = typing.get_type_hints(cls)
+    items = [(f.name, hints[f.name]) for f in fields(cls)]
+    return _text_encoder(f'"type": "{cls.__name__}"', items)
+
+
+# message type name -> decoder of its JSON object
+_MSG_DECODERS = {
+    name: _object_decoder(cls, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
+}
+# message class -> its JSON object as text
+_MSG_ENCODERS = {cls: _message_encoder(cls) for cls in _MSG_TYPES.values()}
+
+# record class -> (kind, attributes in line order)
+_RECORD_LAYOUT = {
+    Delivery: ("delivery", ("step", "link", "round_index", "message")),
+    StateChange: ("state", ("step", "node", "field", "old", "new")),
+    EpsilonRecord: ("epsilon", ("step", "leader", "eps1", "eps2", "chosen")),
+    RoundBoundary: ("round", ("step", "leader", "round_index")),
+    PhaseBoundary: ("phase", ("step",)),
+}
+
+
+def _record_codec(cls, hints: dict) -> tuple:
+    """(decoder of its JSON object, encoder of its line) for a record class."""
+    kind, attrs = _RECORD_LAYOUT[cls]
+    encode = _text_encoder(f'"kind": "{kind}"', [(a, hints[a]) for a in attrs], line=True)
+    return _object_decoder(cls, hints), encode
+
+
+# tracked field -> codec of a state change of that field, whose old and new
+# values have the type of that NodeState field
+_STATE_CODECS = {
+    f: _record_codec(StateChange, {**typing.get_type_hints(StateChange), "old": t, "new": t})
+    for f, t in typing.get_type_hints(nd.NodeState).items()
+    if f in _TRACKED_FIELDS
+}
+
+
+def _state_from_json(d: dict) -> StateChange:
+    return _STATE_CODECS[_literal_from_json(_TRACKED_FIELDS, d["field"])][0](d)
+
+
+def _state_to_line(rec: StateChange) -> str:
+    return _STATE_CODECS[rec.field][1](rec)
+
+
+_RECORD_CODECS = {
+    cls: _record_codec(cls, typing.get_type_hints(cls))
+    for cls in _RECORD_LAYOUT
+    if cls is not StateChange
+}
+_RECORD_CODECS[StateChange] = (_state_from_json, _state_to_line)
+# record kind -> decoder of its JSON object
+_RECORD_DECODERS = {_RECORD_LAYOUT[cls][0]: decode for cls, (decode, _e) in _RECORD_CODECS.items()}
+# record class -> encoder of its line
+_RECORD_ENCODERS = {cls: encode for cls, (_d, encode) in _RECORD_CODECS.items()}
+
+
+def record_to_line(rec: Record) -> str:
+    """The trace-file line of one record, newline included."""
+    return _RECORD_ENCODERS[type(rec)](rec)
+
+
 def record_to_json(rec: Record) -> dict:
-    if isinstance(rec, Delivery):
-        return {
-            "kind": "delivery",
-            "step": rec.step,
-            "link": list(rec.link),
-            "round": rec.round_index,
-            "message": _message_to_json(rec.message),
-        }
-    if isinstance(rec, StateChange):
-        return {
-            "kind": "state",
-            "step": rec.step,
-            "node": rec.node,
-            "field": rec.field,
-            "old": _to_jsonable(rec.old),
-            "new": _to_jsonable(rec.new),
-        }
-    if isinstance(rec, EpsilonRecord):
-        return {
-            "kind": "epsilon",
-            "step": rec.step,
-            "leader": rec.leader,
-            "eps1": _to_jsonable(rec.eps1),
-            "eps2": _to_jsonable(rec.eps2),
-            "chosen": rec.chosen,
-        }
-    if isinstance(rec, RoundBoundary):
-        return {"kind": "round", "step": rec.step, "leader": rec.leader, "round": rec.round_index}
-    if isinstance(rec, PhaseBoundary):
-        return {"kind": "phase", "step": rec.step}
-    raise TypeError(f"unknown record {rec!r}")
+    return json.loads(record_to_line(rec))
 
 
 def record_from_json(d: dict) -> Record:
     kind = d["kind"]
-    if kind == "delivery":
-        link = tuple(d["link"])
-        if len(link) != 2:
-            raise ValueError(f"link {d['link']!r} is not a (sender, receiver) pair")
-        return Delivery(d["step"], link, _message_from_json(d["message"]), d["round"])
-    if kind == "state":
-        old, new = d["old"], d["new"]
-        f = d["field"]
-        if f in ("d_v", "comp_w", "d_h"):
-            old, new = _rational_from_json(old), _rational_from_json(new)
-        return StateChange(d["step"], d["node"], f, old, new)
-    if kind == "epsilon":
-        eps2 = d["eps2"]
-        return EpsilonRecord(
-            d["step"],
-            d["leader"],
-            _epsilon_from_json(d["eps1"]),
-            None if eps2 is None else _rational_from_json(eps2),
-            d["chosen"],
-        )
-    if kind == "round":
-        return RoundBoundary(d["step"], d["leader"], d["round"])
-    if kind == "phase":
-        return PhaseBoundary(d["step"])
-    raise ValueError(f"unknown record kind {kind!r}")
+    decode = _RECORD_DECODERS.get(kind)
+    if decode is None:
+        raise ValueError(f"unknown record kind {kind!r}")
+    return decode(d)
 
 
 def write_trace(trace: list[Record], path: str):
+    encoders = _RECORD_ENCODERS
     with open(path, "w") as fh:
-        for rec in trace:
-            fh.write(json.dumps(record_to_json(rec), sort_keys=False) + "\n")
+        for rec in trace:  # line by line: joining the lines first raises peak memory
+            fh.write(encoders[type(rec)](rec))
+
+
+_decode_json = json.JSONDecoder().decode
 
 
 def read_trace(path: str) -> list[Record]:
+    """Every record of a trace file; a line that does not decode to a record,
+    or a file without records, is a TraceFormatError naming the file."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -495,9 +579,11 @@ def read_trace(path: str) -> list[Record]:
             if not line:
                 continue
             try:
-                out.append(record_from_json(json.loads(line)))
+                out.append(record_from_json(_decode_json(line)))
             except KeyError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not out:
+        raise TraceFormatError(f"{path}: no records")
     return out

@@ -87,6 +87,10 @@ class MoatLedger:
     a laminar family.  Deficits are kept per node, member sets and component
     weights per union-find root, and moat masses in crediting order.  Both
     the reference solver and the trace replay keep their duals here.
+
+    The moat sums that ``check_identities`` compares against are kept as of
+    its last call, plus the credits made since, so a check costs O(n) plus
+    the size of the moats credited since the previous one.
     """
 
     def __init__(self, node_ids):
@@ -96,6 +100,9 @@ class MoatLedger:
         self.w = {v: Fraction(0) for v in node_ids}  # by component root
         self.y: dict[frozenset[int], Fraction] = {}  # in the order first credited
         self.deactivated: list[frozenset[int]] = []
+        self._covering = {v: Fraction(0) for v in node_ids}  # moat sum over moats holding v
+        self._inner = {v: Fraction(0) for v in node_ids}  # by component root
+        self._fresh: dict[frozenset[int], Fraction] = {}  # credits since the last check
 
     def find(self, v: int) -> int:
         return self.uf.find(v)
@@ -106,6 +113,7 @@ class MoatLedger:
     def credit(self, nodes: frozenset[int], eps: Fraction):
         if eps != 0:
             self.y[nodes] = self.y.get(nodes, Fraction(0)) + eps
+            self._fresh[nodes] = self._fresh.get(nodes, Fraction(0)) + eps
 
     def grow(self, v: int, eps: Fraction):
         """Grow the component of v by eps: its moat, member deficits and weight."""
@@ -123,6 +131,7 @@ class MoatLedger:
         merged = self.members.pop(ru) | self.members[rv]
         self.members[rv] = merged
         self.w[rv] += self.w.pop(ru)
+        self._inner[rv] += self._inner.pop(ru)
         return merged
 
     def deactivate(self, v: int) -> frozenset[int]:
@@ -132,15 +141,18 @@ class MoatLedger:
 
     def check_identities(self) -> str | None:
         """The first node whose deficit, or component whose weight, differs
-        from its covering, resp. inner, moat sum; None if all agree."""
-        covering = dict.fromkeys(self.d, Fraction(0))
-        inner = dict.fromkeys(self.members, Fraction(0))
-        for s, y in self.y.items():
+        from its covering, resp. inner, moat sum; None if all agree.
+
+        Every credit since the last call is folded into the sums before
+        anything is compared, so a repeated call gives the same answer."""
+        covering, inner = self._covering, self._inner
+        for s, y in self._fresh.items():
             for v in s:
                 covering[v] += y
             r = self.uf.find(next(iter(s)))
             if s <= self.members[r]:
                 inner[r] += y
+        self._fresh.clear()
         for v, d in self.d.items():
             if d != covering[v]:
                 return f"node {v} deficit {d} != moat sum {covering[v]}"

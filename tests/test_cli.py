@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dpcst.cli import main
+from dpcst.instance import generate_random_instance, render_instance
 from dpcst.sim import EpsilonRecord, read_trace
 
 TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10\n"
@@ -135,6 +136,48 @@ def test_verify_trace_outside_instance_exits_three(two_penal, tmp_path, capsys, 
     trace_path.write_text(json.dumps(record) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 3
     assert "outside the instance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_verify_trace_without_records_exits_one(two_penal, tmp_path, capsys, text):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text(text)
+    assert main(["verify", two_penal, str(trace_path)]) == 1
+    assert "t.jsonl: no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, field, key, value",
+    [
+        ("delivery", None, "link", ["1", 2]),
+        ("delivery", None, "link", [1.0, 2]),
+        ("delivery", None, "round", None),
+        ("delivery", None, "step", "2"),
+        ("round", None, "leader", [1]),
+        ("epsilon", None, "chosen", "explode"),
+        ("state", "cs", "new", 7),
+        ("state", "prize_flag", "new", "false"),
+        ("state", "d_v", "field", "sn"),
+    ],
+)
+def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, key, value):
+    # one edited line of an honest n = 8 trace
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(8, 14, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--alg", "dpcst", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    # the first record of that kind (and, for a state change, that field)
+    at = next(i for i, r in enumerate(records) if r["kind"] == kind and r.get("field") == field)
+    records[at][key] = value
+    lines[at] = json.dumps(records[at])
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"t.jsonl:{at + 1}:" in err
+    assert "Traceback" not in err
 
 
 def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):

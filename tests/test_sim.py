@@ -1,4 +1,7 @@
+import hashlib
 import json
+import typing
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from dpcst import node as nd
 from dpcst import sim
 from dpcst.exact import exact_pcst
-from dpcst.instance import generate_random_instance, norm_edge, parse_instance
+from dpcst.instance import format_rational, generate_random_instance, norm_edge, parse_instance
 from dpcst.sim import (
     Delivery,
     EpsilonRecord,
@@ -21,6 +24,7 @@ from dpcst.sim import (
     read_trace,
     record_from_json,
     record_to_json,
+    record_to_line,
     round_message_bound,
     run,
     write_trace,
@@ -165,6 +169,18 @@ def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
     rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": message}
     path.write_text('{"kind": "phase", "step": 0}\n' + json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match="t.jsonl:2:"):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize("value", [5, [1, 2], True, None], ids=["int", "list", "bool", "null"])
+def test_non_string_rational_is_named_as_such(tmp_path, value):
+    # the type is checked before parsed rationals are shared, so a value the
+    # share could hash, or fail to hash, gets the same error as any other
+    path = tmp_path / "t.jsonl"
+    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0,
+           "message": {"type": "Proceed", "d_h": value}}
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(sim.TraceFormatError, match=r"t.jsonl:1: .* is not a rational string"):
         read_trace(str(path))
 
 
@@ -315,3 +331,161 @@ def test_livelock_budget_fires_mid_run(example11, schedule):
     with pytest.raises(sim.LivelockError, match="budget 5"):
         s.run_to_quiescence()
     assert s.step == 6 and s.in_flight() > 0
+
+
+# ---------------------------------------------------------------------------
+# Trace writer against the dict-building reference
+
+
+def _to_jsonable(x):
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if x == nd.INF and isinstance(x, float):
+        return "inf"
+    if isinstance(x, nd.CS) or isinstance(x, nd.SN):
+        return x.value
+    if isinstance(x, tuple):
+        return list(x)
+    return x
+
+
+def _message_to_json(msg):
+    d = {"type": type(msg).__name__}
+    for f in fields(msg):
+        d[f.name] = _to_jsonable(getattr(msg, f.name))
+    return d
+
+
+def _reference_record_dict(rec):
+    """The trace writer as first written: a dict per record for json.dumps.
+    Kept as the reference the compiled line encoders must match byte for byte."""
+    if isinstance(rec, Delivery):
+        return {
+            "kind": "delivery",
+            "step": rec.step,
+            "link": list(rec.link),
+            "round": rec.round_index,
+            "message": _message_to_json(rec.message),
+        }
+    if isinstance(rec, StateChange):
+        return {
+            "kind": "state",
+            "step": rec.step,
+            "node": rec.node,
+            "field": rec.field,
+            "old": _to_jsonable(rec.old),
+            "new": _to_jsonable(rec.new),
+        }
+    if isinstance(rec, EpsilonRecord):
+        return {
+            "kind": "epsilon",
+            "step": rec.step,
+            "leader": rec.leader,
+            "eps1": _to_jsonable(rec.eps1),
+            "eps2": _to_jsonable(rec.eps2),
+            "chosen": rec.chosen,
+        }
+    if isinstance(rec, RoundBoundary):
+        return {"kind": "round", "step": rec.step, "leader": rec.leader, "round": rec.round_index}
+    if isinstance(rec, PhaseBoundary):
+        return {"kind": "phase", "step": rec.step}
+    raise TypeError(f"unknown record {rec!r}")
+
+
+def _reference_lines(trace):
+    return "".join(json.dumps(_reference_record_dict(r)) + "\n" for r in trace)
+
+
+F = Fraction
+_EDGE_MESSAGES = [
+    *(nd.Initiate(4, sn) for sn in nd.SN),
+    nd.Test(12),
+    *(nd.Status(cs, F(-1, 6)) for cs in nd.CS),
+    nd.Reject(),
+    nd.Report(nd.INF, F(7, 2), F(0), True, nd.INF),
+    nd.Report(F(-1, 6), F(-5, 3), F(40), False, 17),
+    nd.Merge(F(-1, 6), F(15)),
+    nd.Connect(7, F(15, 2), F(-1, 6), F(3)),
+    nd.Accept(True, False, F(22, 7), F(0)),
+    nd.Accept(False, True, F(-3), F(1, 9)),
+    nd.RefindEpsilon(),
+    nd.UpdateInfo(F(-1, 6), True, False, F(9), F(7, 2)),
+    nd.UpdateInfo(F(10), False, True, F(0), F(0)),
+    nd.Proceed(F(15)),
+    nd.Back(True),
+    nd.Back(False),
+    nd.Prune(),
+    nd.BackwardPrune(),
+]
+_EDGE_STATE_VALUES = {
+    "cs": [
+        (nd.CS.SLEEPING, nd.CS.ACTIVE),
+        (nd.CS.ACTIVE, nd.CS.INACTIVE),
+        (nd.CS.INACTIVE, nd.CS.SLEEPING),
+    ],
+    "d_v": [(F(0), F(-1, 6)), (F(15, 2), F(3))],
+    "comp_w": [(F(7, 2), F(15))],
+    "d_h": [(F(-1, 6), F(10))],
+    "prize_flag": [(True, False)],
+    "labelled_flag": [(False, True)],
+    "root_flag": [(False, True), (True, False)],
+    "lc": [(0, 11)],
+}
+_EDGE_RECORDS = [
+    *(Delivery(3 + i, (i + 1, i + 2), m, i % 4) for i, m in enumerate(_EDGE_MESSAGES)),
+    *(
+        StateChange(9, 5, f, old, new)
+        for f, pairs in _EDGE_STATE_VALUES.items()
+        for old, new in pairs
+    ),
+    EpsilonRecord(4, 2, nd.INF, None, "prune"),
+    EpsilonRecord(4, 2, nd.INF, None, "back"),
+    EpsilonRecord(5, 3, F(10), None, "proceed"),
+    EpsilonRecord(6, 1, F(-1, 6), F(7, 2), "merge"),
+    EpsilonRecord(7, 1, F(15, 2), F(3), "deactivate"),
+    RoundBoundary(1, 1, 1),
+    PhaseBoundary(88),
+]
+
+
+def test_line_encoder_matches_reference_on_every_kind_and_edge_value():
+    assert {type(m) for m in _EDGE_MESSAGES} == set(typing.get_args(nd.Message))
+    assert {type(r) for r in _EDGE_RECORDS} == set(typing.get_args(sim.Record))
+    assert set(_EDGE_STATE_VALUES) == set(sim._TRACKED_FIELDS)
+    assert {r.chosen for r in _EDGE_RECORDS if isinstance(r, EpsilonRecord)} == set(
+        typing.get_args(nd.Choice)
+    )
+    for rec in _EDGE_RECORDS:
+        expected = _reference_record_dict(rec)
+        assert record_to_line(rec) == json.dumps(expected) + "\n"
+        assert record_to_json(rec) == expected
+        assert record_from_json(expected) == rec
+
+
+def test_write_trace_matches_reference_writer(tmp_path, example11):
+    runs = [run(example11).trace, run(example11, Schedule.seeded(1)).trace]
+    for n in range(6, 21):
+        inst = generate_random_instance(n, 2 * n, n)
+        runs.append(run(inst, Schedule.seeded(n % 3)).trace)
+    path = tmp_path / "t.jsonl"
+    for trace in runs:
+        write_trace(trace, str(path))
+        assert path.read_text() == _reference_lines(trace)
+        assert read_trace(str(path)) == trace
+
+
+@pytest.mark.parametrize(
+    "n, schedule, digest",
+    [
+        (40, Schedule.eager(), "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
+        (80, Schedule.eager(), "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
+        (40, Schedule.seeded(0), "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
+    ],
+    ids=["n40-eager", "n80-eager", "n40-seeded:0"],
+)
+def test_pinned_trace_digests(tmp_path, n, schedule, digest):
+    # eager and seeded traces of the m = 3n, instance-seed-1 corpus, as
+    # written by the one-prune protocol
+    path = tmp_path / "t.jsonl"
+    write_trace(run(generate_random_instance(n, 3 * n, 1), schedule).trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -5,12 +5,13 @@ import pytest
 
 from dpcst import sim
 from dpcst.exact import exact_pcst
-from dpcst.gw import gw_solve
+from dpcst.gw import gw_grow, gw_solve
 from dpcst.instance import generate_random_instance, make_solution, parse_instance
-from dpcst.sim import EpsilonRecord, RoundBoundary, extract_solution, run
+from dpcst.sim import EpsilonRecord, RoundBoundary, Schedule, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
     Moat,
+    MoatLedger,
     ReplayDivergence,
     check_bounds,
     check_edge_packing,
@@ -246,3 +247,82 @@ def test_identities_hold_at_round_boundaries_randomized():
         inst = generate_random_instance(n, min(n + 2, n * (n - 1) // 2), seed)
         s = run(inst)
         reconstruct_duals(s.trace, inst, extract_solution(s))
+
+
+# ---------------------------------------------------------------------------
+# Incremental identity check against the from-scratch reference
+
+
+def _moat_sums_from_scratch(lg):
+    covering = dict.fromkeys(lg.d, F(0))
+    inner = dict.fromkeys(lg.members, F(0))
+    for s, y in lg.y.items():
+        for v in s:
+            covering[v] += y
+        r = lg.uf.find(next(iter(s)))
+        if s <= lg.members[r]:
+            inner[r] += y
+    return covering, inner
+
+
+def _identities_from_scratch(lg):
+    """MoatLedger.check_identities as first written: every moat summed again
+    at every call.  Kept as the reference for the incremental check."""
+    covering, inner = _moat_sums_from_scratch(lg)
+    for v, d in lg.d.items():
+        if d != covering[v]:
+            return f"node {v} deficit {d} != moat sum {covering[v]}"
+    for r, members in lg.members.items():
+        if lg.w[r] != inner[r]:
+            return f"component of {min(members)} weight {lg.w[r]} != moat sum {inner[r]}"
+    return None
+
+
+def test_incremental_identity_check_matches_from_scratch(monkeypatch):
+    incremental = MoatLedger.check_identities
+    checks = []
+
+    def both(lg):
+        expected = _identities_from_scratch(lg)
+        assert incremental(lg) == expected
+        assert (lg._covering, lg._inner) == _moat_sums_from_scratch(lg)
+        assert incremental(lg) == expected
+        checks.append(expected)
+        return expected
+
+    monkeypatch.setattr(MoatLedger, "check_identities", both)
+    schedules = [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)]
+    for n in (6, 9, 13, 20, 28, 40):
+        inst = generate_random_instance(n, 2 * n, n)
+        for schedule in schedules:
+            reconstruct_duals(run(inst, schedule).trace, inst)
+        g = gw_grow(inst, check=True)
+        assert len(checks) >= g.iterations
+    assert len(checks) > 200 and set(checks) == {None}
+
+
+def _tamper_deficit(lg):
+    lg.d[sorted(lg.d)[len(lg.d) // 2]] += F(1, 2)
+
+
+def _tamper_weight(lg):
+    lg.w[max(lg.members, key=lambda r: len(lg.members[r]))] += 1
+
+
+def _tamper_credit_inside_component(lg):
+    comp = max(lg.members.values(), key=len)
+    lg.credit(frozenset(sorted(comp)[1:]), F(1, 3))  # members' deficits not grown
+
+
+@pytest.mark.parametrize("tamper", [_tamper_deficit, _tamper_weight, _tamper_credit_inside_component])
+def test_incremental_identity_check_reports_tampering_like_from_scratch(tamper):
+    for seed in range(6):
+        inst = generate_random_instance(8 + seed, 3 * (8 + seed), seed)
+        lg = gw_grow(inst, check=True).ledger
+        assert lg.check_identities() is None
+        assert len(max(lg.members.values(), key=len)) > 1
+        tamper(lg)
+        expected = _identities_from_scratch(lg)
+        assert expected is not None
+        assert lg.check_identities() == expected
+        assert lg.check_identities() == expected
