@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .instance import Edge, PcstInstance, Solution, make_solution
+from .instance import Edge, PcstInstance, Solution, adjacency, make_solution, reachable
 from .verify import DualCertificate, MoatLedger
 
 INF = float("inf")
@@ -103,17 +103,7 @@ def gw_grow(inst: PcstInstance, check: bool = False) -> GwState:
 
 def gw_prune(inst: PcstInstance, g: GwState) -> Solution:
     """Drop maximal deactivated components hanging off the root tree by one edge."""
-    tree_nodes = {inst.root}
-    stack = [inst.root]
-    adj: dict[int, list[int]] = {v: [] for v in inst.node_ids}
-    for (u, v) in g.forest:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in tree_nodes:
-                tree_nodes.add(u)
-                stack.append(u)
+    tree_nodes = reachable(adjacency(inst.node_ids, g.forest), inst.root)
     tree_edges = {e for e in g.forest if e[0] in tree_nodes and e[1] in tree_nodes}
     labels = list(g.ledger.deactivated)
     maximal = [

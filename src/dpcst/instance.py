@@ -64,6 +64,27 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def adjacency(nodes, edges) -> dict[int, list[int]]:
+    """Neighbor lists of the graph (nodes, edges); every edge joins two nodes."""
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    for (u, v) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def reachable(adj: dict[int, list[int]], start: int) -> set[int]:
+    """The nodes reachable from start over the neighbor lists adj."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 @dataclass
 class PcstInstance:
     """Connected simple graph with nonnegative rational weights and prizes."""
@@ -76,10 +97,7 @@ class PcstInstance:
 
     def __post_init__(self):
         self.node_ids = sorted(self.node_ids)
-        self._adj = {v: [] for v in self.node_ids}
-        for (u, v) in sorted(self.weights):
-            self._adj[u].append(v)
-            self._adj[v].append(u)
+        self._adj = adjacency(self.node_ids, sorted(self.weights))
         for v in self.node_ids:
             self.prizes.setdefault(v, Fraction(0))
 
@@ -93,9 +111,6 @@ class PcstInstance:
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
-
-    def incident_edges(self, v: int) -> list[Edge]:
-        return [norm_edge(v, u) for u in self._adj[v]]
 
     def validate(self):
         if not self.node_ids:
@@ -119,18 +134,8 @@ class PcstInstance:
         for v, p in self.prizes.items():
             if p < 0:
                 raise NegativeValue(f"negative prize at node {v}")
-        if not self._connected():
+        if len(reachable(self._adj, self.root)) != len(self.node_ids):
             raise DisconnectedGraph("graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for u in self._adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.node_ids)
 
 
 @dataclass(frozen=True)
@@ -184,18 +189,7 @@ def _validate_solution(inst: PcstInstance, sol: Solution):
             raise InstanceError(f"branch edge {e} leaves the steiner set")
     if len(sol.branch_edges) != len(sol.steiner_nodes) - 1:
         raise InstanceError("branch set is not a tree on the steiner nodes")
-    seen = {inst.root}
-    stack = [inst.root]
-    adj: dict[int, list[int]] = {v: [] for v in sol.steiner_nodes}
-    for (u, v) in sol.branch_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if seen != sol.steiner_nodes:
+    if reachable(adjacency(sol.steiner_nodes, sol.branch_edges), inst.root) != sol.steiner_nodes:
         raise InstanceError("branch edges do not span the steiner nodes")
 
 

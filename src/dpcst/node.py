@@ -307,14 +307,6 @@ Send = tuple[Edge, Message]
 Emission = Send | Action  # in true emission order; round tags depend on it
 
 
-def sends(emissions: list[Emission]) -> list[Send]:
-    return [em for em in emissions if isinstance(em, tuple)]
-
-
-def actions(emissions: list[Emission]) -> list[Action]:
-    return [em for em in emissions if not isinstance(em, tuple)]
-
-
 class _Ctx:
     """Collects sends and actions, in order, while handlers mutate the state copy."""
 
@@ -336,7 +328,7 @@ def transition(state: NodeState, event: LocalEvent) -> tuple[NodeState, list[Emi
     if isinstance(event, SpontaneousWakeup):
         if not st.is_root:
             raise ProtocolError("spontaneous wakeup at a non-root node")
-        _proc_initiate(ctx)
+        _start_round(ctx)
         return ctx.st, ctx.emits
     msg = event.message
     e = norm_edge(*event.edge)
@@ -348,51 +340,152 @@ def transition(state: NodeState, event: LocalEvent) -> tuple[NodeState, list[Emi
 
 
 # ---------------------------------------------------------------------------
+# Shared rules: each is written once and called by every handler that uses it
+
+
+def _flood(ctx: _Ctx, exclude: Edge | None, msg: Message) -> int:
+    """Send msg over every branch edge but exclude; returns the count."""
+    out = [e for e in ctx.st.branch_edges() if e != exclude]
+    for e in out:
+        ctx.send(e, msg)
+    return len(out)
+
+
+def _start_round(ctx: _Ctx):
+    ctx.act(RoundStarted(ctx.st.id))
+    _join_round(ctx, ctx.st.id, SN.FIND, None)
+
+
+def _join_round(ctx: _Ctx, leader: int, sn: SN, in_branch: Edge | None):
+    """Reset the round state, pass the initiate on down the tree, then test
+    and report; in_branch is the edge toward the leader (None at the leader)."""
+    st = ctx.st
+    st.sn = sn
+    st.best_epsilon = INF
+    st.best_edge = None
+    st.lc = leader
+    st.tp = Fraction(0)
+    st.pf = False
+    st.back_edge = None
+    st.ts = INF
+    st.in_branch = in_branch
+    st.find_count = _flood(ctx, in_branch, Initiate(leader, sn))
+    if sn == SN.FIND:
+        _proc_test(ctx)
+    _proc_report(ctx)
+
+
+def _to_leader(ctx: _Ctx, msg: Message):
+    """Pass msg up toward the round's leader, or restart the round here if
+    this node led it."""
+    if ctx.st.in_branch is not None:
+        ctx.send(ctx.st.in_branch, msg)
+    else:
+        _start_round(ctx)
+
+
+def _route_merge(ctx: _Ctx, epsilon: Fraction, d_h: Fraction):
+    """Follow the best edge: down the tree as a merge, or across it as a connect."""
+    st = ctx.st
+    if st.best_edge is None:
+        raise ProtocolError(f"merge at node {st.id} without a best edge")
+    if st.se[st.best_edge] == SE.BRANCH:
+        ctx.send(st.best_edge, Merge(epsilon, d_h))
+    else:
+        ctx.send(st.best_edge, Connect(st.id, st.comp_w, st.d_v, d_h))
+
+
+def _route_proceed(ctx: _Ctx, d_h: Fraction):
+    """Follow the best edge with a proceed and mark it if it leaves the tree."""
+    st = ctx.st
+    e = st.best_edge
+    if e is None:
+        raise ProtocolError(f"proceed at node {st.id} without a best edge")
+    ctx.send(e, Proceed(d_h))
+    # Every proceed sent off the tree leaves an EPM mark: the edge may be the
+    # only path the prune flood has to whatever forms behind it.  A
+    # refused-connect singleton in particular is reachable solely over its
+    # refind edge, and anything it later wakes hangs behind that edge too.
+    # The mark stays until the woken side answers with a rooted back (see
+    # _on_back): from then on the tree flood reaches it, and a prune over the
+    # wake edge would be a second copy.
+    if st.se[e] == SE.REFIND:
+        st.se[e] = SE.BASIC
+    if st.se[e] == SE.BASIC:
+        st.epm[e] = True
+
+
+def _route_back(ctx: _Ctx):
+    """Send the back toward the earliest pending proceed."""
+    st = ctx.st
+    if st.back_edge is not None:
+        # one-shot pointer: a later back must not re-follow it
+        ctx.send(st.back_edge, Back(st.root_flag))
+        st.back_edge = None
+    elif st.proceed_flag:
+        ctx.send(st.proceed_in_edge, Back(st.root_flag))
+        _clear_pending(st)
+    else:
+        raise ProtocolError(f"back at node {st.id} without a back edge or a pending proceed")
+
+
+def _take_update(ctx: _Ctx, e: Edge | None, msg: UpdateInfo):
+    """Adopt the component state msg carries and flood it on, away from e."""
+    st = ctx.st
+    if msg.root_flag and msg.deactivate_flag:
+        raise ProtocolError("deactivation flood inside the root component")
+    if msg.root_flag:
+        st.cs = CS.INACTIVE
+        st.prize_flag = False
+    elif msg.deactivate_flag:
+        st.cs = CS.INACTIVE
+        st.labelled_flag = True
+    else:
+        st.cs = CS.ACTIVE
+    st.root_flag = msg.root_flag
+    st.d_h = msg.d_h
+    st.d_v += msg.epsilon
+    st.comp_w = msg.total_w
+    _flood(ctx, e, msg)
+
+
+def _send_prunes(ctx: _Ctx, exclude: Edge | None):
+    """Prune over the tree edges and the live wake edges, except exclude.
+
+    prune_msg_count counts the tree edges, whose backward prunes a labelled
+    node awaits.  Only _on_backward_prune reads it, and backward prunes
+    travel only over the root component's tree edges, so counting on a
+    dormant node's forward is harmless.
+    """
+    st = ctx.st
+    for e in st.edges():
+        if e == exclude:
+            continue
+        if st.se[e] == SE.BRANCH:
+            ctx.send(e, Prune())
+            st.prune_msg_count += 1
+        elif st.epm[e] and st.se[e] != SE.REJECTED:
+            ctx.send(e, Prune())
+
+
+def _leave_tree(ctx: _Ctx, up: Edge):
+    """Drop out of the steiner part: report up the tree and unmark the edge."""
+    st = ctx.st
+    st.prize_flag = True
+    st.root_flag = False
+    st.labelled_flag = False
+    ctx.send(up, BackwardPrune())
+    st.se[up] = SE.BASIC
+
+
+# ---------------------------------------------------------------------------
 # Round machinery
 
 
-def _proc_initiate(ctx: _Ctx):
-    st = ctx.st
-    st.sn = SN.FIND
-    st.find_count = 0
-    st.best_epsilon = INF
-    st.best_edge = None
-    st.lc = st.id
-    st.tp = Fraction(0)
-    st.pf = False
-    st.back_edge = None
-    st.ts = INF
-    st.in_branch = None
-    ctx.act(RoundStarted(st.id))
-    for e in st.branch_edges():
-        ctx.send(e, Initiate(st.lc, SN.FIND))
-        st.find_count += 1
-    if st.sn == SN.FIND:
-        _proc_test(ctx)
-    _proc_report(ctx)
-
-
 def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, event: Deliver):
-    st = ctx.st
-    if st.se[e] != SE.BRANCH:
-        raise ProtocolError(f"initiate on non-branch edge {e} at node {st.id}")
-    st.sn = msg.sn
-    st.find_count = 0
-    st.best_epsilon = INF
-    st.best_edge = None
-    st.lc = msg.leader
-    st.tp = Fraction(0)
-    st.pf = False
-    st.back_edge = None
-    st.ts = INF
-    st.in_branch = e
-    for e2 in st.branch_edges():
-        if e2 != e:
-            ctx.send(e2, Initiate(msg.leader, msg.sn))
-            st.find_count += 1
-    if msg.sn == SN.FIND:
-        _proc_test(ctx)
-    _proc_report(ctx)
+    if ctx.st.se[e] != SE.BRANCH:
+        raise ProtocolError(f"initiate on non-branch edge {e} at node {ctx.st.id}")
+    _join_round(ctx, msg.leader, msg.sn, e)
 
 
 def _proc_test(ctx: _Ctx):
@@ -491,53 +584,26 @@ def _decide(ctx: _Ctx):
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "merge"))
-            if st.best_edge is None:
-                raise ProtocolError("merge decided without a best edge")
-            if st.se[st.best_edge] == SE.BRANCH:
-                ctx.send(st.best_edge, Merge(eps1, st.d_h))
-            else:
-                ctx.send(st.best_edge, Connect(st.id, st.comp_w, st.d_v, st.d_h))
+            _route_merge(ctx, eps1, st.d_h)
         else:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
-            st.cs = CS.INACTIVE
-            st.d_v += eps2
-            st.comp_w += eps2
-            st.d_h += eps2
-            st.labelled_flag = True
-            for e in st.branch_edges():
-                ctx.send(e, UpdateInfo(eps2, st.root_flag, True, st.comp_w, st.d_h))
-            _proc_initiate(ctx)
+            # the leader takes its deactivation as the update it floods
+            _take_update(ctx, None, UpdateInfo(eps2, False, True, st.comp_w + eps2, st.d_h + eps2))
+            _start_round(ctx)
     elif st.cs == CS.INACTIVE:
-        if eps1 == INF:
-            if st.ts == INF:
-                if st.is_root:
-                    ctx.act(EpsilonComputed(st.id, eps1, None, "prune"))
-                    for e in st.edges():
-                        if st.se[e] == SE.BRANCH or (st.epm[e] and st.se[e] != SE.REJECTED):
-                            ctx.send(e, Prune())
-                        if st.se[e] == SE.BRANCH:
-                            st.prune_msg_count += 1
-                else:
-                    raise ProtocolError(
-                        f"non-root leader {st.id} has no outgoing option and no pending proceed"
-                    )
-            else:
-                ctx.act(EpsilonComputed(st.id, eps1, None, "back"))
-                if st.back_edge is not None:
-                    # one-shot pointer: a later back must not re-follow it
-                    ctx.send(st.back_edge, Back(st.root_flag))
-                    st.back_edge = None
-                elif st.proceed_flag:
-                    ctx.send(st.proceed_in_edge, Back(st.root_flag))
-                    _clear_pending(st)
-                else:
-                    raise ProtocolError("finite TS with no route for the back")
-        else:
+        if eps1 != INF:
             ctx.act(EpsilonComputed(st.id, eps1, None, "proceed"))
-            if st.best_edge is None:
-                raise ProtocolError("proceed decided without a best edge")
-            ctx.send(st.best_edge, Proceed(st.d_h))
-            _mark_proceed_edge(st, st.best_edge)
+            _route_proceed(ctx, st.d_h)
+        elif st.ts != INF:
+            ctx.act(EpsilonComputed(st.id, eps1, None, "back"))
+            _route_back(ctx)
+        elif st.is_root:
+            ctx.act(EpsilonComputed(st.id, eps1, None, "prune"))
+            _send_prunes(ctx, None)
+        else:
+            raise ProtocolError(
+                f"non-root leader {st.id} has no outgoing option and no pending proceed"
+            )
     else:
         raise ProtocolError(f"decide reached in state {st.cs} root_flag={st.root_flag}")
 
@@ -547,13 +613,7 @@ def _decide(ctx: _Ctx):
 
 
 def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, event: Deliver):
-    st = ctx.st
-    if st.best_edge is None:
-        raise ProtocolError("merge routed to a node without a best edge")
-    if st.se[st.best_edge] == SE.BRANCH:
-        ctx.send(st.best_edge, Merge(msg.epsilon, msg.d_h))
-    else:
-        ctx.send(st.best_edge, Connect(st.id, st.comp_w, st.d_v, msg.d_h))
+    _route_merge(ctx, msg.epsilon, msg.d_h)
 
 
 def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
@@ -573,7 +633,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.se[e] = SE.BRANCH
             ctx.send(e, Accept(st.leader_flag, st.root_flag, st.comp_w, st.d_h))
             if st.leader_flag:
-                _proc_initiate(ctx)
+                _start_round(ctx)
         else:
             st.cs = CS.INACTIVE
             st.comp_w += eps2
@@ -592,9 +652,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         d_t = msg.d_h + eps1
         if st.d_h < d_t:
             st.d_h = d_t
-        for e2 in st.branch_edges():
-            if e2 != e:
-                ctx.send(e2, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
+        _flood(ctx, e, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
         st.se[e] = SE.BRANCH
         if st.proceed_in_edge == e:
             _clear_pending(st)
@@ -603,7 +661,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         # does so on receiving the update flood.  Elsewhere the higher-id
         # endpoint leads.
         if st.leader_flag and (not st.root_flag or st.is_root):
-            _proc_initiate(ctx)
+            _start_round(ctx)
     else:
         raise ProtocolError(f"connect received while active at node {st.id}")
 
@@ -613,57 +671,25 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
     if e != st.best_edge:
         raise ProtocolError(f"accept on unexpected edge {e} at node {st.id}")
     st.se[e] = SE.BRANCH
-    st.root_flag = msg.root_flag
-    st.d_h = msg.d_h
-    st.d_v += st.best_epsilon
-    st.comp_w = msg.total_w
-    if msg.root_flag:
-        st.cs = CS.INACTIVE
-        st.prize_flag = False
-    else:
-        st.cs = CS.ACTIVE
     if st.proceed_in_edge == e and st.proceed_flag:
         _clear_pending(st)
-    for e2 in st.branch_edges():
-        if e2 != e:
-            ctx.send(
-                e2, UpdateInfo(st.best_epsilon, st.root_flag, False, msg.total_w, st.d_h)
-            )
+    # the joining side grows by its merge epsilon and floods that on
+    _take_update(ctx, e, UpdateInfo(st.best_epsilon, msg.root_flag, False, msg.total_w, msg.d_h))
     if not msg.leader_flag:
-        _proc_initiate(ctx)
+        _start_round(ctx)
 
 
 def _on_update_info(ctx: _Ctx, e: Edge, msg: UpdateInfo, event: Deliver):
-    st = ctx.st
-    if msg.root_flag and msg.deactivate_flag:
-        raise ProtocolError("deactivation flood inside the root component")
-    if msg.root_flag:
-        st.cs = CS.INACTIVE
-        st.prize_flag = False
-    elif msg.deactivate_flag:
-        st.cs = CS.INACTIVE
-        st.labelled_flag = True
-    else:
-        st.cs = CS.ACTIVE
-    st.root_flag = msg.root_flag
-    st.d_h = msg.d_h
-    st.d_v += msg.epsilon
-    st.comp_w = msg.total_w
-    for e2 in st.branch_edges():
-        if e2 != e:
-            ctx.send(e2, msg)
-    if st.is_root:
-        _proc_initiate(ctx)
+    _take_update(ctx, e, msg)
+    if ctx.st.is_root:
+        _start_round(ctx)
 
 
 def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, event: Deliver):
     st = ctx.st
     if st.se[e] == SE.BASIC:
         st.se[e] = SE.REFIND
-    if st.in_branch is not None:
-        ctx.send(st.in_branch, RefindEpsilon())
-    else:
-        _proc_initiate(ctx)
+    _to_leader(ctx, RefindEpsilon())
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +700,7 @@ def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, event: Deliver):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the frontier of the round.
-        if st.best_edge is None:
-            raise ProtocolError("proceed routed to a node without a best edge")
-        ctx.send(st.best_edge, Proceed(msg.d_h))
-        _mark_proceed_edge(st, st.best_edge)
+        _route_proceed(ctx, msg.d_h)
     elif st.se[e] == SE.BASIC:
         st.proceed_flag = True
         st.proceed_in_edge = e
@@ -685,33 +708,13 @@ def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, event: Deliver):
         if st.cs == CS.SLEEPING:
             _wakeup(ctx, msg.d_h)
         elif st.cs == CS.INACTIVE:
-            if st.in_branch is not None:
-                ctx.send(st.in_branch, Proceed(msg.d_h))
-            else:
-                _proc_initiate(ctx)
+            _to_leader(ctx, Proceed(msg.d_h))
         else:
             raise ProtocolError("proceed delivered to an active component")
     elif st.se[e] == SE.BRANCH:
-        if st.in_branch is not None:
-            ctx.send(st.in_branch, Proceed(msg.d_h))
-        else:
-            _proc_initiate(ctx)
+        _to_leader(ctx, Proceed(msg.d_h))
     else:
         raise ProtocolError(f"proceed on {st.se[e].value} edge {e}")
-
-
-def _mark_proceed_edge(st: NodeState, e: Edge):
-    # Every sent proceed leaves an EPM mark: the edge may be the only path
-    # the prune flood has to whatever forms behind it.  A refused-connect
-    # singleton in particular is reachable solely over its refind edge, and
-    # anything it later wakes hangs behind that edge too.  The mark stays
-    # until the woken side answers with a rooted back (see _on_back): from
-    # then on the tree flood reaches it, and a prune over the wake edge
-    # would be a second copy.
-    if st.se[e] == SE.REFIND:
-        st.se[e] = SE.BASIC
-    if st.se[e] == SE.BASIC:
-        st.epm[e] = True
 
 
 def _wakeup(ctx: _Ctx, d_k: Fraction):
@@ -721,21 +724,14 @@ def _wakeup(ctx: _Ctx, d_k: Fraction):
     st.comp_w = d_k
     if d_k > st.d_h:
         st.d_h = d_k
-    _proc_initiate(ctx)
+    _start_round(ctx)
 
 
 def _on_back(ctx: _Ctx, e: Edge, msg: Back, event: Deliver):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the earliest pending proceed.
-        if st.back_edge is not None:
-            ctx.send(st.back_edge, Back(st.root_flag))
-            st.back_edge = None
-        elif st.proceed_flag:
-            ctx.send(st.proceed_in_edge, Back(st.root_flag))
-            _clear_pending(st)
-        else:
-            raise ProtocolError(f"routed back at node {st.id} found no pending")
+        _route_back(ctx)
     else:
         # Either the answer to a proceed this component sent out over e, or a
         # child relaying such an answer: the leader must recompute, because
@@ -744,24 +740,11 @@ def _on_back(ctx: _Ctx, e: Edge, msg: Back, event: Deliver):
             # the node behind this wake edge has joined the root component
             # elsewhere; the tree flood resets it and everything it woke
             st.epm[e] = False
-        if st.in_branch is not None:
-            ctx.send(st.in_branch, Back(st.root_flag))
-        else:
-            _proc_initiate(ctx)
+        _to_leader(ctx, Back(st.root_flag))
 
 
 # ---------------------------------------------------------------------------
 # Pruning
-
-
-def _prune_forward_edges(st: NodeState, exclude: Edge | None) -> list[Edge]:
-    out = []
-    for e in st.edges():
-        if e == exclude:
-            continue
-        if st.se[e] == SE.BRANCH or (st.epm[e] and st.se[e] != SE.REJECTED):
-            out.append(e)
-    return out
 
 
 def _prunable(st: NodeState, via: Edge) -> bool:
@@ -772,48 +755,26 @@ def _prunable(st: NodeState, via: Edge) -> bool:
     )
 
 
-def _prune_self(ctx: _Ctx, via: Edge):
-    st = ctx.st
-    st.prize_flag = True
-    st.root_flag = False
-    st.labelled_flag = False
-    for e2 in st.edges():
-        if e2 != via and st.epm[e2] and st.se[e2] != SE.REJECTED:
-            ctx.send(e2, Prune())
-    ctx.send(via, BackwardPrune())
-    st.se[via] = SE.BASIC
-
-
 def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, event: Deliver):
     st = ctx.st
-    if st.root_flag:
-        # The tree flood reaches every member over its branch edge; a copy
-        # arriving sideways (over a wake edge from a dormant component) must
-        # not consume that duty, or the real flood stalls on deduplication
-        # and a prunable leaf survives.  A waker drops its EPM mark once the
-        # woken side answers with a rooted back (see _on_back), so such
-        # copies are rare; this guard keeps the flood right if one arrives.
-        # A node forwards over its own EPM edges exactly once: here, or in
-        # _prune_self if it is a prunable leaf.
-        if st.se[e] != SE.BRANCH or st.prune_seen:
-            return
-        st.prune_seen = True
-        if _prunable(st, e):
-            _prune_self(ctx, e)
-        else:
-            for e2 in _prune_forward_edges(st, e):
-                ctx.send(e2, Prune())
-                if st.se[e2] == SE.BRANCH:
-                    st.prune_msg_count += 1
-    else:
-        if st.prune_seen:
-            return
-        st.prune_seen = True
-        for e2 in _prune_forward_edges(st, e):
-            ctx.send(e2, Prune())
-        for e2 in st.edges():
-            if st.se[e2] != SE.BASIC:
-                st.se[e2] = SE.BASIC
+    # In the root component the tree flood reaches every member over its
+    # branch edge; a copy arriving sideways (over a wake edge from a dormant
+    # component) must not consume that duty, or the real flood stalls on
+    # deduplication and a prunable leaf survives.  A waker drops its EPM
+    # mark once the woken side answers with a rooted back (see _on_back), so
+    # such copies are rare; this guard keeps the flood right if one arrives.
+    if st.prune_seen or (st.root_flag and st.se[e] != SE.BRANCH):
+        return
+    # the one forward over this node's tree and EPM edges; a prunable leaf
+    # has no tree edge but e, so it forwards over its EPM edges alone
+    st.prune_seen = True
+    _send_prunes(ctx, e)
+    if not st.root_flag:
+        # a dormant component dissolves
+        for e2 in st.se:
+            st.se[e2] = SE.BASIC
+    elif _prunable(st, e):
+        _leave_tree(ctx, e)
 
 
 def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune, event: Deliver):
@@ -823,11 +784,7 @@ def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune, event: Deliver):
     if st.labelled_flag and st.prune_msg_count == 0 and st.in_branch is not None:
         # A nonzero prune_msg_count means _on_prune already forwarded the
         # prune, over the EPM edges too; only the tree edge is left.
-        st.prize_flag = True
-        st.root_flag = False
-        st.labelled_flag = False
-        ctx.send(st.in_branch, BackwardPrune())
-        st.se[st.in_branch] = SE.BASIC
+        _leave_tree(ctx, st.in_branch)
 
 
 _HANDLERS = {

@@ -184,9 +184,6 @@ class Simulation:
             if not self.control_count[link]:
                 insort(self.control_links, link)
             self.control_count[link] += 1
-        if isinstance(msg, nd.Prune) and not self.pruning_started:
-            self.pruning_started = True
-            self.trace.append(PhaseBoundary(self.step))
 
     def _apply(self, node_id: int, event, round_tag: int):
         old = self.nodes[node_id]
@@ -545,10 +542,6 @@ _RECORD_ENCODERS = {cls: encode for cls, (_d, encode) in _RECORD_CODECS.items()}
 def record_to_line(rec: Record) -> str:
     """The trace-file line of one record, newline included."""
     return _RECORD_ENCODERS[type(rec)](rec)
-
-
-def record_to_json(rec: Record) -> dict:
-    return json.loads(record_to_line(rec))
 
 
 def record_from_json(d: dict) -> Record:

@@ -41,12 +41,6 @@ class DualCertificate:
     solution: Solution
     deactivated: list[frozenset[int]] = field(default_factory=list)
 
-    def y_of(self, nodes: frozenset[int]) -> Fraction:
-        for m in self.moats:
-            if m.nodes == nodes:
-                return m.y
-        return Fraction(0)
-
     def total(self) -> Fraction:
         return sum((m.y for m in self.moats), Fraction(0))
 
@@ -216,39 +210,36 @@ def reconstruct_duals(
     """
     rp = _Replay(inst)
     lg = rp.ledger
+    # the round checks of a step run once all of its records are in
     pending_checks: list[tuple[int, int]] = []  # (step, leader)
-    step_records: list[sm.Record] = []
     current_step = None
 
-    def flush():
-        for rec in step_records:
-            if isinstance(rec, sm.StateChange):
-                if rec.field == "d_v":
-                    rp.traced_d[rec.node] = rec.new
-                elif rec.field == "comp_w":
-                    rp.traced_w[rec.node] = rec.new
-                elif rec.field == "prize_flag":
-                    rp.traced_prize[rec.node] = rec.new
+    def run_checks():
         for (step, leader) in pending_checks:
             _check_identities(rp, leader, step)
         pending_checks.clear()
-        step_records.clear()
 
     for rec in trace:
         _check_in_instance(rec, inst)
-        if current_step is not None and rec.step != current_step:
-            flush()
-        current_step = rec.step
-        step_records.append(rec)
+        if rec.step != current_step:
+            run_checks()
+            current_step = rec.step
         if isinstance(rec, sm.Delivery):
             _replay_delivery(rp, rec)
+        elif isinstance(rec, sm.StateChange):
+            if rec.field == "d_v":
+                rp.traced_d[rec.node] = rec.new
+            elif rec.field == "comp_w":
+                rp.traced_w[rec.node] = rec.new
+            elif rec.field == "prize_flag":
+                rp.traced_prize[rec.node] = rec.new
         elif isinstance(rec, sm.EpsilonRecord):
             if rec.chosen == "deactivate":
                 lg.grow(rec.leader, rec.eps2)
                 rp.deactivate(rec.leader)
         elif isinstance(rec, sm.RoundBoundary):
             pending_checks.append((rec.step, rec.leader))
-    flush()
+    run_checks()
     for v in inst.node_ids:
         if lg.d[v] != rp.traced_d[v]:
             raise ReplayDivergence(

@@ -34,11 +34,11 @@ def mk(node_id, is_root, prize, weights):
 
 
 def sends(emits):
-    return nd.sends(emits)
+    return [em for em in emits if isinstance(em, tuple)]
 
 
 def acts(emits):
-    return nd.actions(emits)
+    return [em for em in emits if not isinstance(em, tuple)]
 
 
 def test_initialize_root():
@@ -460,3 +460,67 @@ def test_rooted_back_over_branch_edge_keeps_epm():
     st2, emits = transition(st, Deliver((2, 3), nd.Back(root_flag=True), 4))
     assert st2.epm[(2, 3)] is True
     assert sends(emits) == [((1, 2), nd.Back(root_flag=True))]
+
+
+# ---------------------------------------------------------------------------
+# Routing with nothing to route along: each rule has one error path, reached
+# both from the leader's decision and from a routed message
+
+
+def _leader_awaiting_last_report(cs, best_epsilon, ts):
+    # node 2 leads its round and waits for one report over (2, 3); its best
+    # edge was never set
+    st = mk(2, False, 5, {(1, 2): 3, (2, 3): 3})
+    st.cs = cs
+    st.se[(2, 3)] = SE.BRANCH
+    st.sn = SN.FIND
+    st.find_count = 1
+    st.best_epsilon = best_epsilon
+    st.ts = ts
+    return st
+
+
+def _routed_to():
+    # node 2 hangs below (1, 2) and holds no best edge, back edge or pending
+    # proceed
+    st = mk(2, False, 5, {(1, 2): 3, (2, 3): 3})
+    st.cs = CS.INACTIVE
+    st.se[(1, 2)] = SE.BRANCH
+    st.in_branch = (1, 2)
+    return st
+
+
+_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), F(0), False, INF), 4)
+
+
+def test_decided_merge_without_best_edge_names_the_node():
+    st = _leader_awaiting_last_report(CS.ACTIVE, F(1), INF)  # 1 < eps2 = 5
+    with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
+        transition(st, _LAST_REPORT)
+
+
+def test_routed_merge_without_best_edge_names_the_node():
+    with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
+        transition(_routed_to(), Deliver((1, 2), Merge(F(1), F(0)), 4))
+
+
+def test_decided_back_without_pending_proceed_names_the_node():
+    st = _leader_awaiting_last_report(CS.INACTIVE, INF, 7)
+    with pytest.raises(ProtocolError, match="back at node 2 without a back edge or a pending"):
+        transition(st, _LAST_REPORT)
+
+
+def test_routed_back_without_pending_proceed_names_the_node():
+    with pytest.raises(ProtocolError, match="back at node 2 without a back edge or a pending"):
+        transition(_routed_to(), Deliver((1, 2), nd.Back(), 4))
+
+
+def test_decided_proceed_without_best_edge_names_the_node():
+    st = _leader_awaiting_last_report(CS.INACTIVE, F(2), INF)
+    with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
+        transition(st, _LAST_REPORT)
+
+
+def test_routed_proceed_without_best_edge_names_the_node():
+    with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
+        transition(_routed_to(), Deliver((1, 2), nd.Proceed(F(0)), 4))

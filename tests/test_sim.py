@@ -23,12 +23,16 @@ from dpcst.sim import (
     message_bound,
     read_trace,
     record_from_json,
-    record_to_json,
     record_to_line,
     round_message_bound,
     run,
     write_trace,
 )
+
+
+def record_to_json(rec):
+    return json.loads(record_to_line(rec))
+
 
 TWO_MERGE = "nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2"
 TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10"
@@ -489,3 +493,50 @@ def test_pinned_trace_digests(tmp_path, n, schedule, digest):
     path = tmp_path / "t.jsonl"
     write_trace(run(generate_random_instance(n, 3 * n, 1), schedule).trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _refactor_corpus():
+    """n = 3..12, m in {n-1, 2n, 3n} capped at C(n, 2), instance seeds 0..3,
+    eager and seeded:0..2: 432 runs that reach every rule of the node
+    automaton from each handler that uses it."""
+    for n in range(3, 13):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+            for seed in range(4):
+                inst = generate_random_instance(n, m, seed)
+                for schedule in [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)]:
+                    yield inst, schedule
+
+
+def test_refactor_corpus_trace_digest():
+    # one SHA-256 over the line of every record of every corpus run, pinned
+    # before the node automaton was rewritten to state each rule once; a
+    # refactor of the protocol code must leave it unchanged
+    h = hashlib.sha256()
+    runs = 0
+    for inst, schedule in _refactor_corpus():
+        for rec in run(inst, schedule).trace:
+            h.update(record_to_line(rec).encode())
+        runs += 1
+    assert runs == 432
+    assert h.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)],
+    ids=["eager"] + [f"seeded:{k}" for k in range(3)],
+)
+def test_phase_boundary_follows_the_root_prune_decision(schedule, example11):
+    # the prune phase opens only through the root's decision, which comes
+    # before its first Prune send, so the one phase boundary is written
+    # right after that decision, at its step
+    instances = [parse_instance("nodes 4\nroot 4"), parse_instance(TWO_MERGE), example11]
+    instances += [generate_random_instance(n, 2 * n, n) for n in range(5, 31, 5)]
+    for inst in instances:
+        trace = run(inst, schedule).trace
+        phases = [i for i, r in enumerate(trace) if isinstance(r, PhaseBoundary)]
+        assert len(phases) == 1
+        decision = trace[phases[0] - 1]
+        assert decision == EpsilonRecord(decision.step, inst.root, nd.INF, None, "prune")
+        assert trace[phases[0]].step == decision.step

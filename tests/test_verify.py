@@ -24,6 +24,13 @@ from dpcst.verify import (
 F = Fraction
 
 
+def y_of(cert: DualCertificate, nodes: frozenset[int]) -> Fraction:
+    for m in cert.moats:
+        if m.nodes == nodes:
+            return m.y
+    return Fraction(0)
+
+
 def _run_and_reconstruct(text_or_inst):
     inst = parse_instance(text_or_inst) if isinstance(text_or_inst, str) else text_or_inst
     s = run(inst)
@@ -47,7 +54,7 @@ def test_two_node_merge_edge_tight():
 
 def test_deactivated_singleton_penalty_tight():
     inst, s, sol, cert = _run_and_reconstruct("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10")
-    assert cert.y_of(frozenset({2})) == 3
+    assert y_of(cert, frozenset({2})) == 3
     assert cert.deactivated == [frozenset({2})]
     rep = check_penalty_packing(cert, inst)
     assert rep.ok and rep.status == "pass"
