@@ -24,22 +24,8 @@ from .instance import (
 )
 
 
-def _load_instance(args) -> PcstInstance:
-    if args.gen:
-        params = {}
-        for part in args.gen.split(","):
-            k, _, v = part.partition("=")
-            params[k.strip()] = int(v)
-        return generate_random_instance(
-            params["n"],
-            params["m"],
-            params.get("seed", 0),
-            params.get("wmax", 20),
-            params.get("pmax", 20),
-        )
-    if not args.instance:
-        raise InstanceError("no instance given (path or --gen)")
-    with open(args.instance) as fh:
+def _read_instance(path: str) -> PcstInstance:
+    with open(path) as fh:
         return parse_instance(fh.read())
 
 
@@ -52,7 +38,7 @@ def _parse_schedule(text: str) -> sim.Schedule:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args)
+    inst = _read_instance(args.instance)
     if args.alg == "exact":
         res = exact_pcst(inst)
         sol = res.best
@@ -72,8 +58,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     trace = sim.read_trace(args.trace)
     exact = exact_pcst(inst) if inst.n <= MAX_EXACT_NODES and not args.no_exact else None
     try:
@@ -87,8 +72,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     with open(args.solution) as fh:
         data = json.load(fh)
     branch = [tuple(e) for e in data["branch_edges"]]
@@ -137,11 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve an instance")
-    ps.add_argument("instance", nargs="?", help="instance file path")
+    ps.add_argument("instance", help="instance file path")
     ps.add_argument("--alg", choices=["dpcst", "gw", "exact"], default="dpcst")
     ps.add_argument("--schedule", default="eager", help="eager or seeded:<n>")
     ps.add_argument("--trace", help="write the JSON-lines trace here (dpcst only)")
-    ps.add_argument("--gen", help="generate instead of reading: n=..,m=..,seed=..,wmax=..,pmax=..")
     ps.add_argument("--json", action="store_true", help="single-line JSON output")
     ps.set_defaults(func=cmd_solve)
 

@@ -8,8 +8,9 @@ around itself, a merge grows the joining side(s) by the merge epsilon, and a
 deactivation grows the component's moat to penalty tightness.  Negative
 epsilons subtract with ordinary signed arithmetic.
 
-The moats, deficits and component weights live in a ``MoatLedger``, which
-the centralized reference solver (``gw``) shares.  Divergence between the
+The moats, deficits, component weights and activity and the merge forest
+live in a ``MoatLedger``, which the centralized reference solver (``gw``)
+shares.  Divergence between the
 shadow and the traced state changes means the system under test and the
 reconstruction disagree: exit-code-3 territory.
 """
@@ -22,7 +23,15 @@ from fractions import Fraction
 from . import node as nd
 from . import sim as sm
 from .exact import ExactResult, UnionFind
-from .instance import Edge, PcstInstance, Solution, format_rational, make_solution, norm_edge
+from .instance import (
+    Edge,
+    InstanceError,
+    PcstInstance,
+    Solution,
+    format_rational,
+    make_solution,
+    norm_edge,
+)
 
 
 class ReplayDivergence(RuntimeError):
@@ -75,23 +84,29 @@ class Report:
 
 
 class MoatLedger:
-    """Components that grow and merge, and the moats credited to them.
+    """Components that grow, merge and deactivate, and the moats credited
+    to them.
 
     A moat is a component snapshot; components only merge, so the moats form
-    a laminar family.  Deficits are kept per node, member sets and component
-    weights per union-find root, and moat masses in crediting order.  Both
-    the reference solver and the trace replay keep their duals here.
+    a laminar family.  Deficits are kept per node; member sets, component
+    weights and activity per union-find root; moat masses in crediting
+    order; and the forest of edges that components merged over.  A
+    component is active unless it was deactivated or holds the root.  Both
+    the reference solver and the trace replay keep their growth state here.
 
     The moat sums that ``check_identities`` compares against are kept as of
     its last call, plus the credits made since, so a check costs O(n) plus
     the size of the moats credited since the previous one.
     """
 
-    def __init__(self, node_ids):
+    def __init__(self, node_ids, root: int):
+        self.root = root
         self.uf = UnionFind(node_ids)
         self.members = {v: frozenset([v]) for v in node_ids}  # by component root
         self.d = {v: Fraction(0) for v in node_ids}
         self.w = {v: Fraction(0) for v in node_ids}  # by component root
+        self.active = {v: v != root for v in node_ids}  # by component root
+        self.forest: set[Edge] = set()  # the edges components merged over
         self.y: dict[frozenset[int], Fraction] = {}  # in the order first credited
         self.deactivated: list[frozenset[int]] = []
         self._covering = {v: Fraction(0) for v in node_ids}  # moat sum over moats holding v
@@ -100,9 +115,6 @@ class MoatLedger:
 
     def find(self, v: int) -> int:
         return self.uf.find(v)
-
-    def component(self, v: int) -> frozenset[int]:
-        return self.members[self.uf.find(v)]
 
     def credit(self, nodes: frozenset[int], eps: Fraction):
         if eps != 0:
@@ -118,20 +130,23 @@ class MoatLedger:
             self.d[u] += eps
         self.w[r] += eps
 
-    def union(self, u: int, v: int) -> frozenset[int]:
-        """Merge u's component into v's; returns the merged members."""
+    def union(self, u: int, v: int):
+        """Merge u's component into v's over the edge (u, v).  The merged
+        component is active unless it holds the root."""
         ru, rv = self.uf.find(u), self.uf.find(v)
         self.uf.union(ru, rv)
         merged = self.members.pop(ru) | self.members[rv]
         self.members[rv] = merged
         self.w[rv] += self.w.pop(ru)
         self._inner[rv] += self._inner.pop(ru)
-        return merged
+        del self.active[ru]
+        self.active[rv] = self.root not in merged
+        self.forest.add(norm_edge(u, v))
 
-    def deactivate(self, v: int) -> frozenset[int]:
-        comp = self.component(v)
-        self.deactivated.append(comp)
-        return comp
+    def deactivate(self, v: int):
+        r = self.uf.find(v)
+        self.active[r] = False
+        self.deactivated.append(self.members[r])
 
     def check_identities(self) -> str | None:
         """The first node whose deficit, or component whose weight, differs
@@ -165,15 +180,15 @@ class MoatLedger:
 
 
 class _Replay:
-    """Replay-only state beside the ledger: the CS shadow, the mirrors of the
-    traced state and the merge edges."""
+    """Replay-only state beside the ledger: the nodes the growth has not
+    reached yet and the mirrors of the traced state."""
 
     def __init__(self, inst: PcstInstance):
         self.inst = inst
-        self.ledger = MoatLedger(inst.node_ids)
-        self.cs = {v: nd.CS.SLEEPING for v in inst.node_ids}
-        self.cs[inst.root] = nd.CS.INACTIVE
-        self.merge_edges: set[Edge] = set()
+        self.ledger = MoatLedger(inst.node_ids, inst.root)
+        # left on wake; a trace that deactivates or merges a node before
+        # waking it takes the node out too
+        self.asleep = set(inst.node_ids) - {inst.root}
         # mirror of the system under test, driven by StateChange records
         self.traced_d = {v: Fraction(0) for v in inst.node_ids}
         self.traced_w = {v: Fraction(0) for v in inst.node_ids}
@@ -181,32 +196,26 @@ class _Replay:
 
     def wake(self, v: int, d_k: Fraction):
         # a sleeping node is an untouched singleton (d = w = 0)
-        self.cs[v] = nd.CS.ACTIVE
+        self.asleep.remove(v)
         self.ledger.grow(v, d_k)
 
-    def deactivate(self, v: int):
-        for u in self.ledger.deactivate(v):
-            self.cs[u] = nd.CS.INACTIVE
-
-    def merge(self, sender: int, receiver: int, e: Edge):
+    def merge(self, sender: int, receiver: int):
         lg = self.ledger
         if lg.find(sender) == lg.find(receiver):
             raise ReplayDivergence(f"connect from {sender} to {receiver} within one component")
-        state = nd.CS.INACTIVE if lg.find(receiver) == lg.find(self.inst.root) else nd.CS.ACTIVE
-        for x in lg.union(sender, receiver):
-            self.cs[x] = state
-        self.merge_edges.add(e)
+        self.asleep.discard(sender)
+        lg.union(sender, receiver)
 
 
-def reconstruct_duals(
-    trace: list[sm.Record], inst: PcstInstance, solution: Solution | None = None
-) -> DualCertificate:
+def reconstruct_duals(trace: list[sm.Record], inst: PcstInstance) -> DualCertificate:
     """Replay a growth trace into an explicit dual certificate.
 
     Credits moats from delivery events, cross-checks its shadow state against
     the traced StateChange stream, and confirms the bookkeeping identities
     (deficit = sum of covering moats, component weight = sum of inner moats)
-    at every round boundary.
+    at every round boundary.  The certified solution is the one the trace
+    gives: the traced prize flags name the steiner part, and its tree is the
+    merge forest restricted to it.
     """
     rp = _Replay(inst)
     lg = rp.ledger
@@ -236,7 +245,8 @@ def reconstruct_duals(
         elif isinstance(rec, sm.EpsilonRecord):
             if rec.chosen == "deactivate":
                 lg.grow(rec.leader, rec.eps2)
-                rp.deactivate(rec.leader)
+                lg.deactivate(rec.leader)
+                rp.asleep.discard(rec.leader)
         elif isinstance(rec, sm.RoundBoundary):
             pending_checks.append((rec.step, rec.leader))
     run_checks()
@@ -248,12 +258,12 @@ def reconstruct_duals(
     # deficit overshoot across an edge between two components that never met
     # is a certificate infeasibility, not a replay mismatch: the cut sum over
     # such an edge equals the deficit sum, so check_edge_packing reports it
-    if solution is None:
-        # Distributed output: prize flags name the steiner part; its tree is
-        # the merge edges both of whose endpoints survived pruning.
-        steiner = {v for v in inst.node_ids if not rp.traced_prize[v]}
-        branch = [e for e in rp.merge_edges if e[0] in steiner and e[1] in steiner]
+    steiner = {v for v in inst.node_ids if not rp.traced_prize[v]}
+    branch = [e for e in lg.forest if e[0] in steiner and e[1] in steiner]
+    try:
         solution = make_solution(inst, branch, steiner)
+    except InstanceError as exc:
+        raise ReplayDivergence(f"traced prize flags: {exc}") from None
     return lg.certificate(solution)
 
 
@@ -280,7 +290,7 @@ def _check_identities(rp: _Replay, leader: int, step: int):
             f"step {step}: leader {leader} deficit traced {rp.traced_d[leader]} "
             f"!= replayed {lg.d[leader]}"
         )
-    if rp.cs[leader] != nd.CS.SLEEPING and rp.traced_w[leader] != lg.w[lg.find(leader)]:
+    if leader not in rp.asleep and rp.traced_w[leader] != lg.w[lg.find(leader)]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} component weight traced "
             f"{rp.traced_w[leader]} != replayed {lg.w[lg.find(leader)]}"
@@ -293,31 +303,30 @@ def _check_identities(rp: _Replay, leader: int, step: int):
 def _replay_delivery(rp: _Replay, rec: sm.Delivery):
     msg = rec.message
     sender, receiver = rec.link
-    e = norm_edge(sender, receiver)
-    w_e = rp.inst.weights[e]
+    w_e = rp.inst.weights[norm_edge(sender, receiver)]
     lg = rp.ledger
     if isinstance(msg, nd.Proceed):
-        if rp.cs[receiver] == nd.CS.SLEEPING:
+        if receiver in rp.asleep:
             rp.wake(receiver, msg.d_h)
     elif isinstance(msg, nd.Connect):
         if msg.deficit != lg.d[sender]:
             raise ReplayDivergence(
                 f"connect from {sender} carries deficit {msg.deficit}, replay has {lg.d[sender]}"
             )
-        if rp.cs[receiver] == nd.CS.SLEEPING:
+        if receiver in rp.asleep:
             rp.wake(receiver, msg.d_h)
             eps1 = (w_e - lg.d[receiver] - msg.deficit) / 2
             eps2 = rp.inst.prizes[receiver] - lg.w[lg.find(receiver)]
             if eps1 < eps2:
                 lg.grow(receiver, eps1)
                 lg.grow(sender, eps1)
-                rp.merge(sender, receiver, e)
+                rp.merge(sender, receiver)
             else:
                 lg.grow(receiver, eps2)
-                rp.deactivate(receiver)
-        elif rp.cs[receiver] == nd.CS.INACTIVE:
+                lg.deactivate(receiver)
+        elif not lg.active[lg.find(receiver)]:
             lg.grow(sender, w_e - lg.d[receiver] - msg.deficit)
-            rp.merge(sender, receiver, e)
+            rp.merge(sender, receiver)
         else:
             raise ReplayDivergence(f"connect delivered to active node {receiver}")
 
@@ -468,13 +477,10 @@ def check_bounds(trace: list[sm.Record], inst: PcstInstance) -> Report:
 
 
 def verify_trace(
-    trace: list[sm.Record],
-    inst: PcstInstance,
-    solution: Solution | None = None,
-    exact: ExactResult | None = None,
+    trace: list[sm.Record], inst: PcstInstance, exact: ExactResult | None = None
 ) -> list[Report]:
-    """All four checks on a trace; a None solution is derived from the trace."""
-    cert = reconstruct_duals(trace, inst, solution)
+    """All four checks on a trace and the solution it gives."""
+    cert = reconstruct_duals(trace, inst)
     return [
         check_edge_packing(cert, inst),
         check_penalty_packing(cert, inst),

@@ -59,7 +59,7 @@ def corpus():
         gsol, gcert = gw.gw_solve(inst)
         cert, err = None, None
         try:
-            cert = verify.reconstruct_duals(s.trace, inst, sol)
+            cert = verify.reconstruct_duals(s.trace, inst)
         except verify.ReplayDivergence as exc:
             err = str(exc)
         cases.append(Case(k, inst, sol, s.trace, res, gsol, gcert, cert, err))

@@ -31,7 +31,7 @@ def test_certificate_can_underwitness_while_true_bound_holds():
     inst = _instance()
     s = run(inst)
     sol = extract_solution(s)
-    cert = reconstruct_duals(s.trace, inst, sol)
+    cert = reconstruct_duals(s.trace, inst)
     res = exact_pcst(inst)
     factor = Fraction(2) - Fraction(1, inst.n - 1)
 

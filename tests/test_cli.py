@@ -41,8 +41,11 @@ def test_solve_gw_matches(two_penal, capsys):
     assert json.loads(capsys.readouterr().out)["objective"] == "3"
 
 
-def test_solve_generated_instance(capsys):
-    assert main(["solve", "--alg", "exact", "--gen", "n=5,m=7,seed=3"]) == 0
+def test_solve_generated_instance(capsys, tmp_path):
+    assert main(["gen", "--n", "5", "--m", "7", "--seed", "3"]) == 0
+    p = tmp_path / "g.pcst"
+    p.write_text(capsys.readouterr().out)
+    assert main(["solve", "--alg", "exact", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "objective" in out
 
@@ -228,3 +231,27 @@ def test_render_mismatch_is_usage_error(two_penal, tmp_path, capsys):
 
 def test_missing_file_exits_one(capsys):
     assert main(["solve", "--alg", "exact", "/nonexistent.pcst"]) == 1
+
+
+@pytest.mark.parametrize("node", [7, 6, 4, 5])
+def test_verify_prize_flags_not_a_tree_exits_three(tmp_path, capsys, node):
+    # without the node's one prize_flag record the traced steiner set is not
+    # connected by the merge forest: the trace disagrees with itself
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    flags = [
+        i for i, r in enumerate(records)
+        if r["kind"] == "state" and r["field"] == "prize_flag" and r["node"] == node
+    ]
+    assert len(flags) == 1
+    del lines[flags[0]]
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 3
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+    assert "not a tree" in out[0]["witnesses"][0]

@@ -9,18 +9,18 @@ from dpcst.verify import check_edge_packing, check_penalty_packing, check_ratio
 def test_two_node_deactivate():
     # first iteration: edge headroom 10, penalty headroom 3 -> deactivate
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10")
-    g = gw_grow(inst, check=True)
-    assert g.forest == set()
-    assert g.ledger.deactivated == [frozenset({2})]
-    assert g.ledger.y[frozenset({2})] == 3
+    lg = gw_grow(inst, check=True)
+    assert lg.forest == set()
+    assert lg.deactivated == [frozenset({2})]
+    assert lg.y[frozenset({2})] == 3
     sol, cert = gw_solve(inst)
     assert sol.objective == 3
 
 
 def test_two_node_merge():
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
-    g = gw_grow(inst, check=True)
-    assert g.forest == {(1, 2)}
+    lg = gw_grow(inst, check=True)
+    assert lg.forest == {(1, 2)}
     sol, cert = gw_solve(inst)
     assert sol.objective == 2
     assert cert.cut_sum((1, 2)) == 2  # merged edge is tight
@@ -28,9 +28,9 @@ def test_two_node_merge():
 
 def test_single_node():
     inst = parse_instance("nodes 3\nroot 3")
-    g = gw_grow(inst, check=True)
-    assert g.iterations == 0
-    assert not g.ledger.y
+    lg = gw_grow(inst, check=True)
+    assert len(lg.forest) + len(lg.deactivated) == 0  # no iteration
+    assert not lg.y
     sol, _ = gw_solve(inst)
     assert sol.steiner_nodes == {3}
 
@@ -54,8 +54,8 @@ def test_prune_drops_hanging_deactivated_component():
 def test_iteration_cap_and_dual_identities():
     for seed in range(12):
         inst = generate_random_instance(7, 10, seed)
-        g = gw_grow(inst, check=True)  # re-checks invariants every iteration
-        assert g.iterations <= 2 * inst.n - 1
+        lg = gw_grow(inst, check=True)  # re-checks invariants every iteration
+        assert len(lg.forest) + len(lg.deactivated) <= 2 * inst.n - 1
 
 
 def test_certificates_pass_shared_checker():
@@ -71,15 +71,15 @@ def test_certificates_pass_shared_checker():
 def test_branch_edges_tight_and_deactivated_tight():
     for seed in range(10):
         inst = generate_random_instance(7, 12, seed + 90)
-        g = gw_grow(inst)
-        sol = gw_prune(inst, g)
+        lg = gw_grow(inst)
+        sol = gw_prune(inst, lg)
         for e in sol.branch_edges:
             cut = sum(
-                (y for s, y in g.ledger.y.items() if (e[0] in s) != (e[1] in s)), Fraction(0)
+                (y for s, y in lg.y.items() if (e[0] in s) != (e[1] in s)), Fraction(0)
             )
             assert cut == inst.weights[e]
-        for comp in g.ledger.deactivated:
-            inner = sum((y for s, y in g.ledger.y.items() if s <= comp), Fraction(0))
+        for comp in lg.deactivated:
+            inner = sum((y for s, y in lg.y.items() if s <= comp), Fraction(0))
             assert inner == sum((inst.prizes[v] for v in comp), Fraction(0))
 
 

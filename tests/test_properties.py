@@ -44,7 +44,7 @@ def test_certificate_reconstructs_from_any_schedule(n, seed, schedule_seed):
     inst = generate_random_instance(n, m, seed)
     s = run(inst, Schedule.seeded(schedule_seed))
     sol = extract_solution(s)
-    cert = reconstruct_duals(s.trace, inst, sol)  # raises on any identity break
+    cert = reconstruct_duals(s.trace, inst)  # raises on any identity break
     assert verify.check_edge_packing(cert, inst).ok
     assert verify.check_penalty_packing(cert, inst).ok
     assert cert.total() <= exact_pcst(inst).opt_value

@@ -34,7 +34,7 @@ def test_refusal_can_overpack_an_edge_between_dead_components():
     inst = _instance()
     s = run(inst)
     sol = extract_solution(s)
-    cert = reconstruct_duals(s.trace, inst, sol)  # replay itself is consistent
+    cert = reconstruct_duals(s.trace, inst)  # replay itself is consistent
     rep = verify.check_edge_packing(cert, inst)
     assert not rep.ok
     violated = {tuple(w["edge"]) for w in rep.witnesses}

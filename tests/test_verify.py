@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from dpcst import sim
 from dpcst.exact import exact_pcst
 from dpcst.gw import gw_grow, gw_solve
-from dpcst.instance import generate_random_instance, make_solution, parse_instance
+from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
 from dpcst.sim import EpsilonRecord, RoundBoundary, Schedule, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
@@ -35,7 +37,7 @@ def _run_and_reconstruct(text_or_inst):
     inst = parse_instance(text_or_inst) if isinstance(text_or_inst, str) else text_or_inst
     s = run(inst)
     sol = extract_solution(s)
-    return inst, s, sol, reconstruct_duals(s.trace, inst, sol)
+    return inst, s, sol, reconstruct_duals(s.trace, inst)
 
 
 def test_single_node_empty_certificate():
@@ -60,25 +62,56 @@ def test_deactivated_singleton_penalty_tight():
     assert rep.ok and rep.status == "pass"
 
 
-def test_reconstruct_derives_solution_when_missing():
-    inst = generate_random_instance(6, 9, 17)
-    s = run(inst)
-    sol = extract_solution(s)
-    cert = reconstruct_duals(s.trace, inst)  # no solution supplied
-    assert cert.solution == sol
+def test_replayed_solution_equals_extracted_solution():
+    # the certified solution comes from the trace alone (prize flags and the
+    # merge forest); on honest runs it is the one the nodes' branch marks give
+    runs = 0
+    for n in range(2, 21):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+            inst = generate_random_instance(n, m, n)
+            for schedule in (Schedule.eager(), Schedule.seeded(n)):
+                s = run(inst, schedule)
+                assert reconstruct_duals(s.trace, inst).solution == extract_solution(s)
+                runs += 1
+    assert runs == 104
+
+
+def test_gw_and_replay_outputs_digest():
+    # one SHA-256 over every gw solution and certificate (moats in crediting
+    # order with their masses, deactivated components in order) and every
+    # verify_trace report of an eager corpus run, pinned before activity and
+    # the merge forest moved into MoatLedger; a rewrite of gw or the replay
+    # must leave it unchanged
+    h = hashlib.sha256()
+    runs = 0
+    for n in range(3, 13):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+            for seed in range(6):
+                inst = generate_random_instance(n, m, seed)
+                sol, cert = gw_solve(inst)
+                h.update(json.dumps(sol.to_json_dict()).encode())
+                moats = [[sorted(m.nodes), format_rational(m.y)] for m in cert.moats]
+                h.update(json.dumps(moats).encode())
+                h.update(json.dumps([sorted(s) for s in cert.deactivated]).encode())
+                for rep in verify_trace(run(inst).trace, inst):
+                    h.update(json.dumps(rep.to_json_dict()).encode())
+                runs += 1
+    assert runs == 162
+    assert h.hexdigest() == "f74f333f4f6105b8630837809156dd15c0e863e193b6a04c3e8ba792fd710a44"
 
 
 def test_replay_divergence_on_edited_epsilon(tmp_path):
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10")
     s = run(inst)
-    sol = extract_solution(s)
     doctored = []
     for rec in s.trace:
         if isinstance(rec, EpsilonRecord) and rec.chosen == "deactivate":
             rec = EpsilonRecord(rec.step, rec.leader, rec.eps1, rec.eps2 + 1, rec.chosen)
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
-        reconstruct_duals(doctored, inst, sol)
+        reconstruct_duals(doctored, inst)
 
 
 def test_replay_divergence_on_edited_connect_payload():
@@ -86,7 +119,6 @@ def test_replay_divergence_on_edited_connect_payload():
 
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
     s = run(inst)
-    sol = extract_solution(s)
     doctored = []
     for rec in s.trace:
         if isinstance(rec, sim.Delivery) and isinstance(rec.message, Connect):
@@ -99,7 +131,7 @@ def test_replay_divergence_on_edited_connect_payload():
             )
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
-        reconstruct_duals(doctored, inst, sol)
+        reconstruct_duals(doctored, inst)
 
 
 def test_replay_divergence_on_repeated_connect():
@@ -241,9 +273,7 @@ def test_bounds_flag_round_overflow():
 
 
 def test_verify_trace_end_to_end(example11):
-    s = run(example11)
-    sol = extract_solution(s)
-    reports = verify_trace(s.trace, example11, sol, exact_pcst(example11))
+    reports = verify_trace(run(example11).trace, example11, exact_pcst(example11))
     assert all(r.ok for r in reports)
 
 
@@ -253,7 +283,7 @@ def test_identities_hold_at_round_boundaries_randomized():
         n = 3 + seed % 7
         inst = generate_random_instance(n, min(n + 2, n * (n - 1) // 2), seed)
         s = run(inst)
-        reconstruct_duals(s.trace, inst, extract_solution(s))
+        reconstruct_duals(s.trace, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +333,8 @@ def test_incremental_identity_check_matches_from_scratch(monkeypatch):
         inst = generate_random_instance(n, 2 * n, n)
         for schedule in schedules:
             reconstruct_duals(run(inst, schedule).trace, inst)
-        g = gw_grow(inst, check=True)
-        assert len(checks) >= g.iterations
+        lg = gw_grow(inst, check=True)
+        assert len(checks) >= len(lg.forest) + len(lg.deactivated)  # one per iteration
     assert len(checks) > 200 and set(checks) == {None}
 
 
@@ -325,7 +355,7 @@ def _tamper_credit_inside_component(lg):
 def test_incremental_identity_check_reports_tampering_like_from_scratch(tamper):
     for seed in range(6):
         inst = generate_random_instance(8 + seed, 3 * (8 + seed), seed)
-        lg = gw_grow(inst, check=True).ledger
+        lg = gw_grow(inst, check=True)
         assert lg.check_identities() is None
         assert len(max(lg.members.values(), key=len)) > 1
         tamper(lg)
