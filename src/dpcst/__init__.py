@@ -12,11 +12,10 @@ from .instance import (
     PcstInstance,
     Solution,
     generate_random_instance,
-    objective,
     parse_instance,
     render_instance,
 )
-from .sim import Schedule, Simulation, extract_solution, run
+from .sim import Simulation, extract_solution, run
 from .verify import DualCertificate, reconstruct_duals
 
 __all__ = [
@@ -26,10 +25,8 @@ __all__ = [
     "PcstInstance",
     "Solution",
     "generate_random_instance",
-    "objective",
     "parse_instance",
     "render_instance",
-    "Schedule",
     "Simulation",
     "extract_solution",
     "run",

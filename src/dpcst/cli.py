@@ -29,12 +29,40 @@ def _read_instance(path: str) -> PcstInstance:
         return parse_instance(fh.read())
 
 
-def _parse_schedule(text: str) -> sim.Schedule:
+def _parse_schedule(text: str) -> int | None:
+    """The seed a --schedule value names: None for eager, n for seeded:<n>."""
     if text == "eager":
-        return sim.Schedule.eager()
+        return None
     if text.startswith("seeded:"):
-        return sim.Schedule.seeded(int(text.split(":", 1)[1]))
+        try:
+            return int(text[len("seeded:"):])
+        except ValueError:
+            pass
     raise InstanceError(f"unknown schedule {text!r} (want eager or seeded:<n>)")
+
+
+def _node_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
+def _read_solution(inst: PcstInstance, path: str) -> Solution:
+    """The solution a solve wrote to path, checked against inst."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InstanceError(f"{path}: a solution is a JSON object, not {type(data).__name__}")
+    missing = [k for k in ("objective", "branch_edges", "penalty_nodes") if k not in data]
+    if missing:
+        raise InstanceError(f"{path}: solution has no {', '.join(missing)}")
+    branch, penalty = data["branch_edges"], data["penalty_nodes"]
+    if not (isinstance(branch, list) and all(_node_list(e) and len(e) == 2 for e in branch)):
+        raise InstanceError(f"{path}: branch_edges is not a list of node pairs")
+    if not _node_list(penalty):
+        raise InstanceError(f"{path}: penalty_nodes is not a list of nodes")
+    sol = make_solution(inst, [tuple(e) for e in branch], set(inst.node_ids) - set(penalty))
+    if format_rational(sol.objective) != data["objective"]:
+        raise InstanceError("solution file objective does not match the instance")
+    return sol
 
 
 def cmd_solve(args) -> int:
@@ -44,13 +72,11 @@ def cmd_solve(args) -> int:
         sol = res.best
     elif args.alg == "gw":
         sol, _cert = gw.gw_solve(inst)
-    elif args.alg == "dpcst":
+    else:  # dpcst; argparse admits no other choice
         s = sim.run(inst, _parse_schedule(args.schedule))
         sol = sim.extract_solution(s)
         if args.trace:
             sim.write_trace(s.trace, args.trace)
-    else:
-        raise InstanceError(f"unknown algorithm {args.alg!r}")
     out = sol.to_json_dict()
     out["algorithm"] = args.alg
     print(json.dumps(out, indent=None if args.json else 2, sort_keys=False))
@@ -73,14 +99,7 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     inst = _read_instance(args.instance)
-    with open(args.solution) as fh:
-        data = json.load(fh)
-    branch = [tuple(e) for e in data["branch_edges"]]
-    steiner = set(inst.node_ids) - set(data["penalty_nodes"])
-    sol = make_solution(inst, branch, steiner)
-    if format_rational(sol.objective) != data["objective"]:
-        raise InstanceError("solution file objective does not match the instance")
-    print(render_dot(inst, sol))
+    print(render_dot(inst, _read_solution(inst, args.solution)))
     return 0
 
 

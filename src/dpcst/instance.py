@@ -157,46 +157,28 @@ class Solution:
 
 
 def make_solution(inst: PcstInstance, branch_edges, steiner_nodes) -> Solution:
-    """Build a Solution, validating tree structure and computing the objective."""
+    """Build a Solution, validating tree structure and computing the objective;
+    the nodes outside the steiner part are the penalized ones."""
     branch = frozenset(norm_edge(u, v) for (u, v) in branch_edges)
     steiner = frozenset(steiner_nodes)
-    penalty = frozenset(inst.node_ids) - steiner
-    sol = Solution(branch, steiner, penalty, _objective_value(inst, branch, penalty))
-    _validate_solution(inst, sol)
-    return sol
-
-
-def _objective_value(inst, branch, penalty) -> Fraction:
-    total = Fraction(0)
-    for e in branch:
-        total += inst.weights[e]
-    for v in penalty:
-        total += inst.prizes[v]
-    return total
-
-
-def _validate_solution(inst: PcstInstance, sol: Solution):
-    if inst.root not in sol.steiner_nodes:
+    nodes = frozenset(inst.node_ids)
+    if inst.root not in steiner:
         raise InstanceError("root excluded from the steiner part")
-    if sol.steiner_nodes | sol.penalty_nodes != set(inst.node_ids) or (
-        sol.steiner_nodes & sol.penalty_nodes
-    ):
+    if not steiner <= nodes:
         raise InstanceError("steiner/penalty sets do not partition the nodes")
-    for e in sol.branch_edges:
+    for e in branch:
         if e not in inst.weights:
             raise InstanceError(f"branch edge {e} not in instance")
-        if not (e[0] in sol.steiner_nodes and e[1] in sol.steiner_nodes):
+        if not (e[0] in steiner and e[1] in steiner):
             raise InstanceError(f"branch edge {e} leaves the steiner set")
-    if len(sol.branch_edges) != len(sol.steiner_nodes) - 1:
+    if len(branch) != len(steiner) - 1:
         raise InstanceError("branch set is not a tree on the steiner nodes")
-    if reachable(adjacency(sol.steiner_nodes, sol.branch_edges), inst.root) != sol.steiner_nodes:
+    if reachable(adjacency(steiner, branch), inst.root) != steiner:
         raise InstanceError("branch edges do not span the steiner nodes")
-
-
-def objective(inst: PcstInstance, sol: Solution) -> Fraction:
-    """Sum of branch-edge weights plus forfeited prizes; validates structure."""
-    _validate_solution(inst, sol)
-    return _objective_value(inst, sol.branch_edges, sol.penalty_nodes)
+    penalty = nodes - steiner
+    objective = sum((inst.weights[e] for e in branch), Fraction(0))
+    objective += sum((inst.prizes[v] for v in penalty), Fraction(0))
+    return Solution(branch, steiner, penalty, objective)
 
 
 def parse_instance(text: str) -> PcstInstance:

@@ -220,8 +220,8 @@ class NodeState:
     prize_flag: bool = True
     labelled_flag: bool = False
     root_flag: bool = False
-    leader_flag: bool = False
-    proceed_flag: bool = False
+    # the edge of the pending proceed, whose delivery step is received_ts;
+    # both are unset (None, INF) together
     proceed_in_edge: Edge | None = None
     in_branch: Edge | None = None
     best_edge: Edge | None = None
@@ -230,21 +230,17 @@ class NodeState:
     lc: int = 0  # leader id of the current round
     sn: SN = SN.FOUND
     tp: Fraction = Fraction(0)
-    pf: bool = False
     find_count: int = 0
     test_count: int = 0
     prune_msg_count: int = 0
     received_ts: int | float = INF
-    ts: int | float = INF
+    ts: int | float = INF  # received_ts of the earliest pending proceed in the subtree
     prune_seen: bool = False
     # sorted(weights), shared by every copy; weights never change
     sorted_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.sorted_edges = tuple(sorted(self.weights))
-
-    def edges(self) -> tuple[Edge, ...]:
-        return self.sorted_edges
 
     def branch_edges(self) -> list[Edge]:
         return [e for e in self.sorted_edges if self.se[e] == SE.BRANCH]
@@ -353,25 +349,23 @@ def _flood(ctx: _Ctx, exclude: Edge | None, msg: Message) -> int:
 
 def _start_round(ctx: _Ctx):
     ctx.act(RoundStarted(ctx.st.id))
-    _join_round(ctx, ctx.st.id, SN.FIND, None)
+    _join_round(ctx, ctx.st.id, None)
 
 
-def _join_round(ctx: _Ctx, leader: int, sn: SN, in_branch: Edge | None):
+def _join_round(ctx: _Ctx, leader: int, in_branch: Edge | None):
     """Reset the round state, pass the initiate on down the tree, then test
     and report; in_branch is the edge toward the leader (None at the leader)."""
     st = ctx.st
-    st.sn = sn
+    st.sn = SN.FIND
     st.best_epsilon = INF
     st.best_edge = None
     st.lc = leader
     st.tp = Fraction(0)
-    st.pf = False
     st.back_edge = None
     st.ts = INF
     st.in_branch = in_branch
-    st.find_count = _flood(ctx, in_branch, Initiate(leader, sn))
-    if sn == SN.FIND:
-        _proc_test(ctx)
+    st.find_count = _flood(ctx, in_branch, Initiate(leader, SN.FIND))
+    _proc_test(ctx)
     _proc_report(ctx)
 
 
@@ -422,9 +416,9 @@ def _route_back(ctx: _Ctx):
         # one-shot pointer: a later back must not re-follow it
         ctx.send(st.back_edge, Back(st.root_flag))
         st.back_edge = None
-    elif st.proceed_flag:
+    elif st.proceed_in_edge is not None:
         ctx.send(st.proceed_in_edge, Back(st.root_flag))
-        _clear_pending(st)
+        _clear_pending(st, st.proceed_in_edge)
     else:
         raise ProtocolError(f"back at node {st.id} without a back edge or a pending proceed")
 
@@ -458,7 +452,7 @@ def _send_prunes(ctx: _Ctx, exclude: Edge | None):
     dormant node's forward is harmless.
     """
     st = ctx.st
-    for e in st.edges():
+    for e in st.sorted_edges:
         if e == exclude:
             continue
         if st.se[e] == SE.BRANCH:
@@ -485,13 +479,13 @@ def _leave_tree(ctx: _Ctx, up: Edge):
 def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, event: Deliver):
     if ctx.st.se[e] != SE.BRANCH:
         raise ProtocolError(f"initiate on non-branch edge {e} at node {ctx.st.id}")
-    _join_round(ctx, msg.leader, msg.sn, e)
+    _join_round(ctx, msg.leader, e)
 
 
 def _proc_test(ctx: _Ctx):
     st = ctx.st
     st.test_count = 0
-    for e in st.edges():
+    for e in st.sorted_edges:
         if st.se[e] in (SE.BASIC, SE.REFIND):
             ctx.send(e, Test(st.lc))
             st.test_count += 1
@@ -529,15 +523,15 @@ def _on_reject(ctx: _Ctx, e: Edge, msg: Reject, event: Deliver):
     st = ctx.st
     st.test_count -= 1
     st.se[e] = SE.REJECTED
-    if st.proceed_in_edge == e:
-        _clear_pending(st)
+    _clear_pending(st, e)
     _proc_report(ctx)
 
 
-def _clear_pending(st: NodeState):
-    st.proceed_in_edge = None
-    st.proceed_flag = False
-    st.received_ts = INF
+def _clear_pending(st: NodeState, e: Edge):
+    """Forget the pending proceed if it came in over e."""
+    if st.proceed_in_edge == e:
+        st.proceed_in_edge = None
+        st.received_ts = INF
 
 
 def _proc_report(ctx: _Ctx):
@@ -549,13 +543,12 @@ def _proc_report(ctx: _Ctx):
         st.d_h = st.d_v
     if st.cs == CS.ACTIVE:
         st.tp += st.prize
-    if st.proceed_flag:
-        st.pf = True
-        if st.ts > st.received_ts:
-            st.ts = st.received_ts
-            st.back_edge = None
+    # received_ts is INF unless a proceed is pending here
+    if st.ts > st.received_ts:
+        st.ts = st.received_ts
+        st.back_edge = None
     if st.in_branch is not None:
-        ctx.send(st.in_branch, Report(st.best_epsilon, st.d_h, st.tp, st.pf, st.ts))
+        ctx.send(st.in_branch, Report(st.best_epsilon, st.d_h, st.tp, st.ts != INF, st.ts))
     else:
         _decide(ctx)
 
@@ -563,11 +556,9 @@ def _proc_report(ctx: _Ctx):
 def _on_report(ctx: _Ctx, e: Edge, msg: Report, event: Deliver):
     st = ctx.st
     st.find_count -= 1
-    if msg.pf:
-        st.pf = True
-        if st.ts > msg.ts:
-            st.ts = msg.ts
-            st.back_edge = e
+    if msg.pf and st.ts > msg.ts:
+        st.ts = msg.ts
+        st.back_edge = e
     if st.cs == CS.ACTIVE:
         st.tp += msg.tp
     if st.d_h < msg.d_h:
@@ -626,13 +617,13 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         eps1 = (st.weights[e] - st.d_v - msg.deficit) / 2
         eps2 = st.prize - st.comp_w
         if eps1 < eps2:
-            st.leader_flag = st.id > msg.nid
+            leads = st.id > msg.nid
             st.d_h += eps1
             st.d_v += eps1
             st.comp_w += msg.comp_w + 2 * eps1
             st.se[e] = SE.BRANCH
-            ctx.send(e, Accept(st.leader_flag, st.root_flag, st.comp_w, st.d_h))
-            if st.leader_flag:
+            ctx.send(e, Accept(leads, st.root_flag, st.comp_w, st.d_h))
+            if leads:
                 _start_round(ctx)
         else:
             st.cs = CS.INACTIVE
@@ -642,11 +633,9 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.labelled_flag = True
             ctx.send(e, RefindEpsilon())
     elif st.cs == CS.INACTIVE:
-        if st.root_flag:
-            st.leader_flag = True
-        else:
+        leads = st.root_flag or st.id > msg.nid
+        if not st.root_flag:
             st.cs = CS.ACTIVE
-            st.leader_flag = st.id > msg.nid
         eps1 = st.weights[e] - st.d_v - msg.deficit
         st.comp_w += msg.comp_w + eps1
         d_t = msg.d_h + eps1
@@ -654,13 +643,12 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.d_h = d_t
         _flood(ctx, e, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
         st.se[e] = SE.BRANCH
-        if st.proceed_in_edge == e:
-            _clear_pending(st)
-        ctx.send(e, Accept(st.leader_flag, st.root_flag, st.comp_w, st.d_h))
+        _clear_pending(st, e)
+        ctx.send(e, Accept(leads, st.root_flag, st.comp_w, st.d_h))
         # In the root component only the root itself restarts the round; it
         # does so on receiving the update flood.  Elsewhere the higher-id
         # endpoint leads.
-        if st.leader_flag and (not st.root_flag or st.is_root):
+        if leads and (not st.root_flag or st.is_root):
             _start_round(ctx)
     else:
         raise ProtocolError(f"connect received while active at node {st.id}")
@@ -671,8 +659,7 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
     if e != st.best_edge:
         raise ProtocolError(f"accept on unexpected edge {e} at node {st.id}")
     st.se[e] = SE.BRANCH
-    if st.proceed_in_edge == e and st.proceed_flag:
-        _clear_pending(st)
+    _clear_pending(st, e)
     # the joining side grows by its merge epsilon and floods that on
     _take_update(ctx, e, UpdateInfo(st.best_epsilon, msg.root_flag, False, msg.total_w, msg.d_h))
     if not msg.leader_flag:
@@ -702,7 +689,6 @@ def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, event: Deliver):
         # Routed down from the leader toward the frontier of the round.
         _route_proceed(ctx, msg.d_h)
     elif st.se[e] == SE.BASIC:
-        st.proceed_flag = True
         st.proceed_in_edge = e
         st.received_ts = event.seq
         if st.cs == CS.SLEEPING:

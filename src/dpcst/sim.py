@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulator for the node protocol.
 
-Per-directed-link FIFO queues, two delivery policies, and a total-order trace
-of everything that happens.  Messages carry a causal round tag: a handler's
-sends inherit the tag of the delivery that triggered them, and starting a
-round bumps the tag, so per-round message accounting is exact even while
-floods from the previous action are still in flight.
+Per-directed-link FIFO queues, two delivery policies (eager, or drawn from a
+seeded generator), and a total-order trace of everything that happens; a run
+is a function of the instance and the seed.  Messages carry a causal round
+tag: a handler's sends inherit the tag of the delivery that triggered them,
+and starting a round bumps the tag, so per-round message accounting is exact
+even while floods from the previous action are still in flight.
 """
 
 from __future__ import annotations
@@ -106,22 +107,9 @@ def round_message_bound(n: int, m: int) -> int:
     return 6 * n + 2 * m - 4
 
 
-@dataclass
-class Schedule:
-    policy: str  # "eager" or "seeded"
-    seed: int | None = None
-
-    @staticmethod
-    def eager() -> "Schedule":
-        return Schedule("eager")
-
-    @staticmethod
-    def seeded(seed: int) -> "Schedule":
-        return Schedule("seeded", seed)
-
-
 class Simulation:
-    """One protocol execution over an instance under a delivery schedule.
+    """One protocol execution over an instance: eager when seed is None,
+    otherwise drawn from a generator seeded with it.
 
     The scheduler's view of the queues is kept up to date as messages are
     queued and delivered, so a delivery costs O(log m) bookkeeping plus a
@@ -134,11 +122,10 @@ class Simulation:
       only while that message is still at the head of its link.
     """
 
-    def __init__(self, inst: PcstInstance, schedule: Schedule | None = None):
+    def __init__(self, inst: PcstInstance, seed: int | None = None):
         inst.validate()
         self.inst = inst
-        self.schedule = schedule or Schedule.eager()
-        self.rng = random.Random(self.schedule.seed) if self.schedule.policy == "seeded" else None
+        self.rng = None if seed is None else random.Random(seed)
         self.nodes: dict[int, nd.NodeState] = {}
         for v in inst.node_ids:
             weights = {norm_edge(v, u): inst.weights[norm_edge(v, u)] for u in inst.neighbors(v)}
@@ -155,19 +142,17 @@ class Simulation:
         self.control_links: list[tuple[int, int]] = []
         self.control_count = dict.fromkeys(self.queues, 0)
         self.heads: list[tuple[int, tuple[int, int]]] | None = [] if self.rng is None else None
-        self.queued = 0
         self.trace: list[Record] = []
         self.step = 0
         self.send_seq = 0
         self.round_index = 0
-        self.pruning_started = False
         self.root_wakeup_pending = True
         self.budget = 10 * message_bound(inst.n, inst.m) + 10
 
     # -- plumbing
 
-    def in_flight(self) -> int:
-        return self.queued + (1 if self.root_wakeup_pending else 0)
+    def in_flight(self) -> bool:
+        return self.root_wakeup_pending or bool(self.ready)
 
     def _enqueue(self, sender: int, edge: Edge, msg: nd.Message, round_tag: int):
         receiver = edge[0] if edge[1] == sender else edge[1]
@@ -179,7 +164,6 @@ class Simulation:
                 heappush(self.heads, (self.send_seq, link))
         q.append((msg, self.send_seq, round_tag))
         self.send_seq += 1
-        self.queued += 1
         if isinstance(msg, _CONTROL):
             if not self.control_count[link]:
                 insort(self.control_links, link)
@@ -204,8 +188,9 @@ class Simulation:
                 self.trace.append(
                     EpsilonRecord(self.step, em.leader, em.eps1, em.eps2, em.chosen)
                 )
-                if em.chosen == "prune" and not self.pruning_started:
-                    self.pruning_started = True
+                # only the root decides prune, once: the decision ends the
+                # one chain of rounds and starts none
+                if em.chosen == "prune":
                     self.trace.append(PhaseBoundary(self.step))
         for f in _TRACKED_FIELDS:
             a, b = getattr(old, f), getattr(new, f)
@@ -250,7 +235,6 @@ class Simulation:
         link = self._pick()
         q = self.queues[link]
         msg, _seq, tag = q.popleft()
-        self.queued -= 1
         if not q:
             del self.ready[bisect_left(self.ready, link)]
         elif self.heads is not None:
@@ -274,8 +258,9 @@ class Simulation:
         return self.trace
 
 
-def run(inst: PcstInstance, schedule: Schedule | None = None) -> Simulation:
-    sim = Simulation(inst, schedule)
+def run(inst: PcstInstance, seed: int | None = None) -> Simulation:
+    """Run to quiescence: eager if seed is None, else seeded with it."""
+    sim = Simulation(inst, seed)
     sim.run_to_quiescence()
     return sim
 

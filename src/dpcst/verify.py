@@ -186,8 +186,7 @@ class _Replay:
     def __init__(self, inst: PcstInstance):
         self.inst = inst
         self.ledger = MoatLedger(inst.node_ids, inst.root)
-        # left on wake; a trace that deactivates or merges a node before
-        # waking it takes the node out too
+        # left only on wake
         self.asleep = set(inst.node_ids) - {inst.root}
         # mirror of the system under test, driven by StateChange records
         self.traced_d = {v: Fraction(0) for v in inst.node_ids}
@@ -199,11 +198,15 @@ class _Replay:
         self.asleep.remove(v)
         self.ledger.grow(v, d_k)
 
+    def check_awake(self, v: int, act: str):
+        if v in self.asleep:
+            raise ReplayDivergence(f"node {v} {act} before the trace wakes it")
+
     def merge(self, sender: int, receiver: int):
         lg = self.ledger
         if lg.find(sender) == lg.find(receiver):
             raise ReplayDivergence(f"connect from {sender} to {receiver} within one component")
-        self.asleep.discard(sender)
+        self.check_awake(sender, "connects")
         lg.union(sender, receiver)
 
 
@@ -244,9 +247,9 @@ def reconstruct_duals(trace: list[sm.Record], inst: PcstInstance) -> DualCertifi
                 rp.traced_prize[rec.node] = rec.new
         elif isinstance(rec, sm.EpsilonRecord):
             if rec.chosen == "deactivate":
+                rp.check_awake(rec.leader, "deactivates")
                 lg.grow(rec.leader, rec.eps2)
                 lg.deactivate(rec.leader)
-                rp.asleep.discard(rec.leader)
         elif isinstance(rec, sm.RoundBoundary):
             pending_checks.append((rec.step, rec.leader))
     run_checks()

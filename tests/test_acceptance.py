@@ -18,7 +18,7 @@ from dpcst import gw, sim, verify
 from dpcst import node as nd
 from dpcst.exact import ExactResult, exact_pcst
 from dpcst.instance import PcstInstance, Solution, generate_random_instance
-from dpcst.sim import EpsilonRecord, Delivery, Schedule, count_messages, extract_solution
+from dpcst.sim import EpsilonRecord, Delivery, count_messages, extract_solution
 from dpcst.verify import DualCertificate
 
 N_INSTANCES = 200
@@ -53,7 +53,7 @@ def corpus():
     cases = []
     for k in range(N_INSTANCES):
         inst = corpus_instance(k)
-        s = sim.run(inst, Schedule.eager())
+        s = sim.run(inst)
         sol = extract_solution(s)
         res = exact_pcst(inst)
         gsol, gcert = gw.gw_solve(inst)
@@ -133,7 +133,7 @@ def test_criterion_5_termination_and_schedule_invariance(corpus):
     for c in corpus:
         try:
             for s2 in range(N_RANDOM_SCHEDULES):
-                got = extract_solution(sim.run(c.inst, Schedule.seeded(s2)))
+                got = extract_solution(sim.run(c.inst, s2))
                 if got != c.solution:
                     failures.append(f"k={c.k}: seed {s2} solution differs")
                     break

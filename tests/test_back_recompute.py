@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from dpcst.exact import exact_pcst
 from dpcst.instance import parse_instance
-from dpcst.sim import Schedule, extract_solution, run
+from dpcst.sim import extract_solution, run
 
 GATEWAY = """
 nodes 1 2 3 4 5
@@ -40,4 +40,4 @@ def test_gateway_component_resumes_exploration_after_back():
     # every node is reached: prize 5's node joins the tree, the rest cost 0
     assert 5 in sol.steiner_nodes
     for seed in range(10):
-        assert extract_solution(run(inst, Schedule.seeded(seed))) == sol
+        assert extract_solution(run(inst, seed)) == sol

@@ -255,3 +255,65 @@ def test_verify_prize_flags_not_a_tree_exits_three(tmp_path, capsys, node):
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
     assert "not a tree" in out[0]["witnesses"][0]
+
+
+@pytest.mark.parametrize("schedule", ["seeded:x", "seeded:", "seeded:1.5"])
+def test_solve_bad_schedule_exits_one(two_penal, capsys, schedule):
+    assert main(["solve", "--schedule", schedule, two_penal]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown schedule {schedule!r}" in err and "Traceback" not in err
+
+
+def test_solve_negative_seed_is_a_schedule(two_penal, capsys):
+    assert main(["solve", "--schedule", "seeded:-3", two_penal]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == "3"
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda sol: {k: v for k, v in sol.items() if k != "branch_edges"},
+         "solution has no branch_edges"),
+        (lambda sol: {**sol, "branch_edges": [[1]]}, "branch_edges is not a list of node pairs"),
+        (lambda sol: list(sol.values()), "a solution is a JSON object, not list"),
+        (lambda sol: {**sol, "branch_edges": [[1, 99]]}, "branch edge (1, 99) not in instance"),
+    ],
+    ids=["missing-key", "short-edge", "array", "unknown-edge"],
+)
+def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(5, 7, 3)))
+    assert main(["solve", str(inst_path)]) == 0
+    sol = json.loads(capsys.readouterr().out)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(edit(sol)))
+    assert main(["render", str(inst_path), str(sol_path)]) == 1
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["delete", "reverse"])
+@pytest.mark.parametrize(
+    "args, at", [((3, 3, 0), 6), ((7, 12, 3), 8), ((10, 20, 3), 8)], ids=["n3", "n7", "n10"]
+)
+def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
+    # without the Proceed that wakes the first node, its connect or its
+    # deactivation is the first the replay hears of it
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(*args)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    rec = json.loads(lines[at])
+    assert rec["kind"] == "delivery" and rec["message"]["type"] == "Proceed"
+    if how == "delete":
+        del lines[at]
+    else:
+        rec["link"].reverse()
+        lines[at] = json.dumps(rec)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 3
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+    assert "before the trace wakes it" in out[0]["witnesses"][0]

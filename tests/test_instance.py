@@ -15,7 +15,6 @@ from dpcst.instance import (
     generate_random_instance,
     make_solution,
     norm_edge,
-    objective,
     parse_instance,
     render_instance,
 )
@@ -125,7 +124,6 @@ def test_objective_no_edges():
     inst = parse_instance("nodes 1 2 3\nroot 1\nprize 2 3\nprize 3 5\nedge 1 2 1\nedge 1 3 1")
     sol = make_solution(inst, [], [1])
     assert sol.objective == 8
-    assert objective(inst, sol) == 8
 
 
 def test_objective_no_penalties():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dpcst import node as nd
+from dpcst.instance import generate_random_instance
 from dpcst.node import (
     CS,
     INF,
@@ -25,6 +26,7 @@ from dpcst.node import (
     initialize,
     transition,
 )
+from dpcst.sim import EpsilonRecord, PhaseBoundary, run
 
 F = Fraction
 
@@ -97,10 +99,10 @@ def test_transition_is_pure():
 
 def test_copy_shares_static_fields_and_owns_edge_marks():
     st = mk(2, False, 4, {(2, 4): 6, (1, 2): 3, (2, 3): 5})
-    assert st.edges() == ((1, 2), (2, 3), (2, 4))
+    assert st.sorted_edges == ((1, 2), (2, 3), (2, 4))
     c = st.copy()
     assert c == st and c is not st
-    assert c.weights is st.weights and c.edges() is st.edges()
+    assert c.weights is st.weights and c.sorted_edges is st.sorted_edges
     c.se[(1, 2)] = SE.BRANCH
     c.epm[(2, 3)] = True
     c.d_v = F(1)
@@ -179,12 +181,11 @@ def test_reject_marks_edge_and_clears_pending():
     st.cs = CS.INACTIVE
     st.sn = SN.FIND
     st.test_count = 2
-    st.proceed_flag = True
     st.proceed_in_edge = (1, 2)
     st.received_ts = 5
     st2, emits = transition(st, Deliver((1, 2), Reject(), 9))
     assert st2.se[(1, 2)] == SE.REJECTED
-    assert not st2.proceed_flag and st2.proceed_in_edge is None
+    assert st2.proceed_in_edge is None
     assert st2.received_ts == INF
     assert sends(emits) == []  # one test still outstanding
 
@@ -304,7 +305,7 @@ def test_proceed_wakes_sleeping_node():
     st2, emits = transition(st, Deliver((3, 4), nd.Proceed(F(15)), 11))
     assert st2.cs == CS.ACTIVE
     assert st2.d_v == 15 and st2.comp_w == 15 and st2.d_h == 15
-    assert st2.proceed_flag and st2.proceed_in_edge == (3, 4)
+    assert st2.proceed_in_edge == (3, 4)
     assert st2.received_ts == 11
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
@@ -314,7 +315,7 @@ def test_proceed_pokes_inactive_leader():
     st.cs = CS.INACTIVE
     st.in_branch = None
     st2, emits = transition(st, Deliver((3, 9), nd.Proceed(F(7)), 11))
-    assert st2.proceed_flag and st2.received_ts == 11
+    assert st2.proceed_in_edge == (3, 9) and st2.received_ts == 11
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -363,12 +364,11 @@ def test_routed_back_exits_at_the_pending_holder():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (2, 3)
-    st.proceed_flag = True
     st.proceed_in_edge = (1, 2)
     st.received_ts = 9
     st2, emits = transition(st, Deliver((2, 3), nd.Back(), 4))
     assert sends(emits) == [((1, 2), nd.Back())]
-    assert not st2.proceed_flag and st2.received_ts == INF
+    assert st2.proceed_in_edge is None and st2.received_ts == INF
 
 
 def test_prune_unlabelled_leaf_stays_silent():
@@ -524,3 +524,50 @@ def test_decided_proceed_without_best_edge_names_the_node():
 def test_routed_proceed_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
         transition(_routed_to(), Deliver((1, 2), nd.Proceed(F(0)), 4))
+
+
+# ---------------------------------------------------------------------------
+# Facts the node state and the simulator rely on to store each value once
+
+
+def _fact_corpus():
+    """n = 2..20, m in {n-1, 2n, 3n} capped at C(n, 2), instance seed n,
+    eager and seeded:0..1."""
+    for n in range(2, 21):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+            inst = generate_random_instance(n, m, n)
+            for seed in (None, 0, 1):
+                yield inst, seed
+
+
+def test_derived_state_facts_hold_on_every_transition(monkeypatch):
+    # a pending proceed is its in-edge and its timestamp at once; a report's
+    # pf says whether its ts is finite; every round is a find; the root
+    # decides prune once, and that decision opens the one prune phase
+    real = nd.transition
+    checked = 0
+
+    def transition_checked(state, event):
+        nonlocal checked
+        new, emits = real(state, event)
+        assert (new.proceed_in_edge is None) == (new.received_ts == INF)
+        for em in emits:
+            if isinstance(em, tuple):
+                msg = em[1]
+                if isinstance(msg, Report):
+                    assert msg.pf == (msg.ts != INF)
+                elif isinstance(msg, Initiate):
+                    assert msg.sn == SN.FIND
+        checked += 1
+        return new, emits
+
+    monkeypatch.setattr(nd, "transition", transition_checked)
+    runs = 0
+    for inst, seed in _fact_corpus():
+        trace = run(inst, seed).trace
+        prunes = [r for r in trace if isinstance(r, EpsilonRecord) and r.chosen == "prune"]
+        assert [r.leader for r in prunes] == [inst.root]
+        assert sum(isinstance(r, PhaseBoundary) for r in trace) == 1
+        runs += 1
+    assert runs == 156 and checked > 80_000

@@ -11,7 +11,7 @@ from dpcst import verify
 from dpcst.exact import exact_pcst
 from dpcst.instance import generate_random_instance
 from dpcst.gw import gw_solve
-from dpcst.sim import Schedule, extract_solution, run
+from dpcst.sim import extract_solution, run
 from dpcst.verify import reconstruct_duals
 
 
@@ -42,7 +42,7 @@ def test_protocol_only_loses_the_proven_factor(n, seed, density):
 def test_certificate_reconstructs_from_any_schedule(n, seed, schedule_seed):
     m = random.Random(seed).randint(n - 1, n * (n - 1) // 2)
     inst = generate_random_instance(n, m, seed)
-    s = run(inst, Schedule.seeded(schedule_seed))
+    s = run(inst, schedule_seed)
     sol = extract_solution(s)
     cert = reconstruct_duals(s.trace, inst)  # raises on any identity break
     assert verify.check_edge_packing(cert, inst).ok

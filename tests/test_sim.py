@@ -15,7 +15,6 @@ from dpcst.sim import (
     EpsilonRecord,
     PhaseBoundary,
     RoundBoundary,
-    Schedule,
     Simulation,
     StateChange,
     count_messages,
@@ -42,13 +41,13 @@ def test_new_simulation_shape():
     s = Simulation(parse_instance(TWO_MERGE))
     assert set(s.queues) == {(1, 2), (2, 1)}
     assert all(not q for q in s.queues.values())
-    assert s.in_flight() == 1  # the root wakeup
+    assert s.in_flight() and not s.ready  # the root wakeup
 
 
 def test_seeded_initial_state_deterministic():
     inst = parse_instance(TWO_MERGE)
-    a = Simulation(inst, Schedule.seeded(7))
-    b = Simulation(inst, Schedule.seeded(7))
+    a = Simulation(inst, 7)
+    b = Simulation(inst, 7)
     assert a.nodes == b.nodes
 
 
@@ -78,17 +77,17 @@ def test_two_node_penalize():
 
 def test_trace_determinism_bit_identical():
     inst = generate_random_instance(7, 12, 5)
-    t1 = run(inst, Schedule.seeded(3)).trace
-    t2 = run(inst, Schedule.seeded(3)).trace
+    t1 = run(inst, 3).trace
+    t2 = run(inst, 3).trace
     assert [record_to_json(r) for r in t1] == [record_to_json(r) for r in t2]
 
 
 def test_schedule_invariance_of_solution():
     for seed in (0, 4, 9):
         inst = generate_random_instance(6, 9, seed)
-        base = extract_solution(run(inst, Schedule.eager()))
+        base = extract_solution(run(inst))
         for s2 in range(10):
-            assert extract_solution(run(inst, Schedule.seeded(s2))) == base
+            assert extract_solution(run(inst, s2)) == base
 
 
 def test_exactly_one_phase_boundary_and_increasing_rounds():
@@ -206,8 +205,8 @@ class _ScanningSimulation(Simulation):
     queued message.  Kept as the reference the incremental scheduler must
     match delivery for delivery."""
 
-    def __init__(self, inst, schedule=None):
-        super().__init__(inst, schedule)
+    def __init__(self, inst, seed=None):
+        super().__init__(inst, seed)
         self.links = sorted(self.queues)
 
     def in_flight(self):
@@ -217,9 +216,6 @@ class _ScanningSimulation(Simulation):
         receiver = edge[0] if edge[1] == sender else edge[1]
         self.queues[(sender, receiver)].append((msg, self.send_seq, round_tag))
         self.send_seq += 1
-        if isinstance(msg, nd.Prune) and not self.pruning_started:
-            self.pruning_started = True
-            self.trace.append(PhaseBoundary(self.step))
 
     def deliverable_links(self):
         return [l for l in self.links if self.queues[l]]
@@ -254,7 +250,7 @@ def _assert_scheduler_state(s: Simulation) -> bool:
     non-control head."""
     queued = {l: q for l, q in s.queues.items() if q}
     control = [l for l, q in queued.items() if any(isinstance(m, _CONTROL) for (m, _s, _t) in q)]
-    assert s.in_flight() == sum(map(len, queued.values())) + s.root_wakeup_pending
+    assert s.in_flight() == bool(queued or s.root_wakeup_pending)
     assert s.ready == sorted(queued)
     assert s.control_links == sorted(control)
     if s.heads is None:
@@ -278,20 +274,20 @@ _EQUIVALENCE_CORPUS = [
 
 
 @pytest.mark.parametrize(
-    "schedule",
-    [Schedule.eager()] + [Schedule.seeded(k) for k in range(5)],
+    "seed",
+    [None, *range(5)],
     ids=["eager"] + [f"seeded:{k}" for k in range(5)],
 )
-def test_incremental_scheduler_matches_scanning_reference(schedule, example11):
+def test_incremental_scheduler_matches_scanning_reference(seed, example11):
     instances = [example11] + [generate_random_instance(*args) for args in _EQUIVALENCE_CORPUS]
     behind = 0
     for inst in instances:
-        s = Simulation(inst, schedule)
+        s = Simulation(inst, seed)
         _assert_scheduler_state(s)
         while s.in_flight():
             s.step_once()
             behind += _assert_scheduler_state(s)
-        ref = _ScanningSimulation(inst, schedule)
+        ref = _ScanningSimulation(inst, seed)
         ref.run_to_quiescence()
         assert s.trace == ref.trace
         # every delivery holds the link's one shared tuple, not a fresh copy
@@ -300,11 +296,11 @@ def test_incremental_scheduler_matches_scanning_reference(schedule, example11):
     assert behind > 0
 
 
-@pytest.mark.parametrize("schedule", [Schedule.eager(), Schedule.seeded(0)], ids=["eager", "seeded:0"])
-def test_control_message_behind_other_traffic_selects_its_link(schedule):
+@pytest.mark.parametrize("seed", [None, 0], ids=["eager", "seeded:0"])
+def test_control_message_behind_other_traffic_selects_its_link(seed):
     inst = parse_instance("nodes 1 2 3\nroot 1\nprize 2 5\nprize 3 5\nedge 1 2 4\nedge 2 3 4")
     for sim_cls in (Simulation, _ScanningSimulation):
-        s = sim_cls(inst, schedule)
+        s = sim_cls(inst, seed)
         s.root_wakeup_pending = False
         s._enqueue(3, (2, 3), nd.Test(3), 0)  # the oldest message
         s._enqueue(1, (1, 2), nd.Test(1), 0)
@@ -323,18 +319,18 @@ def test_control_message_behind_other_traffic_selects_its_link(schedule):
 
 def test_step_at_quiescence_raises(example11):
     s = run(example11)
-    assert s.in_flight() == 0 and s.ready == [] and s.control_links == []
+    assert not s.in_flight() and s.ready == [] and s.control_links == []
     with pytest.raises(RuntimeError, match="quiescence"):
         s.step_once()
 
 
-@pytest.mark.parametrize("schedule", [Schedule.eager(), Schedule.seeded(2)], ids=["eager", "seeded:2"])
-def test_livelock_budget_fires_mid_run(example11, schedule):
-    s = Simulation(example11, schedule)
+@pytest.mark.parametrize("seed", [None, 2], ids=["eager", "seeded:2"])
+def test_livelock_budget_fires_mid_run(example11, seed):
+    s = Simulation(example11, seed)
     s.budget = 5
     with pytest.raises(sim.LivelockError, match="budget 5"):
         s.run_to_quiescence()
-    assert s.step == 6 and s.in_flight() > 0
+    assert s.step == 6 and s.in_flight()
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +463,10 @@ def test_line_encoder_matches_reference_on_every_kind_and_edge_value():
 
 
 def test_write_trace_matches_reference_writer(tmp_path, example11):
-    runs = [run(example11).trace, run(example11, Schedule.seeded(1)).trace]
+    runs = [run(example11).trace, run(example11, 1).trace]
     for n in range(6, 21):
         inst = generate_random_instance(n, 2 * n, n)
-        runs.append(run(inst, Schedule.seeded(n % 3)).trace)
+        runs.append(run(inst, n % 3).trace)
     path = tmp_path / "t.jsonl"
     for trace in runs:
         write_trace(trace, str(path))
@@ -479,19 +475,19 @@ def test_write_trace_matches_reference_writer(tmp_path, example11):
 
 
 @pytest.mark.parametrize(
-    "n, schedule, digest",
+    "n, seed, digest",
     [
-        (40, Schedule.eager(), "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
-        (80, Schedule.eager(), "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
-        (40, Schedule.seeded(0), "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
+        (40, None, "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
+        (80, None, "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
+        (40, 0, "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
 )
-def test_pinned_trace_digests(tmp_path, n, schedule, digest):
+def test_pinned_trace_digests(tmp_path, n, seed, digest):
     # eager and seeded traces of the m = 3n, instance-seed-1 corpus, as
     # written by the one-prune protocol
     path = tmp_path / "t.jsonl"
-    write_trace(run(generate_random_instance(n, 3 * n, 1), schedule).trace, str(path))
+    write_trace(run(generate_random_instance(n, 3 * n, 1), seed).trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -502,10 +498,10 @@ def _refactor_corpus():
     for n in range(3, 13):
         full = n * (n - 1) // 2
         for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
-            for seed in range(4):
-                inst = generate_random_instance(n, m, seed)
-                for schedule in [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)]:
-                    yield inst, schedule
+            for instance_seed in range(4):
+                inst = generate_random_instance(n, m, instance_seed)
+                for seed in [None, *range(3)]:
+                    yield inst, seed
 
 
 def test_refactor_corpus_trace_digest():
@@ -514,8 +510,8 @@ def test_refactor_corpus_trace_digest():
     # refactor of the protocol code must leave it unchanged
     h = hashlib.sha256()
     runs = 0
-    for inst, schedule in _refactor_corpus():
-        for rec in run(inst, schedule).trace:
+    for inst, seed in _refactor_corpus():
+        for rec in run(inst, seed).trace:
             h.update(record_to_line(rec).encode())
         runs += 1
     assert runs == 432
@@ -523,18 +519,18 @@ def test_refactor_corpus_trace_digest():
 
 
 @pytest.mark.parametrize(
-    "schedule",
-    [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)],
+    "seed",
+    [None, *range(3)],
     ids=["eager"] + [f"seeded:{k}" for k in range(3)],
 )
-def test_phase_boundary_follows_the_root_prune_decision(schedule, example11):
+def test_phase_boundary_follows_the_root_prune_decision(seed, example11):
     # the prune phase opens only through the root's decision, which comes
     # before its first Prune send, so the one phase boundary is written
     # right after that decision, at its step
     instances = [parse_instance("nodes 4\nroot 4"), parse_instance(TWO_MERGE), example11]
     instances += [generate_random_instance(n, 2 * n, n) for n in range(5, 31, 5)]
     for inst in instances:
-        trace = run(inst, schedule).trace
+        trace = run(inst, seed).trace
         phases = [i for i, r in enumerate(trace) if isinstance(r, PhaseBoundary)]
         assert len(phases) == 1
         decision = trace[phases[0] - 1]

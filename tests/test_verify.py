@@ -9,7 +9,7 @@ from dpcst import sim
 from dpcst.exact import exact_pcst
 from dpcst.gw import gw_grow, gw_solve
 from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
-from dpcst.sim import EpsilonRecord, RoundBoundary, Schedule, extract_solution, run
+from dpcst.sim import EpsilonRecord, RoundBoundary, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
     Moat,
@@ -70,8 +70,8 @@ def test_replayed_solution_equals_extracted_solution():
         full = n * (n - 1) // 2
         for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
             inst = generate_random_instance(n, m, n)
-            for schedule in (Schedule.eager(), Schedule.seeded(n)):
-                s = run(inst, schedule)
+            for seed in (None, n):
+                s = run(inst, seed)
                 assert reconstruct_duals(s.trace, inst).solution == extract_solution(s)
                 runs += 1
     assert runs == 104
@@ -328,11 +328,10 @@ def test_incremental_identity_check_matches_from_scratch(monkeypatch):
         return expected
 
     monkeypatch.setattr(MoatLedger, "check_identities", both)
-    schedules = [Schedule.eager()] + [Schedule.seeded(k) for k in range(3)]
     for n in (6, 9, 13, 20, 28, 40):
         inst = generate_random_instance(n, 2 * n, n)
-        for schedule in schedules:
-            reconstruct_duals(run(inst, schedule).trace, inst)
+        for seed in [None, *range(3)]:
+            reconstruct_duals(run(inst, seed).trace, inst)
         lg = gw_grow(inst, check=True)
         assert len(checks) >= len(lg.forest) + len(lg.deactivated)  # one per iteration
     assert len(checks) > 200 and set(checks) == {None}
