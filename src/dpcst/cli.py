@@ -51,15 +51,19 @@ def _read_solution(inst: PcstInstance, path: str) -> Solution:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InstanceError(f"{path}: a solution is a JSON object, not {type(data).__name__}")
-    missing = [k for k in ("objective", "branch_edges", "penalty_nodes") if k not in data]
+    keys = ("objective", "branch_edges", "steiner_nodes", "penalty_nodes")
+    missing = [k for k in keys if k not in data]
     if missing:
         raise InstanceError(f"{path}: solution has no {', '.join(missing)}")
-    branch, penalty = data["branch_edges"], data["penalty_nodes"]
+    branch, steiner, penalty = data["branch_edges"], data["steiner_nodes"], data["penalty_nodes"]
     if not (isinstance(branch, list) and all(_node_list(e) and len(e) == 2 for e in branch)):
         raise InstanceError(f"{path}: branch_edges is not a list of node pairs")
-    if not _node_list(penalty):
-        raise InstanceError(f"{path}: penalty_nodes is not a list of nodes")
-    sol = make_solution(inst, [tuple(e) for e in branch], set(inst.node_ids) - set(penalty))
+    for key, nodes in (("steiner_nodes", steiner), ("penalty_nodes", penalty)):
+        if not _node_list(nodes) or len(set(nodes)) != len(nodes):
+            raise InstanceError(f"{path}: {key} is not a list of distinct nodes")
+    if set(penalty) != set(inst.node_ids) - set(steiner):
+        raise InstanceError(f"{path}: penalty_nodes is not the complement of steiner_nodes")
+    sol = make_solution(inst, [tuple(e) for e in branch], steiner)
     if format_rational(sol.objective) != data["objective"]:
         raise InstanceError("solution file objective does not match the instance")
     return sol

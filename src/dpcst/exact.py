@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Edge, PcstInstance, Solution, make_solution
+from .instance import Edge, InstanceError, PcstInstance, Solution, make_solution
 
 MAX_EXACT_NODES = 16
 
@@ -61,7 +61,7 @@ def induced_mst(inst: PcstInstance, nodes: frozenset[int]) -> tuple[Fraction, li
 def exact_pcst(inst: PcstInstance) -> ExactResult:
     """Exhaustive optimum; guards at 16 nodes (2^(n-1) subsets)."""
     if inst.n > MAX_EXACT_NODES:
-        raise ValueError(f"instance too large for exact enumeration (n={inst.n})")
+        raise InstanceError(f"too many nodes to enumerate: n={inst.n} > {MAX_EXACT_NODES}")
     others = sorted(v for v in inst.node_ids if v != inst.root)
     total_prize = sum(inst.prizes.values(), Fraction(0))
     best_key = None

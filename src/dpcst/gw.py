@@ -34,7 +34,6 @@ def check_invariants(inst: PcstInstance, lg: MoatLedger):
 
 def gw_grow(inst: PcstInstance, check: bool = False) -> MoatLedger:
     """Run the growth phase to completion (no active components left)."""
-    inst.validate()
     lg = MoatLedger(inst.node_ids, inst.root)
     while True:
         active = sorted(r for r, a in lg.active.items() if a)

@@ -9,7 +9,7 @@ ties everywhere break lexicographically on that pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 Edge = tuple[int, int]
@@ -24,31 +24,11 @@ class InstanceError(ValueError):
 
 
 class ParseError(InstanceError):
-    def __init__(self, message: str, line: int | None = None):
+    """An error in instance text, at a line."""
+
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class MalformedLine(ParseError):
-    pass
-
-
-class NegativeValue(ParseError):
-    pass
-
-
-class DuplicateEdge(ParseError):
-    pass
-
-
-class MissingRoot(ParseError):
-    pass
-
-
-class DisconnectedGraph(ParseError):
-    pass
+        super().__init__(f"line {line}: {message}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -87,19 +67,48 @@ def reachable(adj: dict[int, list[int]], start: int) -> set[int]:
 
 @dataclass
 class PcstInstance:
-    """Connected simple graph with nonnegative rational weights and prizes."""
+    """Connected simple graph with nonnegative rational weights and prizes.
+
+    The constructor is the one place that decides whether an instance is
+    valid: it raises InstanceError on any broken rule, before it derives
+    anything from the instance, so a PcstInstance that exists is valid.
+    Prizes it is not given default to 0.
+    """
 
     node_ids: list[int]
     root: int
     prizes: dict[int, Fraction]
     weights: dict[Edge, Fraction]
-    _adj: dict[int, list[int]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.node_ids = sorted(self.node_ids)
+        nodes = set(self.node_ids)
+        if not nodes:
+            raise InstanceError("instance has no nodes")
+        if len(nodes) != len(self.node_ids):
+            raise InstanceError("duplicate node ids")
+        if self.node_ids[0] <= 0:
+            raise InstanceError("node ids must be positive integers")
+        if self.root not in nodes:
+            raise InstanceError(f"root {self.root} is not a node")
+        # a Fraction's sign is its numerator's, read far faster than a
+        # Fraction comparison
+        for (u, v), w in self.weights.items():
+            if u >= v:
+                raise InstanceError(f"edge {(u, v)} is not a pair (min, max) of distinct nodes")
+            if u not in nodes or v not in nodes:
+                raise InstanceError(f"edge {(u, v)} references unknown node")
+            if w.numerator < 0:
+                raise InstanceError(f"negative weight on edge {(u, v)}")
+        for v, p in self.prizes.items():
+            if v not in nodes:
+                raise InstanceError(f"prize for unknown node {v}")
+            if p.numerator < 0:
+                raise InstanceError(f"negative prize at node {v}")
         self._adj = adjacency(self.node_ids, sorted(self.weights))
-        for v in self.node_ids:
-            self.prizes.setdefault(v, Fraction(0))
+        if len(reachable(self._adj, self.root)) != len(nodes):
+            raise InstanceError("graph is not connected")
+        self.prizes.update((v, Fraction(0)) for v in self.node_ids if v not in self.prizes)
 
     @property
     def n(self) -> int:
@@ -111,31 +120,6 @@ class PcstInstance:
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
-
-    def validate(self):
-        if not self.node_ids:
-            raise InstanceError("instance has no nodes")
-        if len(set(self.node_ids)) != len(self.node_ids):
-            raise InstanceError("duplicate node ids")
-        if any(v <= 0 for v in self.node_ids):
-            raise InstanceError("node ids must be positive integers")
-        if self.root not in set(self.node_ids):
-            raise MissingRoot(f"root {self.root} is not a node")
-        nodes = set(self.node_ids)
-        for (u, v), w in self.weights.items():
-            if u == v:
-                raise InstanceError(f"self-loop at {u}")
-            if (u, v) != norm_edge(u, v):
-                raise InstanceError(f"edge {(u, v)} not normalized")
-            if u not in nodes or v not in nodes:
-                raise InstanceError(f"edge {(u, v)} references unknown node")
-            if w < 0:
-                raise NegativeValue(f"negative weight on edge {(u, v)}")
-        for v, p in self.prizes.items():
-            if p < 0:
-                raise NegativeValue(f"negative prize at node {v}")
-        if len(reachable(self._adj, self.root)) != len(self.node_ids):
-            raise DisconnectedGraph("graph is not connected")
 
 
 @dataclass(frozen=True)
@@ -210,36 +194,25 @@ def parse_instance(text: str) -> PcstInstance:
             elif kind == "prize":
                 v, p = args
                 prizes[int(v)] = parse_rational(p)
+                if prizes[int(v)] < 0:
+                    raise ValueError(f"negative prize at node {v}")
             elif kind == "edge":
                 u, v, w = args
                 e = norm_edge(int(u), int(v))
                 if e[0] == e[1]:
-                    raise MalformedLine("self-loop edge", lineno)
+                    raise ValueError("self-loop edge")
                 if e in weights:
-                    raise DuplicateEdge(f"edge {e} repeated", lineno)
+                    raise ValueError(f"edge {e} repeated")
                 weights[e] = parse_rational(w)
+                if weights[e] < 0:
+                    raise ValueError("negative edge weight")
             else:
-                raise MalformedLine(f"unknown directive {kind!r}", lineno)
-        except ParseError:
-            raise
+                raise ValueError(f"unknown directive {kind!r}")
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedLine(str(exc), lineno)
-        if kind == "prize" and prizes[int(args[0])] < 0:
-            raise NegativeValue(f"negative prize at node {args[0]}", lineno)
-        if kind == "edge" and weights[norm_edge(int(args[0]), int(args[1]))] < 0:
-            raise NegativeValue("negative edge weight", lineno)
+            raise ParseError(str(exc), lineno) from None
     if root is None:
-        raise MissingRoot("no root line")
-    inst = PcstInstance(node_ids, root, prizes, weights)
-    known = set(inst.node_ids)
-    for v in prizes:
-        if v not in known:
-            raise MalformedLine(f"prize for unknown node {v}")
-    for (u, v) in weights:
-        if u not in known or v not in known:
-            raise MalformedLine(f"edge ({u}, {v}) references unknown node")
-    inst.validate()
-    return inst
+        raise InstanceError("no root line")
+    return PcstInstance(node_ids, root, prizes, weights)
 
 
 def render_instance(inst: PcstInstance) -> str:
@@ -283,6 +256,4 @@ def generate_random_instance(
     edges.update(non_edges[: m - (n - 1)])
     weights = {e: Fraction(rng.randint(0, weight_max)) for e in sorted(edges)}
     prizes = {v: Fraction(rng.randint(0, prize_max)) for v in node_ids}
-    inst = PcstInstance(node_ids, min(node_ids), prizes, weights)
-    inst.validate()
-    return inst
+    return PcstInstance(node_ids, min(node_ids), prizes, weights)

@@ -123,7 +123,6 @@ class Simulation:
     """
 
     def __init__(self, inst: PcstInstance, seed: int | None = None):
-        inst.validate()
         self.inst = inst
         self.rng = None if seed is None else random.Random(seed)
         self.nodes: dict[int, nd.NodeState] = {}

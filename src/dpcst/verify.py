@@ -181,7 +181,7 @@ class MoatLedger:
 
 class _Replay:
     """Replay-only state beside the ledger: the nodes the growth has not
-    reached yet and the mirrors of the traced state."""
+    reached yet, the mirrors of the traced state and the round structure."""
 
     def __init__(self, inst: PcstInstance):
         self.inst = inst
@@ -192,6 +192,11 @@ class _Replay:
         self.traced_d = {v: Fraction(0) for v in inst.node_ids}
         self.traced_w = {v: Fraction(0) for v in inst.node_ids}
         self.traced_prize = {v: v != inst.root for v in inst.node_ids}
+        # the round structure: rounds started, the last one's leader and the
+        # kind of round, decision or phase record due next (None: no more)
+        self.rounds = 0
+        self.leader: int | None = None
+        self.due: str | None = "round"
 
     def wake(self, v: int, d_k: Fraction):
         # a sleeping node is an untouched singleton (d = w = 0)
@@ -201,6 +206,28 @@ class _Replay:
     def check_awake(self, v: int, act: str):
         if v in self.asleep:
             raise ReplayDivergence(f"node {v} {act} before the trace wakes it")
+
+    def follow(self, rec: sm.RoundBoundary | sm.EpsilonRecord | sm.PhaseBoundary):
+        """Take a round, decision or phase record in its place: rounds are
+        numbered 1, 2, 3, ... in trace order, each has one decision, by its
+        leader, before the next round starts, only the root decides prune,
+        and one phase record follows that decision and ends the growth."""
+        if isinstance(rec, sm.RoundBoundary):
+            ok, due = self.due == "round" and rec.round_index == self.rounds + 1, "decision"
+        elif isinstance(rec, sm.EpsilonRecord):
+            ok = self.due == "decision" and rec.leader == self.leader
+            ok = ok and (rec.chosen != "prune" or rec.leader == self.inst.root)
+            due = "phase" if rec.chosen == "prune" else "round"
+        else:
+            ok, due = self.due == "phase", None
+        if not ok:
+            raise ReplayDivergence(
+                f"step {rec.step}: {rec} out of place; due: {self.due or 'nothing'} "
+                f"in round {self.rounds}, led by {self.leader}"
+            )
+        if due == "decision":
+            self.rounds, self.leader = rec.round_index, rec.leader
+        self.due = due
 
     def merge(self, sender: int, receiver: int):
         lg = self.ledger
@@ -245,14 +272,17 @@ def reconstruct_duals(trace: list[sm.Record], inst: PcstInstance) -> DualCertifi
                 rp.traced_w[rec.node] = rec.new
             elif rec.field == "prize_flag":
                 rp.traced_prize[rec.node] = rec.new
-        elif isinstance(rec, sm.EpsilonRecord):
-            if rec.chosen == "deactivate":
+        else:
+            rp.follow(rec)
+            if isinstance(rec, sm.RoundBoundary):
+                pending_checks.append((rec.step, rec.leader))
+            elif isinstance(rec, sm.EpsilonRecord) and rec.chosen == "deactivate":
                 rp.check_awake(rec.leader, "deactivates")
                 lg.grow(rec.leader, rec.eps2)
                 lg.deactivate(rec.leader)
-        elif isinstance(rec, sm.RoundBoundary):
-            pending_checks.append((rec.step, rec.leader))
     run_checks()
+    if rp.due is not None:
+        raise ReplayDivergence(f"the trace ends where a {rp.due} record is due")
     for v in inst.node_ids:
         if lg.d[v] != rp.traced_d[v]:
             raise ReplayDivergence(

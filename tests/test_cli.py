@@ -184,22 +184,21 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
 
 
 def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):
+    # a second Prune to node 2 after the last record: the trace keeps its
+    # round structure, and node 2's prune receipts exceed their cap of one
     trace_path = tmp_path / "t.jsonl"
     main(["solve", "--alg", "dpcst", "--trace", str(trace_path), two_penal])
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
     last = json.loads(lines[-1])
-    extra = []
-    for i in range(30):
-        extra.append(
-            json.dumps(
-                {"kind": "round", "step": last["step"] + 1 + i, "leader": 1, "round": 100 + i}
-            )
-        )
-    trace_path.write_text("\n".join(lines + extra) + "\n")
+    again = {"kind": "delivery", "step": last["step"] + 1, "link": [1, 2],
+             "round": last["round"], "message": {"type": "Prune"}}
+    trace_path.write_text("\n".join(lines + [json.dumps(again)]) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 2
-    out = capsys.readouterr().out
-    assert '"status": "violation"' in out
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    bounds = [r for r in out if r["status"] == "violation"]
+    assert [r["check"] for r in bounds] == ["bounds"]
+    assert bounds[0]["witnesses"] == [{"node": 2, "prune_receipts": 2, "cap": 1}]
 
 
 def test_render_dot(two_penal, tmp_path, capsys):
@@ -211,6 +210,23 @@ def test_render_dot(two_penal, tmp_path, capsys):
     assert dot.startswith("graph pcst {")
     assert "doublecircle" in dot  # the root
     assert "style=dashed" in dot  # the penalized node
+
+
+def test_render_dot_branch_edges(tmp_path, capsys):
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(5, 7, 3)))
+    assert main(["solve", "--alg", "exact", str(inst_path)]) == 0
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(capsys.readouterr().out)
+    assert main(["render", str(inst_path), str(sol_path)]) == 0
+    dot = capsys.readouterr().out.splitlines()
+    assert dot[1] == '  1 [shape=doublecircle, style=filled, fillcolor=lightgray, label="1 (p=14)"];'
+    assert dot[2] == '  2 [style=dashed, label="2 (p=10)"];'
+    assert [line for line in dot if "style=bold" in line] == [
+        '  1 -- 3 [label="8", style=bold];',
+        '  3 -- 5 [label="5", style=bold];',
+    ]
+    assert dot[6] == '  1 -- 2 [label="17", style=dotted];'
 
 
 def test_render_single_node(tmp_path, capsys):
@@ -277,8 +293,17 @@ def test_solve_negative_seed_is_a_schedule(two_penal, capsys):
         (lambda sol: {**sol, "branch_edges": [[1]]}, "branch_edges is not a list of node pairs"),
         (lambda sol: list(sol.values()), "a solution is a JSON object, not list"),
         (lambda sol: {**sol, "branch_edges": [[1, 99]]}, "branch edge (1, 99) not in instance"),
+        (lambda sol: {**sol, "penalty_nodes": sol["penalty_nodes"] + [99, 99]},
+         "penalty_nodes is not a list of distinct nodes"),
+        (lambda sol: {**sol, "steiner_nodes": [1]},
+         "penalty_nodes is not the complement of steiner_nodes"),
+        (lambda sol: {**sol, "penalty_nodes": sol["penalty_nodes"] + sol["penalty_nodes"][:1]},
+         "penalty_nodes is not a list of distinct nodes"),
     ],
-    ids=["missing-key", "short-edge", "array", "unknown-edge"],
+    ids=[
+        "missing-key", "short-edge", "array", "unknown-edge",
+        "unknown-penalty-nodes", "steiner-root-only", "repeated-penalty-node",
+    ],
 )
 def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):
     inst_path = tmp_path / "g.pcst"
@@ -317,3 +342,62 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
     assert "before the trace wakes it" in out[0]["witnesses"][0]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("root 1\n", "instance has no nodes"),
+        ("nodes 1 2 2\nroot 1\nedge 1 2 1\n", "duplicate node ids"),
+        ("nodes 0 1\nroot 1\nedge 0 1 1\n", "node ids must be positive integers"),
+        ("nodes 1 2\nedge 1 2 1\n", "no root line"),
+        ("nodes 1 2\nroot 3\nedge 1 2 1\n", "root 3 is not a node"),
+        ("nodes 1 2\nroot 1\nedge 1 3 1\nedge 1 2 1\n", "edge (1, 3) references unknown node"),
+        ("nodes 1 2\nroot 1\nprize 3 1\nedge 1 2 1\n", "prize for unknown node 3"),
+        ("nodes 1 2\nroot 1\nedge 1 1 1\nedge 1 2 1\n", "line 3: self-loop edge"),
+        ("nodes 1 2\nroot 1\nedge 1 2 1\nedge 2 1 1\n", "line 4: edge (1, 2) repeated"),
+        ("nodes 1 2\nroot 1\nedge 1 2 -1\n", "line 3: negative edge weight"),
+        ("nodes 1 2\nroot 1\nprize 2 -1\nedge 1 2 1\n", "line 3: negative prize at node 2"),
+        ("nodes 1 2 3\nroot 1\nedge 1 2 1\n", "graph is not connected"),
+        ("nodes 1 2\nroot 1\nedge 1 2 1/0\n", "line 3: "),
+    ],
+    ids=[
+        "no-nodes", "repeated-id", "non-positive-id", "no-root", "root-not-a-node",
+        "undeclared-endpoint", "undeclared-prize-node", "self-loop", "repeated-edge",
+        "negative-weight", "negative-prize", "disconnected", "bad-rational",
+    ],
+)
+def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):
+    path = tmp_path / "bad.pcst"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [cap.err.strip()]
+    assert cap.err.startswith("error: ") and problem in cap.err
+    assert "Traceback" not in cap.err
+
+
+def test_solve_exact_too_large_exits_one(tmp_path, capsys):
+    path = tmp_path / "big.pcst"
+    path.write_text(render_instance(generate_random_instance(17, 20, 1)))
+    assert main(["solve", "--alg", "exact", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: too many nodes to enumerate: n=17 > 16\n"
+
+
+def test_verify_trace_without_phase_record_exits_three(tmp_path, capsys):
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    phases = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "phase"]
+    assert len(phases) == 1
+    del lines[phases[0]]
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 3
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+    assert "the trace ends where a phase record is due" in out[0]["witnesses"][0]

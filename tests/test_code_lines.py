@@ -1,0 +1,38 @@
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).parents[1] / "tools" / "code_lines.py"
+_spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts as code
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    x = """a multi-line string
+that is not a docstring"""
+
+    def f(self):
+        """Function
+        docstring."""
+        return os.sep
+'''
+
+
+def test_counts_lines_with_tokens_outside_docstrings_and_comments():
+    # import, class, x (two lines), def, return
+    assert code_lines.code_lines(SOURCE) == 6
+
+
+def test_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["6", "a", "1", "b", "7", "total"]

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcst.instance import (
-    DisconnectedGraph,
-    DuplicateEdge,
     InstanceError,
-    MalformedLine,
-    MissingRoot,
-    NegativeValue,
+    ParseError,
     PcstInstance,
     generate_random_instance,
     make_solution,
@@ -36,41 +33,41 @@ def test_parse_rationals_and_comments():
 
 
 def test_parse_negative_weight_names_line():
-    with pytest.raises(NegativeValue) as exc:
+    with pytest.raises(ParseError, match="negative edge weight") as exc:
         parse_instance("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 -1")
     assert exc.value.line == 4
 
 
 def test_parse_negative_prize():
-    with pytest.raises(NegativeValue):
+    with pytest.raises(ParseError, match="negative prize at node 2"):
         parse_instance("nodes 1 2\nroot 1\nprize 2 -3\nedge 1 2 1")
 
 
 def test_parse_duplicate_edge():
-    with pytest.raises(DuplicateEdge) as exc:
+    with pytest.raises(ParseError, match=r"edge \(1, 2\) repeated") as exc:
         parse_instance("nodes 1 2\nroot 1\nedge 1 2 1\nedge 2 1 4")
     assert exc.value.line == 4
 
 
 def test_parse_missing_root():
-    with pytest.raises(MissingRoot):
+    with pytest.raises(InstanceError, match="no root line"):
         parse_instance("nodes 1 2\nedge 1 2 1")
 
 
 def test_parse_disconnected():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(InstanceError, match="graph is not connected"):
         parse_instance("nodes 1 2 3\nroot 1\nedge 1 2 1")
 
 
 def test_parse_malformed():
-    with pytest.raises(MalformedLine):
+    with pytest.raises(ParseError, match="line 3: invalid literal"):
         parse_instance("nodes 1 2\nroot 1\nedge 1 2 x")
-    with pytest.raises(MalformedLine):
+    with pytest.raises(ParseError, match="line 3: unknown directive 'frobnicate'"):
         parse_instance("nodes 1 2\nroot 1\nfrobnicate 1\nedge 1 2 1")
 
 
 def test_parse_self_loop_rejected():
-    with pytest.raises(MalformedLine):
+    with pytest.raises(ParseError, match="line 3: self-loop edge"):
         parse_instance("nodes 1 2\nroot 1\nedge 1 1 3\nedge 1 2 1")
 
 
@@ -91,7 +88,6 @@ def test_generator_forced_topology():
 def test_generator_tree_case():
     inst = generate_random_instance(5, 4, 7)
     assert inst.m == 4 and inst.n == 5
-    inst.validate()
 
 
 def test_generator_deterministic():
@@ -152,3 +148,26 @@ def test_objective_relabel_invariance():
     sol = make_solution(inst, [], [inst.root])
     sol2 = make_solution(relabeled, [], [relabeled.root])
     assert sol.objective == sol2.objective
+
+
+@pytest.mark.parametrize(
+    "prizes, weights, problem",
+    [
+        ({}, {(2, 1): Fraction(1)}, r"edge \(2, 1\) is not a pair \(min, max\) of distinct nodes"),
+        ({}, {(1, 1): Fraction(1), (1, 2): Fraction(1)}, r"edge \(1, 1\) is not a pair"),
+        ({}, {(1, 2): Fraction(-1)}, r"negative weight on edge \(1, 2\)"),
+        ({2: Fraction(-1)}, {(1, 2): Fraction(1)}, "negative prize at node 2"),
+    ],
+    ids=["unnormalized-edge", "self-loop", "negative-weight", "negative-prize"],
+)
+def test_constructor_rejects(prizes, weights, problem):
+    # rules the parser reports by line number are the constructor's too
+    with pytest.raises(InstanceError, match=problem):
+        PcstInstance([1, 2], 1, prizes, weights)
+
+
+def test_constructor_takes_the_instance_fields_only():
+    assert [f.name for f in fields(PcstInstance)] == ["node_ids", "root", "prizes", "weights"]
+    inst = PcstInstance([2, 1], 1, {}, {(1, 2): Fraction(3)})
+    assert inst.node_ids == [1, 2] and inst.prizes == {1: 0, 2: 0}
+    assert inst.neighbors(1) == [2] and inst.neighbors(2) == [1]

@@ -151,6 +151,63 @@ def test_replay_divergence_on_repeated_connect():
         reconstruct_duals(doctored, inst)
 
 
+def test_replay_requires_every_round_decision_and_phase_record():
+    # an honest eager trace with any one round, decision or phase record
+    # deleted, or cut just before the root's prune decision
+    inst = generate_random_instance(10, 20, 3)
+    trace = run(inst).trace
+    at = [
+        i for i, r in enumerate(trace)
+        if isinstance(r, (RoundBoundary, EpsilonRecord, sim.PhaseBoundary))
+    ]
+    assert len(trace) == 569 and len(at) == 31
+    reconstruct_duals(trace, inst)
+    for i in at:
+        with pytest.raises(ReplayDivergence, match="out of place|the trace ends where"):
+            reconstruct_duals(trace[:i] + trace[i + 1 :], inst)
+    prune = at[-2]
+    assert trace[prune].chosen == "prune"
+    with pytest.raises(ReplayDivergence, match="the trace ends where a decision record is due"):
+        reconstruct_duals(trace[:prune], inst)
+
+
+def _edit(trace, cls, k, edit):
+    """trace with its k-th record of class cls replaced by the records edit returns."""
+    i = [i for i, r in enumerate(trace) if isinstance(r, cls)][k]
+    return trace[:i] + edit(trace[i]) + trace[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "doctor, culprit",
+    [
+        (lambda t: _edit(t, RoundBoundary, 1, lambda r: [RoundBoundary(r.step, r.leader, 3)]),
+         "RoundBoundary(step=8, leader=7, round_index=3)"),
+        (lambda t: _edit(t, EpsilonRecord, 0, lambda r: [
+            EpsilonRecord(r.step, 2, r.eps1, r.eps2, r.chosen)]),
+         "EpsilonRecord(step=7, leader=2,"),
+        (lambda t: _edit(t, EpsilonRecord, 0, lambda r: [r, r]),
+         "EpsilonRecord(step=7, leader=1,"),
+        (lambda t: _edit(t, EpsilonRecord, 1, lambda r: [
+            EpsilonRecord(r.step, r.leader, r.eps1, r.eps2, "prune")]),
+         "EpsilonRecord(step=20, leader=7,"),
+        (lambda t: _edit(t, sim.PhaseBoundary, 0, lambda r: [r, r]),
+         "PhaseBoundary(step=362)"),
+        (lambda t: t + [RoundBoundary(t[-1].step + 1, 1, 16)],
+         "RoundBoundary(step="),
+    ],
+    ids=["round-number", "not-the-leader", "two-decisions", "non-root-prune", "two-phases",
+         "round-after-phase"],
+)
+def test_replay_rejects_misplaced_round_records(doctor, culprit):
+    # the eager trace of test_replay_requires_every_round_decision_and_phase_record:
+    # round 1 is the root's (node 1) proceed at step 7, round 2 node 7's
+    # merge at step 20, and the prune's phase record is at step 362
+    inst = generate_random_instance(10, 20, 3)
+    with pytest.raises(ReplayDivergence, match="out of place") as exc:
+        reconstruct_duals(doctor(run(inst).trace), inst)
+    assert culprit in str(exc.value)
+
+
 def test_edge_packing_flags_violation():
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
     sol = make_solution(inst, [(1, 2)], [1, 2])
