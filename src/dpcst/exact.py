@@ -40,17 +40,16 @@ class UnionFind:
         return True
 
 
-def induced_mst(inst: PcstInstance, nodes: frozenset[int]) -> tuple[Fraction, list[Edge]] | None:
-    """Kruskal on the induced subgraph; None if it is disconnected."""
+def induced_mst(
+    inst: PcstInstance, nodes: frozenset[int], order: list[Edge]
+) -> tuple[Fraction, list[Edge]] | None:
+    """Kruskal on the induced subgraph, given all edges in order by (weight,
+    edge); None if the induced subgraph is disconnected."""
     uf = UnionFind(nodes)
     total = Fraction(0)
     chosen: list[Edge] = []
-    candidates = sorted(
-        (e for e in inst.weights if e[0] in nodes and e[1] in nodes),
-        key=lambda e: (inst.weights[e], e),
-    )
-    for e in candidates:
-        if uf.union(*e):
+    for e in order:
+        if e[0] in nodes and e[1] in nodes and uf.union(*e):
             chosen.append(e)
             total += inst.weights[e]
     if len(chosen) != len(nodes) - 1:
@@ -63,13 +62,14 @@ def exact_pcst(inst: PcstInstance) -> ExactResult:
     if inst.n > MAX_EXACT_NODES:
         raise InstanceError(f"too many nodes to enumerate: n={inst.n} > {MAX_EXACT_NODES}")
     others = sorted(v for v in inst.node_ids if v != inst.root)
+    order = sorted(inst.weights, key=lambda e: (inst.weights[e], e))
     total_prize = sum(inst.prizes.values(), Fraction(0))
     best_key = None
     best: tuple[frozenset[int], list[Edge], Fraction] | None = None
     count = 0
     for mask in range(1 << len(others)):
         nodes = frozenset([inst.root] + [others[i] for i in range(len(others)) if mask >> i & 1])
-        mst = induced_mst(inst, nodes)
+        mst = induced_mst(inst, nodes, order)
         if mst is None:
             continue
         count += 1

@@ -11,9 +11,11 @@ feed one checker.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from fractions import Fraction
 
-from .instance import PcstInstance, Solution, adjacency, make_solution, reachable
+from .instance import Edge, PcstInstance, Solution, adjacency, make_solution, norm_edge, reachable
 from .verify import DualCertificate, MoatLedger
 
 INF = float("inf")
@@ -33,8 +35,51 @@ def check_invariants(inst: PcstInstance, lg: MoatLedger):
 
 
 def gw_grow(inst: PcstInstance, check: bool = False) -> MoatLedger:
-    """Run the growth phase to completion (no active components left)."""
+    """Run the growth phase to completion (no active components left).
+
+    Each epsilon comes from two heaps of event times, in the time t that
+    sums the epsilons grown so far: (t at which the edge goes tight, edge,
+    stamp) for every edge between two components of which at least one is
+    active, and (t at which the penalty goes tight, max member, root, stamp)
+    for every active component.  An edge's time holds until one of its
+    sides flips activity, so only then are a component's outside edges timed
+    again; a penalty's holds until its component merges or deactivates.  An
+    entry counts while its stamp is the current one of its edge, resp.
+    component, and its edge joins two components.  The heads break ties as a
+    scan over every edge and component does: the smallest epsilon, then the
+    smallest edge, resp. max member, and a penalty before an edge.
+    """
     lg = MoatLedger(inst.node_ids, inst.root)
+    prize = dict(inst.prizes)  # prize sum by component root
+    stamps = itertools.count()
+    edge_stamp: dict[Edge, int] = {}
+    pen_stamp: dict[int, int] = {}  # by active component root
+    edges: list[tuple[Fraction, Edge, int]] = []
+    pens: list[tuple[Fraction, int, int, int]] = []
+    t = Fraction(0)
+
+    def time_edge(u: int, v: int):
+        e = norm_edge(u, v)
+        ru, rv = lg.find(u), lg.find(v)
+        s = edge_stamp[e] = next(stamps)
+        cs = lg.active[ru] + lg.active[rv]
+        if ru != rv and cs:
+            heapq.heappush(edges, (t + (inst.weights[e] - lg.d[u] - lg.d[v]) / cs, e, s))
+
+    def time_penalty(r: int):
+        s = pen_stamp[r] = next(stamps)
+        heapq.heappush(pens, (t + prize[r] - lg.w[r], max(lg.members[r]), r, s))
+
+    def flipped(nodes: frozenset[int]):  # these nodes changed activity
+        for u in nodes:
+            for v in inst.neighbors(u):
+                time_edge(u, v)
+
+    for e in inst.weights:
+        time_edge(*e)
+    for v in inst.node_ids:
+        if lg.active[v]:
+            time_penalty(v)
     while True:
         active = sorted(r for r, a in lg.active.items() if a)
         if not active:
@@ -43,36 +88,37 @@ def gw_grow(inst: PcstInstance, check: bool = False) -> MoatLedger:
         assert len(lg.forest) + len(lg.deactivated) < 2 * inst.n - 1, (
             "growth exceeded its iteration cap"
         )
-        # candidate epsilons: cheapest inter-component edge and tightest penalty
-        best_edge_eps: Fraction | float = INF
-        best_edge = None
-        for e in sorted(inst.weights):
-            u, v = e
-            ru, rv = lg.find(u), lg.find(v)
-            if ru == rv:
-                continue
-            cs = lg.active[ru] + lg.active[rv]
-            if cs == 0:
-                continue
-            eps = (inst.weights[e] - lg.d[u] - lg.d[v]) / cs
-            if eps < best_edge_eps:
-                best_edge_eps = eps
-                best_edge = e
-        best_pen_eps: Fraction | float = INF
-        best_pen = None
-        for r in sorted(active, key=lambda r: max(lg.members[r])):
-            eps = sum((inst.prizes[v] for v in lg.members[r]), Fraction(0)) - lg.w[r]
-            if eps < best_pen_eps:
-                best_pen_eps = eps
-                best_pen = r
-        eps = min(best_edge_eps, best_pen_eps)
-        assert eps != INF, "active component with no growth bound"
+        while edges and (
+            edge_stamp[edges[0][1]] != edges[0][2] or lg.find(edges[0][1][0]) == lg.find(edges[0][1][1])
+        ):
+            heapq.heappop(edges)
+        while pens and pen_stamp.get(pens[0][2]) != pens[0][3]:
+            heapq.heappop(pens)
+        edge_t = edges[0][0] if edges else INF
+        pen_t = pens[0][0] if pens else INF
+        assert min(edge_t, pen_t) != INF, "active component with no growth bound"
+        eps = min(edge_t, pen_t) - t
         for r in active:
             lg.grow(r, eps)
-        if best_pen_eps <= best_edge_eps:
-            lg.deactivate(best_pen)
+        t += eps
+        if pen_t <= edge_t:
+            r = heapq.heappop(pens)[2]
+            del pen_stamp[r]
+            lg.deactivate(r)
+            flipped(lg.members[r])
         else:
-            lg.union(*best_edge)
+            u, v = heapq.heappop(edges)[1]
+            ru, rv = lg.find(u), lg.find(v)
+            sides = [(lg.members[ru], lg.active[ru]), (lg.members[rv], lg.active[rv])]
+            lg.union(u, v)
+            prize[rv] += prize.pop(ru)
+            pen_stamp.pop(ru, None)
+            pen_stamp.pop(rv, None)
+            if lg.active[rv]:
+                time_penalty(rv)
+            for nodes, was_active in sides:
+                if was_active != lg.active[rv]:
+                    flipped(nodes)
         if check:
             check_invariants(inst, lg)
     return lg

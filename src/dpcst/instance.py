@@ -34,6 +34,8 @@ class ParseError(InstanceError):
 def parse_rational(text: str) -> Fraction:
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError("zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -189,14 +191,21 @@ def parse_instance(text: str) -> PcstInstance:
             if kind == "nodes":
                 node_ids.extend(int(a) for a in args)
             elif kind == "root":
-                (a,) = args
-                root = int(a)
+                if len(args) != 1:
+                    raise ValueError("root takes one node id")
+                root = int(args[0])
             elif kind == "prize":
-                v, p = args
-                prizes[int(v)] = parse_rational(p)
-                if prizes[int(v)] < 0:
+                if len(args) != 2:
+                    raise ValueError("prize takes a node id and a prize")
+                v, p = int(args[0]), parse_rational(args[1])
+                if v in prizes:
+                    raise ValueError(f"prize for node {v} repeated")
+                if p < 0:
                     raise ValueError(f"negative prize at node {v}")
+                prizes[v] = p
             elif kind == "edge":
+                if len(args) != 3:
+                    raise ValueError("edge takes two node ids and a weight")
                 u, v, w = args
                 e = norm_edge(int(u), int(v))
                 if e[0] == e[1]:
@@ -208,7 +217,7 @@ def parse_instance(text: str) -> PcstInstance:
                     raise ValueError("negative edge weight")
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     if root is None:
         raise InstanceError("no root line")

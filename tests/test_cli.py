@@ -359,12 +359,17 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         ("nodes 1 2\nroot 1\nedge 1 2 -1\n", "line 3: negative edge weight"),
         ("nodes 1 2\nroot 1\nprize 2 -1\nedge 1 2 1\n", "line 3: negative prize at node 2"),
         ("nodes 1 2 3\nroot 1\nedge 1 2 1\n", "graph is not connected"),
-        ("nodes 1 2\nroot 1\nedge 1 2 1/0\n", "line 3: "),
+        ("nodes 1 2\nroot 1\nedge 1 2 1/0\n", "line 3: zero denominator"),
+        ("nodes 1 2\nroot 1 2\nedge 1 2 1\n", "line 2: root takes one node id"),
+        ("nodes 1 2\nroot 1\nedge 1 2\n", "line 3: edge takes two node ids and a weight"),
+        ("nodes 1 2\nroot 1\nprize 2\nedge 1 2 1\n", "line 3: prize takes a node id and a prize"),
+        ("nodes 1 2\nroot 1\nprize 2 3\nprize 2 5\nedge 1 2 1\n", "line 4: prize for node 2 repeated"),
     ],
     ids=[
         "no-nodes", "repeated-id", "non-positive-id", "no-root", "root-not-a-node",
         "undeclared-endpoint", "undeclared-prize-node", "self-loop", "repeated-edge",
         "negative-weight", "negative-prize", "disconnected", "bad-rational",
+        "root-arity", "edge-arity", "prize-arity", "repeated-prize",
     ],
 )
 def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):

@@ -1,9 +1,55 @@
+import hashlib
+import json
 from fractions import Fraction
 
 from dpcst.exact import exact_pcst
-from dpcst.gw import gw_grow, gw_prune, gw_solve
-from dpcst.instance import generate_random_instance, parse_instance
-from dpcst.verify import check_edge_packing, check_penalty_packing, check_ratio
+from dpcst.gw import INF, check_invariants, gw_grow, gw_prune, gw_solve
+from dpcst.instance import format_rational, generate_random_instance, parse_instance
+from dpcst.verify import MoatLedger, check_edge_packing, check_penalty_packing, check_ratio
+
+
+def _scanning_gw_grow(inst, check=False):
+    """The growth loop gw_grow replaced, kept as the reference: every
+    iteration re-sorts and re-scans all edges for the cheapest one between
+    two components and re-sums the prizes of every active component."""
+    lg = MoatLedger(inst.node_ids, inst.root)
+    while True:
+        active = sorted(r for r, a in lg.active.items() if a)
+        if not active:
+            break
+        assert len(lg.forest) + len(lg.deactivated) < 2 * inst.n - 1
+        best_edge_eps = INF
+        best_edge = None
+        for e in sorted(inst.weights):
+            u, v = e
+            ru, rv = lg.find(u), lg.find(v)
+            if ru == rv:
+                continue
+            cs = lg.active[ru] + lg.active[rv]
+            if cs == 0:
+                continue
+            eps = (inst.weights[e] - lg.d[u] - lg.d[v]) / cs
+            if eps < best_edge_eps:
+                best_edge_eps = eps
+                best_edge = e
+        best_pen_eps = INF
+        best_pen = None
+        for r in sorted(active, key=lambda r: max(lg.members[r])):
+            eps = sum((inst.prizes[v] for v in lg.members[r]), Fraction(0)) - lg.w[r]
+            if eps < best_pen_eps:
+                best_pen_eps = eps
+                best_pen = r
+        eps = min(best_edge_eps, best_pen_eps)
+        assert eps != INF
+        for r in active:
+            lg.grow(r, eps)
+        if best_pen_eps <= best_edge_eps:
+            lg.deactivate(best_pen)
+        else:
+            lg.union(*best_edge)
+        if check:
+            check_invariants(inst, lg)
+    return lg
 
 
 def test_two_node_deactivate():
@@ -86,3 +132,40 @@ def test_branch_edges_tight_and_deactivated_tight():
 def test_fixture_solution(example11):
     sol, cert = gw_solve(example11, check=True)
     assert sol.penalty_nodes == {1, 2, 5, 7, 11}
+
+
+def test_event_queue_matches_scanning_reference():
+    # tie-heavy corpus: small weight and prize ranges make equal epsilons,
+    # equal edge and penalty times and zero-width iterations common; the
+    # ledgers must agree on moats in crediting order, deficits, weights, the
+    # merge forest and the deactivations in order
+    runs = 0
+    for wmax, pmax in [(0, 0), (1, 1), (2, 2), (1, 4), (4, 1)]:
+        for n in range(2, 41):
+            full = n * (n - 1) // 2
+            for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+                for seed in range(3 if n <= 20 else 1):
+                    inst = generate_random_instance(n, m, seed, wmax, pmax)
+                    got = gw_grow(inst, check=n <= 12)
+                    ref = _scanning_gw_grow(inst)
+                    assert list(got.y.items()) == list(ref.y.items()), (n, m, seed, wmax, pmax)
+                    assert got.d == ref.d and got.w == ref.w
+                    assert got.forest == ref.forest
+                    assert got.deactivated == ref.deactivated
+                    runs += 1
+    assert runs == 1080
+
+
+def test_gw_large_n_digest():
+    # one SHA-256 over gw_solve's solution and certificate (moats in
+    # crediting order with their masses, deactivated components in order)
+    # at n = 40 to 320, m = 3n, and on the n = 60, m = 6n instance, pinned
+    # while gw still scanned every edge each iteration
+    h = hashlib.sha256()
+    for args in [(40, 120, 1), (80, 240, 1), (160, 480, 1), (320, 960, 1), (60, 360, 1)]:
+        sol, cert = gw_solve(generate_random_instance(*args))
+        h.update(json.dumps(sol.to_json_dict()).encode())
+        moats = [[sorted(m.nodes), format_rational(m.y)] for m in cert.moats]
+        h.update(json.dumps(moats).encode())
+        h.update(json.dumps([sorted(s) for s in cert.deactivated]).encode())
+    assert h.hexdigest() == "5731a738b7296acec14c754546cb6279624dde612d8af07cc387b1dffecbec84"
