@@ -1,10 +1,10 @@
 """Time the reference solver gw_solve from a given source tree.
 
-    python tools/bench_gw.py src [--reps 5]
+    python tools/bench_gw.py src
 
 imports dpcst from the directory given (a checkout's src), runs gw_solve on
 generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320, and prints
-one JSON object: the median process-CPU seconds per n over the repetitions,
+one JSON object: the median process-CPU seconds per n over REPS runs,
 the git SHA of the checkout holding that directory, and the Python version.
 Point it at two checkouts to compare them; every run solves the same
 instances, so the medians differ only by the code.
@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 SIZES = (40, 80, 160, 320)
+REPS = 5
 
 
 def git_sha(path: Path) -> str | None:
@@ -38,7 +39,6 @@ def git_sha(path: Path) -> str | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", type=Path, help="directory that holds the dpcst package")
-    ap.add_argument("--reps", type=int, default=5, help="runs per size (default 5)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from dpcst.gw import gw_solve
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     for n in SIZES:
         inst = generate_random_instance(n, 3 * n, 1)
         times = []
-        for _ in range(args.reps):
+        for _ in range(REPS):
             start = time.process_time()
             gw_solve(inst)
             times.append(time.process_time() - start)
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         "metric": "gw_solve process CPU, median",
         "unit": "s",
         "instances": "generate_random_instance(n, 3n, 1)",
-        "reps": args.reps,
+        "reps": REPS,
         "median_s": medians,
         "git_sha": git_sha(args.src.resolve()),
         "python": platform.python_version(),
