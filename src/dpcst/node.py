@@ -49,31 +49,31 @@ class ProtocolError(AssertionError):
 # Wire messages
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Initiate:
     leader: int
     sn: SN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Test:
     __test__ = False  # not a pytest class
 
     leader: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Status:
     cs: CS
     deficit: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reject:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     best_epsilon: Fraction | float
     d_h: Fraction
@@ -82,13 +82,13 @@ class Report:
     ts: int | float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merge:
     epsilon: Fraction
     d_h: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connect:
     nid: int
     comp_w: Fraction
@@ -96,7 +96,7 @@ class Connect:
     d_h: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Accept:
     leader_flag: bool
     root_flag: bool
@@ -104,12 +104,12 @@ class Accept:
     d_h: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefindEpsilon:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateInfo:
     epsilon: Fraction
     root_flag: bool
@@ -118,12 +118,12 @@ class UpdateInfo:
     d_h: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proceed:
     d_h: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Back:
     # The sender's root flag.  A back that crosses a wake edge from a rooted
     # node tells the waker that the tree flood will reach the woken side, so
@@ -131,12 +131,12 @@ class Back:
     root_flag: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prune:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackwardPrune:
     pass
 
@@ -163,12 +163,12 @@ Message = (
 # Local events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpontaneousWakeup:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deliver:
     edge: Edge
     message: Message
@@ -184,12 +184,12 @@ LocalEvent = SpontaneousWakeup | Deliver
 Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundStarted:
     leader: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsilonComputed:
     leader: int
     eps1: Fraction | float

@@ -15,10 +15,12 @@ import random
 import typing
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from . import node as nd
 from .instance import (
@@ -34,7 +36,7 @@ from .instance import (
 _MSG_TYPES = {cls.__name__: cls for cls in typing.get_args(nd.Message)}
 # growth-phase wire types count against the per-round cap; Prune and
 # BackwardPrune have their own totals
-GROWTH_TYPES = tuple(name for name in _MSG_TYPES if name not in ("Prune", "BackwardPrune"))
+GROWTH_TYPES = frozenset(name for name in _MSG_TYPES if name not in ("Prune", "BackwardPrune"))
 # control traffic preempts everything else (see Simulation._pick)
 _CONTROL = (nd.UpdateInfo, nd.Initiate)
 
@@ -55,9 +57,10 @@ TrackedField = typing.Literal[
     "cs", "d_v", "comp_w", "d_h", "prize_flag", "labelled_flag", "root_flag", "lc"
 ]
 _TRACKED_FIELDS = typing.get_args(TrackedField)
+_tracked = attrgetter(*_TRACKED_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     step: int
     link: tuple[int, int]  # (sender, receiver)
@@ -65,7 +68,7 @@ class Delivery:
     round_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateChange:
     step: int
     node: int
@@ -74,7 +77,7 @@ class StateChange:
     new: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsilonRecord:
     step: int
     leader: int
@@ -83,14 +86,14 @@ class EpsilonRecord:
     chosen: nd.Choice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundBoundary:
     step: int
     leader: int
     round_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseBoundary:
     step: int
 
@@ -191,10 +194,13 @@ class Simulation:
                 # one chain of rounds and starts none
                 if em.chosen == "prune":
                     self.trace.append(PhaseBoundary(self.step))
-        for f in _TRACKED_FIELDS:
-            a, b = getattr(old, f), getattr(new, f)
-            if a is not b and a != b:
-                self.trace.append(StateChange(self.step, node_id, f, a, b))
+        # most transitions change no tracked field: one tuple comparison,
+        # which like the loop takes identity before equality, rules them out
+        before, after = _tracked(old), _tracked(new)
+        if before != after:
+            for f, a, b in zip(_TRACKED_FIELDS, before, after):
+                if a is not b and a != b:
+                    self.trace.append(StateChange(self.step, node_id, f, a, b))
 
     def _pick(self) -> tuple[int, int]:
         """The link to deliver from next.
@@ -283,32 +289,54 @@ def extract_solution(sim: Simulation) -> Solution:
     return make_solution(sim.inst, branch, steiner)
 
 
-def count_messages(trace: list[Record]) -> dict:
-    """Totals by type, growth-phase counts per round, leader-level action
-    counts, and prune receipts per node."""
-    by_type: dict[str, int] = {}
-    per_round: dict[int, int] = {}
-    prune_receipts: dict[int, int] = {}
-    actions: dict[str, int] = {}
-    for rec in trace:
-        if isinstance(rec, Delivery):
-            name = type(rec.message).__name__
-            by_type[name] = by_type.get(name, 0) + 1
-            if name in GROWTH_TYPES:
-                per_round[rec.round_index] = per_round.get(rec.round_index, 0) + 1
-            if name == "Prune":
-                prune_receipts[rec.link[1]] = prune_receipts.get(rec.link[1], 0) + 1
-        elif isinstance(rec, EpsilonRecord):
-            actions[rec.chosen] = actions.get(rec.chosen, 0) + 1
-    rounds = max((r.round_index for r in trace if isinstance(r, RoundBoundary)), default=0)
-    return {
-        "by_type": by_type,
-        "per_round": per_round,
-        "rounds": rounds,
-        "total": sum(by_type.values()),
-        "actions": actions,
-        "prune_receipts": prune_receipts,
-    }
+class MessageCounter:
+    """Totals by type, growth-phase counts per round, rounds, leader-level
+    action counts, and prune receipts per node, kept up to date while the
+    records pass through ``tally``."""
+
+    def __init__(self):
+        self.by_type: dict[str, int] = {}
+        self.per_round: dict[int, int] = {}
+        self.rounds = 0
+        self.actions: dict[str, int] = {}
+        self.prune_receipts: dict[int, int] = {}
+
+    def tally(self, records: Iterable[Record]) -> Iterator[Record]:
+        """Every record of ``records``, counted on its way through."""
+        by_type, per_round = self.by_type, self.per_round
+        for rec in records:
+            if isinstance(rec, Delivery):
+                name = type(rec.message).__name__
+                by_type[name] = by_type.get(name, 0) + 1
+                if name in GROWTH_TYPES:
+                    per_round[rec.round_index] = per_round.get(rec.round_index, 0) + 1
+                elif name == "Prune":
+                    receiver = rec.link[1]
+                    self.prune_receipts[receiver] = self.prune_receipts.get(receiver, 0) + 1
+            elif isinstance(rec, EpsilonRecord):
+                self.actions[rec.chosen] = self.actions.get(rec.chosen, 0) + 1
+            elif isinstance(rec, RoundBoundary) and rec.round_index > self.rounds:
+                self.rounds = rec.round_index
+            yield rec
+
+    def counts(self) -> dict:
+        """The counts of the records tallied so far."""
+        return {
+            "by_type": self.by_type,
+            "per_round": self.per_round,
+            "rounds": self.rounds,
+            "total": sum(self.by_type.values()),
+            "actions": self.actions,
+            "prune_receipts": self.prune_receipts,
+        }
+
+
+def count_messages(records: Iterable[Record]) -> dict:
+    """``MessageCounter.counts`` of every record."""
+    counter = MessageCounter()
+    for _rec in counter.tally(records):
+        pass
+    return counter.counts()
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +574,23 @@ def write_trace(trace: list[Record], path: str):
 _decode_json = json.JSONDecoder().decode
 
 
-def read_trace(path: str) -> list[Record]:
-    """Every record of a trace file; a line that does not decode to a record,
-    or a file without records, is a TraceFormatError naming the file."""
-    out = []
+def read_trace(path: str) -> Iterator[Record]:
+    """The records of a trace file, each yielded as soon as its line is
+    decoded; a line that does not decode to a record, or a file without
+    records, is a TraceFormatError naming the file."""
+    records = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(record_from_json(_decode_json(line)))
+                rec = record_from_json(_decode_json(line))
             except KeyError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not out:
+            records += 1
+            yield rec
+    if not records:
         raise TraceFormatError(f"{path}: no records")
-    return out

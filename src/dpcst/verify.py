@@ -17,6 +17,7 @@ reconstruction disagree: exit-code-3 territory.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -237,8 +238,9 @@ class _Replay:
         lg.union(sender, receiver)
 
 
-def reconstruct_duals(trace: list[sm.Record], inst: PcstInstance) -> DualCertificate:
-    """Replay a growth trace into an explicit dual certificate.
+def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCertificate:
+    """Replay a growth trace into an explicit dual certificate, in one pass
+    over its records.
 
     Credits moats from delivery events, cross-checks its shadow state against
     the traced StateChange stream, and confirms the bookkeeping identities
@@ -481,10 +483,10 @@ def check_ratio(cert: DualCertificate, inst: PcstInstance, exact: ExactResult | 
     return Report("ratio", "violation" if witnesses else "pass", witnesses)
 
 
-def check_bounds(trace: list[sm.Record], inst: PcstInstance) -> Report:
-    """Message and round counts against their worst-case caps."""
+def check_bounds(counts: dict, inst: PcstInstance) -> Report:
+    """Message and round counts (``sm.count_messages``) against their
+    worst-case caps."""
     n, m = inst.n, inst.m
-    counts = sm.count_messages(trace)
     witnesses = []
     cap = sm.round_message_bound(n, m)
     for rnd, c in sorted(counts["per_round"].items()):
@@ -510,13 +512,16 @@ def check_bounds(trace: list[sm.Record], inst: PcstInstance) -> Report:
 
 
 def verify_trace(
-    trace: list[sm.Record], inst: PcstInstance, exact: ExactResult | None = None
+    trace: Iterable[sm.Record], inst: PcstInstance, exact: ExactResult | None = None
 ) -> list[Report]:
-    """All four checks on a trace and the solution it gives."""
-    cert = reconstruct_duals(trace, inst)
+    """All four checks on a trace and the solution it gives.  The records
+    are read once, passing through the message counter on their way into
+    the replay, so a file's records are never all held at once."""
+    counter = sm.MessageCounter()
+    cert = reconstruct_duals(counter.tally(trace), inst)
     return [
         check_edge_packing(cert, inst),
         check_penalty_packing(cert, inst),
         check_ratio(cert, inst, exact),
-        check_bounds(trace, inst),
+        check_bounds(counter.counts(), inst),
     ]

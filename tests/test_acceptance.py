@@ -121,7 +121,7 @@ def test_criterion_4_complexity_bounds(corpus):
     prune send caps, and single prune receipt per node."""
     failures = []
     for c in corpus:
-        rep = verify.check_bounds(c.trace, c.inst)
+        rep = verify.check_bounds(count_messages(c.trace), c.inst)
         if not rep.ok:
             failures.append(f"k={c.k}: {rep.witnesses[:2]}")
     report("4 complexity bounds", failures)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -406,3 +407,59 @@ def test_verify_trace_without_phase_record_exits_three(tmp_path, capsys):
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
     assert "the trace ends where a phase record is due" in out[0]["witnesses"][0]
+
+
+def _first_record_outside(lines: list[str]) -> list[str]:
+    rec = json.loads(lines[0])
+    rec["leader"] = 99
+    return [json.dumps(rec)] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "edit, code, problem",
+    [
+        (lambda lines: lines[:-1] + ["{not json"], 1, "t.jsonl:{last}:"),
+        (lambda lines: _first_record_outside(lines)[:-1] + ["{not json"], 3, "outside the instance"),
+        (lambda lines: lines[: len(lines) // 2], 3, "the trace ends where a round record is due"),
+    ],
+    ids=["malformed-last-line", "divergence-then-malformed-line", "cut-in-half"],
+)
+def test_verify_first_bad_record_decides_exit_code(tmp_path, capsys, edit, code, problem):
+    # verify reads, replays and counts the records in one pass and stops at
+    # the first bad one: a line that does not decode exits 1, a replay
+    # divergence 3, whichever comes first in the file; a file without
+    # records is test_verify_trace_without_records_exits_one
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(8, 14, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    trace_path.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == code
+    cap = capsys.readouterr()
+    assert problem.format(last=len(lines)) in (cap.err if code == 1 else cap.out)
+    assert "Traceback" not in cap.err
+
+
+def test_verify_holds_a_fraction_of_the_records(tmp_path, capsys):
+    # verify streams the trace: its traced peak stays under a fifth of what
+    # the trace's records take as a list (eager n = 80, m = 3n, seed 1)
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(80, 240, 1)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        # verify first, so that the rationals the reader shares count in its peak
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["verify", str(inst_path), str(trace_path), "--no-exact"]) == 0
+        verify_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        records = list(read_trace(str(trace_path)))
+        records_size = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 20000
+    assert verify_peak < records_size / 5, (verify_peak, records_size)

@@ -143,7 +143,7 @@ DUPLICATE_PRUNE_RUNS = {
 @cache
 def _bounds_report(args):
     inst = generate_random_instance(*args)
-    return check_bounds(run(inst).trace, inst)
+    return check_bounds(count_messages(run(inst).trace), inst)
 
 
 @pytest.mark.parametrize("args", DUPLICATE_PRUNE_RUNS, ids=lambda a: "-".join(map(str, a)))

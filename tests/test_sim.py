@@ -120,7 +120,7 @@ def test_trace_roundtrip_through_json(tmp_path, example11):
     s = run(example11)
     path = tmp_path / "t.jsonl"
     write_trace(s.trace, str(path))
-    back = read_trace(str(path))
+    back = list(read_trace(str(path)))
     assert len(back) == len(s.trace)
     assert back == s.trace
     first = json.loads(path.read_text().splitlines()[0])
@@ -172,7 +172,7 @@ def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
     rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": message}
     path.write_text('{"kind": "phase", "step": 0}\n' + json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match="t.jsonl:2:"):
-        read_trace(str(path))
+        list(read_trace(str(path)))
 
 
 @pytest.mark.parametrize("value", [5, [1, 2], True, None], ids=["int", "list", "bool", "null"])
@@ -184,7 +184,7 @@ def test_non_string_rational_is_named_as_such(tmp_path, value):
            "message": {"type": "Proceed", "d_h": value}}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match=r"t.jsonl:1: .* is not a rational string"):
-        read_trace(str(path))
+        list(read_trace(str(path)))
 
 
 def test_extract_rejects_asymmetric_marks():
@@ -471,7 +471,7 @@ def test_write_trace_matches_reference_writer(tmp_path, example11):
     for trace in runs:
         write_trace(trace, str(path))
         assert path.read_text() == _reference_lines(trace)
-        assert read_trace(str(path)) == trace
+        assert list(read_trace(str(path))) == trace
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from dpcst import sim
 from dpcst.exact import exact_pcst
 from dpcst.gw import gw_grow, gw_solve
 from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
-from dpcst.sim import EpsilonRecord, RoundBoundary, extract_solution, run
+from dpcst.sim import EpsilonRecord, RoundBoundary, count_messages, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
     Moat,
@@ -77,12 +77,11 @@ def test_replayed_solution_equals_extracted_solution():
     assert runs == 104
 
 
-def test_gw_and_replay_outputs_digest():
+def _gw_and_replay_outputs_digest(feed) -> str:
     # one SHA-256 over every gw solution and certificate (moats in crediting
     # order with their masses, deactivated components in order) and every
-    # verify_trace report of an eager corpus run, pinned before activity and
-    # the merge forest moved into MoatLedger; a rewrite of gw or the replay
-    # must leave it unchanged
+    # verify_trace report of an eager corpus run, its records handed over as
+    # feed(trace)
     h = hashlib.sha256()
     runs = 0
     for n in range(3, 13):
@@ -95,11 +94,25 @@ def test_gw_and_replay_outputs_digest():
                 moats = [[sorted(m.nodes), format_rational(m.y)] for m in cert.moats]
                 h.update(json.dumps(moats).encode())
                 h.update(json.dumps([sorted(s) for s in cert.deactivated]).encode())
-                for rep in verify_trace(run(inst).trace, inst):
+                for rep in verify_trace(feed(run(inst).trace), inst):
                     h.update(json.dumps(rep.to_json_dict()).encode())
                 runs += 1
     assert runs == 162
-    assert h.hexdigest() == "f74f333f4f6105b8630837809156dd15c0e863e193b6a04c3e8ba792fd710a44"
+    return h.hexdigest()
+
+
+# pinned before activity and the merge forest moved into MoatLedger; a
+# rewrite of gw or the replay must leave it unchanged
+GW_AND_REPLAY_DIGEST = "f74f333f4f6105b8630837809156dd15c0e863e193b6a04c3e8ba792fd710a44"
+
+
+def test_gw_and_replay_outputs_digest():
+    assert _gw_and_replay_outputs_digest(list) == GW_AND_REPLAY_DIGEST
+
+
+def test_gw_and_replay_outputs_digest_from_one_shot_iterator():
+    # verify_trace reads its records once, so an iterator does as a list does
+    assert _gw_and_replay_outputs_digest(iter) == GW_AND_REPLAY_DIGEST
 
 
 def test_replay_divergence_on_edited_epsilon(tmp_path):
@@ -315,7 +328,7 @@ def test_ratio_factor_one_at_two_nodes():
 def test_bounds_pass_on_clean_run():
     inst = generate_random_instance(6, 9, 23)
     s = run(inst)
-    assert check_bounds(s.trace, inst).ok
+    assert check_bounds(count_messages(s.trace), inst).ok
 
 
 def test_bounds_flag_round_overflow():
@@ -324,7 +337,7 @@ def test_bounds_flag_round_overflow():
     doctored = list(s.trace) + [
         RoundBoundary(s.step + i, inst.root, s.round_index + 1 + i) for i in range(100)
     ]
-    rep = check_bounds(doctored, inst)
+    rep = check_bounds(count_messages(doctored), inst)
     assert not rep.ok
     assert any("rounds" in w for w in rep.witnesses)
 
