@@ -90,9 +90,9 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     trace = sim.read_trace(args.trace)
-    exact = exact_pcst(inst) if inst.n <= MAX_EXACT_NODES and not args.no_exact else None
+    oracle = exact_pcst if inst.n <= MAX_EXACT_NODES and not args.no_exact else None
     try:
-        reports = verify.verify_trace(trace, inst, exact=exact)
+        reports = verify.verify_trace(trace, inst, oracle)
     except verify.ReplayDivergence as exc:
         print(json.dumps({"check": "replay", "status": "divergence", "witnesses": [str(exc)]}))
         return 3

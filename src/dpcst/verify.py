@@ -17,7 +17,7 @@ reconstruction disagree: exit-code-3 territory.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -512,13 +512,20 @@ def check_bounds(counts: dict, inst: PcstInstance) -> Report:
 
 
 def verify_trace(
-    trace: Iterable[sm.Record], inst: PcstInstance, exact: ExactResult | None = None
+    trace: Iterable[sm.Record],
+    inst: PcstInstance,
+    oracle: Callable[[PcstInstance], ExactResult] | None = None,
 ) -> list[Report]:
-    """All four checks on a trace and the solution it gives.  The records
-    are read once, passing through the message counter on their way into
-    the replay, so a file's records are never all held at once."""
+    """All four checks on a trace and the solution it gives, the ratio
+    also against the optimum ``oracle(inst)`` finds if an oracle is given.
+
+    The records are read once, passing through the message counter on their
+    way into the replay, so a file's records are never all held at once.
+    The oracle runs after the replay: a trace that does not read or replay
+    costs no enumeration."""
     counter = sm.MessageCounter()
     cert = reconstruct_duals(counter.tally(trace), inst)
+    exact = None if oracle is None else oracle(inst)
     return [
         check_edge_packing(cert, inst),
         check_penalty_packing(cert, inst),

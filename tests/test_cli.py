@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from dpcst import cli
 from dpcst.cli import main
 from dpcst.instance import generate_random_instance, render_instance
 from dpcst.sim import EpsilonRecord, read_trace
@@ -424,11 +425,14 @@ def _first_record_outside(lines: list[str]) -> list[str]:
     ],
     ids=["malformed-last-line", "divergence-then-malformed-line", "cut-in-half"],
 )
-def test_verify_first_bad_record_decides_exit_code(tmp_path, capsys, edit, code, problem):
+def test_verify_first_bad_record_decides_exit_code(
+    tmp_path, capsys, monkeypatch, edit, code, problem
+):
     # verify reads, replays and counts the records in one pass and stops at
     # the first bad one: a line that does not decode exits 1, a replay
     # divergence 3, whichever comes first in the file; a file without
-    # records is test_verify_trace_without_records_exits_one
+    # records is test_verify_trace_without_records_exits_one.  The exact
+    # oracle runs after the replay, so a bad trace never reaches it.
     inst_path = tmp_path / "g.pcst"
     inst_path.write_text(render_instance(generate_random_instance(8, 14, 3)))
     trace_path = tmp_path / "t.jsonl"
@@ -436,6 +440,7 @@ def test_verify_first_bad_record_decides_exit_code(tmp_path, capsys, edit, code,
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
     trace_path.write_text("\n".join(edit(lines)) + "\n")
+    monkeypatch.setattr(cli, "exact_pcst", None)  # calling it raises
     assert main(["verify", str(inst_path), str(trace_path)]) == code
     cap = capsys.readouterr()
     assert problem.format(last=len(lines)) in (cap.err if code == 1 else cap.out)

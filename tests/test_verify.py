@@ -343,7 +343,7 @@ def test_bounds_flag_round_overflow():
 
 
 def test_verify_trace_end_to_end(example11):
-    reports = verify_trace(run(example11).trace, example11, exact_pcst(example11))
+    reports = verify_trace(run(example11).trace, example11, exact_pcst)
     assert all(r.ok for r in reports)
 
 
