@@ -303,7 +303,8 @@ class MessageCounter:
 
     def tally(self, records: Iterable[Record]) -> Iterator[Record]:
         """Every record of ``records``, counted on its way through."""
-        by_type, per_round = self.by_type, self.per_round
+        by_type, per_round, actions = self.by_type, self.per_round, self.actions
+        receipts = self.prune_receipts
         for rec in records:
             if isinstance(rec, Delivery):
                 name = type(rec.message).__name__
@@ -311,10 +312,9 @@ class MessageCounter:
                 if name in GROWTH_TYPES:
                     per_round[rec.round_index] = per_round.get(rec.round_index, 0) + 1
                 elif name == "Prune":
-                    receiver = rec.link[1]
-                    self.prune_receipts[receiver] = self.prune_receipts.get(receiver, 0) + 1
+                    receipts[rec.link[1]] = receipts.get(rec.link[1], 0) + 1
             elif isinstance(rec, EpsilonRecord):
-                self.actions[rec.chosen] = self.actions.get(rec.chosen, 0) + 1
+                actions[rec.chosen] = actions.get(rec.chosen, 0) + 1
             elif isinstance(rec, RoundBoundary) and rec.round_index > self.rounds:
                 self.rounds = rec.round_index
             yield rec
