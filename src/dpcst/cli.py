@@ -25,8 +25,12 @@ from .instance import (
 
 
 def _read_instance(path: str) -> PcstInstance:
-    with open(path) as fh:
-        return parse_instance(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_instance(text)
 
 
 def _parse_schedule(text: str) -> int | None:
@@ -47,8 +51,11 @@ def _node_list(x) -> bool:
 
 def _read_solution(inst: PcstInstance, path: str) -> Solution:
     """The solution a solve wrote to path, checked against inst."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
+        raise InstanceError(f"{path}: not a JSON solution: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError(f"{path}: a solution is a JSON object, not {type(data).__name__}")
     keys = ("objective", "branch_edges", "steiner_nodes", "penalty_nodes")
@@ -176,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OSError, json.JSONDecodeError, sim.TraceFormatError) as exc:
+    except (InstanceError, OSError, sim.TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -146,7 +146,7 @@ def gw_prune(inst: PcstInstance, lg: MoatLedger) -> Solution:
     return make_solution(inst, tree_edges, tree_nodes)
 
 
-def gw_solve(inst: PcstInstance, check: bool = False) -> tuple[Solution, DualCertificate]:
-    lg = gw_grow(inst, check=check)
+def gw_solve(inst: PcstInstance) -> tuple[Solution, DualCertificate]:
+    lg = gw_grow(inst)
     sol = gw_prune(inst, lg)
     return sol, lg.certificate(sol)

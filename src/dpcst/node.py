@@ -1,10 +1,12 @@
 """Per-node protocol automaton for the distributed primal-dual PCST solver.
 
-Each node is a pure transition function: (state, event) -> (state', sends,
-actions).  All asynchrony lives in the simulator; the automaton never shares
-state with other nodes.  Component-level quantities (component weight W,
-highest deficit d_h, total prize TP) are replicated into member nodes and kept
-consistent by the update flood that follows every merge or deactivation.
+Each node owns one mutable state, built from what it knows at the start (its
+prize and the weights of its incident edges); the transition function updates
+it in place as events arrive and returns the node's sends and actions.  All
+asynchrony lives in the simulator; the automaton never shares state with other
+nodes.  Component-level quantities (component weight W, highest deficit d_h,
+total prize TP) are replicated into member nodes and kept consistent by the
+update flood that follows every merge or deactivation.
 
 Infinity is represented by float("inf"), used only as a sentinel in epsilon
 and timestamp fields: it is compared against exact Fractions but never enters
@@ -204,22 +206,24 @@ Action = RoundStarted | EpsilonComputed
 # Node state
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
+    """One node's whole state, from construction to quiescence."""
+
     id: int
     is_root: bool
     prize: Fraction
     weights: dict[Edge, Fraction]  # incident edges only; static
 
-    cs: CS = CS.SLEEPING
-    se: dict[Edge, SE] = field(default_factory=dict)
-    epm: dict[Edge, bool] = field(default_factory=dict)
+    cs: CS = field(init=False)
+    se: dict[Edge, SE] = field(init=False)
+    epm: dict[Edge, bool] = field(init=False)
     d_v: Fraction = Fraction(0)
     comp_w: Fraction = Fraction(0)  # W of own component, replicated
     d_h: Fraction = Fraction(0)
-    prize_flag: bool = True
+    prize_flag: bool = field(init=False)
     labelled_flag: bool = False
-    root_flag: bool = False
+    root_flag: bool = field(init=False)
     # the edge of the pending proceed, whose delivery step is received_ts;
     # both are unset (None, INF) together
     proceed_in_edge: Edge | None = None
@@ -227,43 +231,29 @@ class NodeState:
     best_edge: Edge | None = None
     back_edge: Edge | None = None
     best_epsilon: Fraction | float = INF
-    lc: int = 0  # leader id of the current round
-    sn: SN = SN.FOUND
+    lc: int = field(init=False)  # leader id of the current round
     tp: Fraction = Fraction(0)
+    # the reports and test answers the current round still awaits; the node
+    # reports when both reach 0
     find_count: int = 0
     test_count: int = 0
     prune_msg_count: int = 0
     received_ts: int | float = INF
     ts: int | float = INF  # received_ts of the earliest pending proceed in the subtree
     prune_seen: bool = False
-    # sorted(weights), shared by every copy; weights never change
     sorted_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.sorted_edges = tuple(sorted(self.weights))
+        self.se = dict.fromkeys(self.weights, SE.BASIC)
+        self.epm = dict.fromkeys(self.weights, False)
+        self.lc = self.id
+        self.cs = CS.INACTIVE if self.is_root else CS.SLEEPING
+        self.root_flag = self.is_root
+        self.prize_flag = not self.is_root
 
     def branch_edges(self) -> list[Edge]:
         return [e for e in self.sorted_edges if self.se[e] == SE.BRANCH]
-
-    def copy(self) -> "NodeState":
-        # one copy per transition: skip __init__ and share the static fields
-        new = object.__new__(NodeState)
-        new.__dict__.update(self.__dict__)
-        new.se = dict(self.se)
-        new.epm = dict(self.epm)
-        return new
-
-
-def initialize(node_id: int, is_root: bool, prize: Fraction, weights: dict[Edge, Fraction]) -> NodeState:
-    st = NodeState(id=node_id, is_root=is_root, prize=prize, weights=dict(weights))
-    st.se = {e: SE.BASIC for e in st.weights}
-    st.epm = {e: False for e in st.weights}
-    st.lc = node_id
-    if is_root:
-        st.cs = CS.INACTIVE
-        st.root_flag = True
-        st.prize_flag = False
-    return st
 
 
 def compute_epsilon_edge(
@@ -304,7 +294,7 @@ Emission = Send | Action  # in true emission order; round tags depend on it
 
 
 class _Ctx:
-    """Collects sends and actions, in order, while handlers mutate the state copy."""
+    """Collects sends and actions, in order, while handlers update the state."""
 
     def __init__(self, st: NodeState):
         self.st = st
@@ -317,22 +307,21 @@ class _Ctx:
         self.emits.append(action)
 
 
-def transition(state: NodeState, event: LocalEvent) -> tuple[NodeState, list[Emission]]:
-    """Apply one event; pure in (state, event)."""
-    ctx = _Ctx(state.copy())
-    st = ctx.st
+def transition(st: NodeState, event: LocalEvent) -> list[Emission]:
+    """Apply one event to st, in place; returns what the node emits."""
+    ctx = _Ctx(st)
     if isinstance(event, SpontaneousWakeup):
         if not st.is_root:
             raise ProtocolError("spontaneous wakeup at a non-root node")
         _start_round(ctx)
-        return ctx.st, ctx.emits
+        return ctx.emits
     msg = event.message
     e = norm_edge(*event.edge)
     if e not in st.weights:
         raise ProtocolError(f"delivery on unknown edge {e} at node {st.id}")
     handler = _HANDLERS[type(msg)]
     handler(ctx, e, msg, event)
-    return ctx.st, ctx.emits
+    return ctx.emits
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +345,6 @@ def _join_round(ctx: _Ctx, leader: int, in_branch: Edge | None):
     """Reset the round state, pass the initiate on down the tree, then test
     and report; in_branch is the edge toward the leader (None at the leader)."""
     st = ctx.st
-    st.sn = SN.FIND
     st.best_epsilon = INF
     st.best_edge = None
     st.lc = leader
@@ -536,9 +524,8 @@ def _clear_pending(st: NodeState, e: Edge):
 
 def _proc_report(ctx: _Ctx):
     st = ctx.st
-    if st.find_count != 0 or st.test_count != 0 or st.sn != SN.FIND:
+    if st.find_count or st.test_count:
         return
-    st.sn = SN.FOUND
     if st.d_h < st.d_v:
         st.d_h = st.d_v
     if st.cs == CS.ACTIVE:

@@ -131,7 +131,7 @@ class Simulation:
         self.nodes: dict[int, nd.NodeState] = {}
         for v in inst.node_ids:
             weights = {norm_edge(v, u): inst.weights[norm_edge(v, u)] for u in inst.neighbors(v)}
-            self.nodes[v] = nd.initialize(v, v == inst.root, inst.prizes[v], weights)
+            self.nodes[v] = nd.NodeState(v, v == inst.root, inst.prizes[v], weights)
         # directed link -> queue of (message, send_seq, round_tag)
         self.queues: dict[tuple[int, int], deque] = {
             (u, v): deque()
@@ -172,9 +172,9 @@ class Simulation:
             self.control_count[link] += 1
 
     def _apply(self, node_id: int, event, round_tag: int):
-        old = self.nodes[node_id]
-        new, emissions = nd.transition(old, event)
-        self.nodes[node_id] = new
+        st = self.nodes[node_id]
+        before = _tracked(st)
+        emissions = nd.transition(st, event)
         # Sends inherit the round tag current at their emission point; a round
         # started mid-handler re-tags only what follows it.
         current_tag = round_tag
@@ -196,7 +196,7 @@ class Simulation:
                     self.trace.append(PhaseBoundary(self.step))
         # most transitions change no tracked field: one tuple comparison,
         # which like the loop takes identity before equality, rules them out
-        before, after = _tracked(old), _tracked(new)
+        after = _tracked(st)
         if before != after:
             for f, a, b in zip(_TRACKED_FIELDS, before, after):
                 if a is not b and a != b:
@@ -579,16 +579,17 @@ def read_trace(path: str) -> Iterator[Record]:
     decoded; a line that does not decode to a record, or a file without
     records, is a TraceFormatError naming the file."""
     records = 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = record_from_json(_decode_json(line))
+                rec = record_from_json(_decode_json(line.decode()))
             except KeyError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError, ArithmeticError) as exc:
+            # a bad UTF-8 byte is a ValueError; an array nested too deep, a RecursionError
+            except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
             records += 1
             yield rec

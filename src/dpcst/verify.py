@@ -373,14 +373,14 @@ def _replay_delivery(rp: _Replay, rec: sm.Delivery):
 def check_edge_packing(cert: DualCertificate, inst: PcstInstance) -> Report:
     """Moat mass across any edge stays within its weight; branch edges tight."""
     witnesses = []
-    for e in sorted(inst.weights):
-        s = cert.cut_sum(e)
+    cut = {e: cert.cut_sum(e) for e in sorted(inst.weights)}
+    for e, s in cut.items():
         if s > inst.weights[e]:
             witnesses.append(
                 {"edge": list(e), "sum": format_rational(s), "weight": format_rational(inst.weights[e])}
             )
     for e in sorted(cert.solution.branch_edges):
-        s = cert.cut_sum(e)
+        s = cut[e]
         if s != inst.weights[e]:
             witnesses.append(
                 {

@@ -115,6 +115,8 @@ def test_verify_trace_missing_field_exits_one(two_penal, tmp_path, capsys):
         "{not json",
         '{"kind": "delivery", "step": 1, "link": [1, 2, 3], "round": 0, "message": {"type": "Reject"}}',
         '{"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": {"type": "Nope"}}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        pytest.param('{"kind": "ro\udcffund"}', id="not-utf8"),  # written as the byte 0xff
     ],
 )
 def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbage):
@@ -122,7 +124,8 @@ def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbag
     main(["solve", "--alg", "dpcst", "--trace", str(trace_path), two_penal])
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
-    trace_path.write_text("\n".join(lines[:3] + [garbage] + lines[3:]) + "\n")
+    text = "\n".join(lines[:3] + [garbage] + lines[3:]) + "\n"
+    trace_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["verify", two_penal, str(trace_path)]) == 1
     assert "t.jsonl:4:" in capsys.readouterr().err
 
@@ -301,10 +304,16 @@ def test_solve_negative_seed_is_a_schedule(two_penal, capsys):
          "penalty_nodes is not the complement of steiner_nodes"),
         (lambda sol: {**sol, "penalty_nodes": sol["penalty_nodes"] + sol["penalty_nodes"][:1]},
          "penalty_nodes is not a list of distinct nodes"),
+        # a str edit is the file's text; \udcff is written as the byte 0xff
+        (lambda sol: "[" * 100_000 + "]" * 100_000,
+         "sol.json: not a JSON solution: maximum recursion depth exceeded"),
+        (lambda sol: json.dumps(sol).replace("objective", "obj\udcffective"),
+         "sol.json: not a JSON solution: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=[
         "missing-key", "short-edge", "array", "unknown-edge",
         "unknown-penalty-nodes", "steiner-root-only", "repeated-penalty-node",
+        "nested-too-deep", "not-utf8",
     ],
 )
 def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):
@@ -313,7 +322,9 @@ def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):
     assert main(["solve", str(inst_path)]) == 0
     sol = json.loads(capsys.readouterr().out)
     sol_path = tmp_path / "sol.json"
-    sol_path.write_text(json.dumps(edit(sol)))
+    body = edit(sol)
+    text = body if isinstance(body, str) else json.dumps(body)
+    sol_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["render", str(inst_path), str(sol_path)]) == 1
     err = capsys.readouterr().err
     assert problem in err and "Traceback" not in err
@@ -366,17 +377,19 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         ("nodes 1 2\nroot 1\nedge 1 2\n", "line 3: edge takes two node ids and a weight"),
         ("nodes 1 2\nroot 1\nprize 2\nedge 1 2 1\n", "line 3: prize takes a node id and a prize"),
         ("nodes 1 2\nroot 1\nprize 2 3\nprize 2 5\nedge 1 2 1\n", "line 4: prize for node 2 repeated"),
+        # \udcff is written as the byte 0xff
+        ("nodes 1 2\nroot 1\nedge 1 2 1\udcff\n", "bad.pcst: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=[
         "no-nodes", "repeated-id", "non-positive-id", "no-root", "root-not-a-node",
         "undeclared-endpoint", "undeclared-prize-node", "self-loop", "repeated-edge",
         "negative-weight", "negative-prize", "disconnected", "bad-rational",
-        "root-arity", "edge-arity", "prize-arity", "repeated-prize",
+        "root-arity", "edge-arity", "prize-arity", "repeated-prize", "not-utf8",
     ],
 )
 def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):
     path = tmp_path / "bad.pcst"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["solve", str(path)]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""

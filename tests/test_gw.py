@@ -128,7 +128,9 @@ def test_branch_edges_tight_and_deactivated_tight():
 
 
 def test_fixture_solution(example11):
-    sol, cert = gw_solve(example11, check=True)
+    lg = gw_grow(example11, check=True)  # re-checks invariants every iteration
+    sol = gw_prune(example11, lg)
+    assert check_edge_packing(lg.certificate(sol), example11).status == "pass"
     assert sol.penalty_nodes == {1, 2, 5, 7, 11}
 
 

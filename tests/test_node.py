@@ -15,6 +15,7 @@ from dpcst.node import (
     EpsilonComputed,
     Initiate,
     Merge,
+    NodeState,
     ProtocolError,
     Reject,
     Report,
@@ -23,7 +24,6 @@ from dpcst.node import (
     Status,
     Test,
     compute_epsilon_edge,
-    initialize,
     transition,
 )
 from dpcst.sim import EpsilonRecord, PhaseBoundary, run
@@ -32,7 +32,7 @@ F = Fraction
 
 
 def mk(node_id, is_root, prize, weights):
-    return initialize(node_id, is_root, F(prize), {e: F(w) for e, w in weights.items()})
+    return NodeState(node_id, is_root, F(prize), {e: F(w) for e, w in weights.items()})
 
 
 def sends(emits):
@@ -43,20 +43,32 @@ def acts(emits):
     return [em for em in emits if not isinstance(em, tuple)]
 
 
-def test_initialize_root():
+def test_node_state_root():
     st = mk(1, True, 5, {(1, 2): 3})
     assert st.cs == CS.INACTIVE
     assert st.root_flag and not st.prize_flag
     assert st.se[(1, 2)] == SE.BASIC and st.epm[(1, 2)] is False
     assert st.d_v == 0 and st.comp_w == 0 and st.d_h == 0
+    assert st.lc == 1
 
 
-def test_initialize_non_root():
-    st = mk(2, False, 5, {(1, 2): 3, (2, 3): 1})
+def test_node_state_non_root():
+    st = mk(2, False, 5, {(2, 4): 6, (1, 2): 3, (2, 3): 1})
     assert st.cs == CS.SLEEPING
     assert st.prize_flag and not st.root_flag
     assert all(se == SE.BASIC for se in st.se.values())
     assert st.received_ts == INF
+    assert st.lc == 2
+    assert st.sorted_edges == ((1, 2), (2, 3), (2, 4))
+    st.se[(2, 3)] = SE.BRANCH
+    assert st.branch_edges() == [(2, 3)]
+
+
+def test_node_state_has_no_field_beyond_its_declared_ones():
+    # slotted: a write to a removed or misspelt field raises
+    st = mk(2, False, 5, {(1, 2): 3})
+    with pytest.raises(AttributeError):
+        st.sn = SN.FIND
 
 
 def test_epsilon_five_cases():
@@ -82,32 +94,29 @@ def test_epsilon_rejects_impossible_observations():
 
 def test_root_wakeup_starts_round_and_tests():
     st = mk(1, True, 5, {(1, 2): 3, (1, 3): 4})
-    st2, emits = transition(st, SpontaneousWakeup())
+    emits = transition(st, SpontaneousWakeup())
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
     out = sends(emits)
     assert [(e, type(m).__name__) for e, m in out] == [((1, 2), "Test"), ((1, 3), "Test")]
-    assert st2.test_count == 2 and st2.sn == SN.FIND
-    assert st.test_count == 0  # input untouched
+    assert st.test_count == 2
 
 
-def test_transition_is_pure():
-    st = mk(1, True, 5, {(1, 2): 3})
-    a1 = transition(st, SpontaneousWakeup())
-    a2 = transition(st, SpontaneousWakeup())
-    assert a1 == a2
-
-
-def test_copy_shares_static_fields_and_owns_edge_marks():
-    st = mk(2, False, 4, {(2, 4): 6, (1, 2): 3, (2, 3): 5})
-    assert st.sorted_edges == ((1, 2), (2, 3), (2, 4))
-    c = st.copy()
-    assert c == st and c is not st
-    assert c.weights is st.weights and c.sorted_edges is st.sorted_edges
-    c.se[(1, 2)] = SE.BRANCH
-    c.epm[(2, 3)] = True
-    c.d_v = F(1)
-    assert st.se[(1, 2)] == SE.BASIC and st.epm[(2, 3)] is False and st.d_v == 0
-    assert c.branch_edges() == [(1, 2)] and st.branch_edges() == []
+@pytest.mark.parametrize(
+    "is_root, event",
+    [
+        (True, SpontaneousWakeup()),
+        (False, Deliver((1, 2), Connect(1, F(14), F(7), F(7)), 3)),
+        (False, Deliver((2, 3), nd.Proceed(F(2)), 5)),
+    ],
+    ids=["root-wakeup", "connect", "proceed"],
+)
+def test_transition_is_deterministic(is_root, event):
+    a = mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
+    b = mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
+    assert a == b
+    emits_a, emits_b = transition(a, event), transition(b, event)
+    assert emits_a and emits_a == emits_b
+    assert a == b and a != mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
 
 
 def test_initiate_forwards_and_counts():
@@ -115,12 +124,12 @@ def test_initiate_forwards_and_counts():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.BRANCH
-    st2, emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
+    emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
     out = sends(emits)
     assert ((2, 3), Initiate(9, SN.FIND)) in out
-    assert st2.find_count == 1 and st2.in_branch == (1, 2) and st2.lc == 9
+    assert st.find_count == 1 and st.in_branch == (1, 2) and st.lc == 9
     assert ((2, 4), Test(9)) in out
-    assert st2.test_count == 1
+    assert st.test_count == 1
 
 
 def test_initiate_on_non_branch_edge_asserts():
@@ -134,8 +143,8 @@ def test_leaf_with_all_edges_rejected_reports_immediately():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.REJECTED
-    st2, emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
-    assert st2.test_count == 0
+    emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
+    assert st.test_count == 0
     reports = [m for _, m in sends(emits) if isinstance(m, Report)]
     assert len(reports) == 1 and reports[0].best_epsilon == INF
 
@@ -143,7 +152,7 @@ def test_leaf_with_all_edges_rejected_reports_immediately():
 def test_test_same_component_rejects():
     st = mk(2, False, 4, {(1, 2): 3})
     st.lc = 9
-    _, emits = transition(st, Deliver((1, 2), Test(9), 1))
+    emits = transition(st, Deliver((1, 2), Test(9), 1))
     assert sends(emits) == [((1, 2), Reject())]
 
 
@@ -151,12 +160,11 @@ def test_test_other_component_reports_status():
     st = mk(2, False, 4, {(1, 2): 3})
     st.cs = CS.INACTIVE
     st.d_v = F(7)
-    _, emits = transition(st, Deliver((1, 2), Test(9), 1))
+    emits = transition(st, Deliver((1, 2), Test(9), 1))
     assert sends(emits) == [((1, 2), Status(CS.INACTIVE, F(7)))]
 
 
 def _mid_round(st):
-    st.sn = SN.FIND
     st.best_epsilon = INF
     st.best_edge = None
     return st
@@ -168,25 +176,24 @@ def test_status_fold_strict_less_keeps_smaller_edge_on_tie():
     st.lc = 2
     _mid_round(st)
     st.test_count = 3
-    st1, _ = transition(st, Deliver((2, 4), Status(CS.ACTIVE, F(2)), 1))
-    assert st1.best_epsilon == 3 and st1.best_edge == (2, 4)
-    st2, _ = transition(st1, Deliver((2, 3), Status(CS.ACTIVE, F(2)), 2))
-    assert st2.best_edge == (2, 3)  # same epsilon, smaller edge wins
-    st3, _ = transition(st2, Deliver((1, 2), Status(CS.ACTIVE, F(4)), 3))
-    assert st3.best_epsilon == 2 and st3.best_edge == (1, 2)
+    transition(st, Deliver((2, 4), Status(CS.ACTIVE, F(2)), 1))
+    assert st.best_epsilon == 3 and st.best_edge == (2, 4)
+    transition(st, Deliver((2, 3), Status(CS.ACTIVE, F(2)), 2))
+    assert st.best_edge == (2, 3)  # same epsilon, smaller edge wins
+    transition(st, Deliver((1, 2), Status(CS.ACTIVE, F(4)), 3))
+    assert st.best_epsilon == 2 and st.best_edge == (1, 2)
 
 
 def test_reject_marks_edge_and_clears_pending():
     st = mk(2, False, 4, {(1, 2): 3, (2, 3): 5})
     st.cs = CS.INACTIVE
-    st.sn = SN.FIND
     st.test_count = 2
     st.proceed_in_edge = (1, 2)
     st.received_ts = 5
-    st2, emits = transition(st, Deliver((1, 2), Reject(), 9))
-    assert st2.se[(1, 2)] == SE.REJECTED
-    assert st2.proceed_in_edge is None
-    assert st2.received_ts == INF
+    emits = transition(st, Deliver((1, 2), Reject(), 9))
+    assert st.se[(1, 2)] == SE.REJECTED
+    assert st.proceed_in_edge is None
+    assert st.received_ts == INF
     assert sends(emits) == []  # one test still outstanding
 
 
@@ -203,10 +210,10 @@ def test_report_aggregates_min_prize_and_dh():
     st.best_edge = (1, 2)
     st.tp = F(0)
     rep = Report(F(5), F(9), F(4), False, INF)
-    st2, emits = transition(st, Deliver((2, 3), rep, 7))
+    emits = transition(st, Deliver((2, 3), rep, 7))
     out = sends(emits)
-    assert st2.best_epsilon == 3  # own candidate smaller than child's
-    assert st2.d_h == 9
+    assert st.best_epsilon == 3  # own candidate smaller than child's
+    assert st.d_h == 9
     up = [m for e, m in out if isinstance(m, Report)]
     assert len(up) == 1
     assert up[0].tp == F(4) + st.prize
@@ -216,24 +223,24 @@ def test_report_aggregates_min_prize_and_dh():
 def test_connect_wakes_sleeping_and_accepts_worked_example():
     # payload from the worked merge: Connect(2, 14, 7, 7) on a weight-12 edge
     st = mk(1, False, 10, {(1, 2): 12})
-    st2, emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
+    emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
     accepts = [m for _, m in sends(emits) if isinstance(m, Accept)]
     assert len(accepts) == 1
     acc = accepts[0]
     assert acc.leader_flag is False  # 1 < 2, the connect sender leads
     assert acc.total_w == 19
     assert acc.d_h == 6
-    assert st2.d_v == 6 and st2.comp_w == 19 and st2.cs == CS.ACTIVE
-    assert st2.se[(1, 2)] == SE.BRANCH
+    assert st.d_v == 6 and st.comp_w == 19 and st.cs == CS.ACTIVE
+    assert st.se[(1, 2)] == SE.BRANCH
 
 
 def test_connect_refused_by_cheap_sleeping_node():
     st = mk(1, False, 2, {(1, 2): 12})  # prize 2 < any growth headroom
-    st2, emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
+    emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
     assert [type(m).__name__ for _, m in sends(emits)] == ["RefindEpsilon"]
-    assert st2.cs == CS.INACTIVE and st2.labelled_flag
-    assert st2.d_v == 2  # deficit settles at the prize
-    assert st2.d_h == 2
+    assert st.cs == CS.INACTIVE and st.labelled_flag
+    assert st.d_v == 2  # deficit settles at the prize
+    assert st.d_h == 2
 
 
 def test_connect_while_active_asserts():
@@ -251,7 +258,7 @@ def test_merge_routed_by_frontier_emits_connect():
     st.d_v = F(7)
     st.best_edge = (1, 2)
     st.best_epsilon = F(-1)
-    _, emits = transition(st, Deliver((2, 5), Merge(F(-1), F(7)), 4))
+    emits = transition(st, Deliver((2, 5), Merge(F(-1), F(7)), 4))
     assert sends(emits) == [((1, 2), Connect(2, F(14), F(7), F(7)))]
 
 
@@ -269,9 +276,9 @@ def test_update_info_deactivation_flood():
     st.se[(1, 2)] = SE.BRANCH
     st.d_v = F(7)
     msg = nd.UpdateInfo(F(3), False, True, F(30), F(10))
-    st2, emits = transition(st, Deliver((2, 5), msg, 4))
-    assert st2.cs == CS.INACTIVE and st2.labelled_flag
-    assert st2.d_v == 10 and st2.comp_w == 30 and st2.d_h == 10
+    emits = transition(st, Deliver((2, 5), msg, 4))
+    assert st.cs == CS.INACTIVE and st.labelled_flag
+    assert st.d_v == 10 and st.comp_w == 30 and st.d_h == 10
     assert ((1, 2), msg) in sends(emits)
 
 
@@ -279,16 +286,16 @@ def test_update_info_root_flood_sets_steiner_membership():
     st = mk(2, False, 12, {(1, 2): 12})
     st.cs = CS.ACTIVE
     msg = nd.UpdateInfo(F(3), True, False, F(30), F(10))
-    st2, _ = transition(st, Deliver((1, 2), msg, 4))
-    assert st2.cs == CS.INACTIVE and not st2.prize_flag and st2.root_flag
+    transition(st, Deliver((1, 2), msg, 4))
+    assert st.cs == CS.INACTIVE and not st.prize_flag and st.root_flag
 
 
 def test_refind_marks_and_relays():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.se[(2, 5)] = SE.BRANCH
     st.in_branch = (2, 5)
-    st2, emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
-    assert st2.se[(1, 2)] == SE.REFIND
+    emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
+    assert st.se[(1, 2)] == SE.REFIND
     assert sends(emits) == [((2, 5), nd.RefindEpsilon())]
 
 
@@ -296,17 +303,17 @@ def test_refind_at_leader_restarts_round():
     st = mk(2, False, 12, {(1, 2): 12})
     st.cs = CS.ACTIVE
     st.in_branch = None
-    _, emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
+    emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
 def test_proceed_wakes_sleeping_node():
     st = mk(4, False, 26, {(3, 4): 40})
-    st2, emits = transition(st, Deliver((3, 4), nd.Proceed(F(15)), 11))
-    assert st2.cs == CS.ACTIVE
-    assert st2.d_v == 15 and st2.comp_w == 15 and st2.d_h == 15
-    assert st2.proceed_in_edge == (3, 4)
-    assert st2.received_ts == 11
+    emits = transition(st, Deliver((3, 4), nd.Proceed(F(15)), 11))
+    assert st.cs == CS.ACTIVE
+    assert st.d_v == 15 and st.comp_w == 15 and st.d_h == 15
+    assert st.proceed_in_edge == (3, 4)
+    assert st.received_ts == 11
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -314,15 +321,15 @@ def test_proceed_pokes_inactive_leader():
     st = mk(3, False, 15, {(3, 9): 21, (3, 4): 40})
     st.cs = CS.INACTIVE
     st.in_branch = None
-    st2, emits = transition(st, Deliver((3, 9), nd.Proceed(F(7)), 11))
-    assert st2.proceed_in_edge == (3, 9) and st2.received_ts == 11
+    emits = transition(st, Deliver((3, 9), nd.Proceed(F(7)), 11))
+    assert st.proceed_in_edge == (3, 9) and st.received_ts == 11
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
 def test_outside_back_at_leader_restarts_round():
     st = mk(1, True, 5, {(1, 2): 3})
     st.cs = CS.INACTIVE
-    _, emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -334,7 +341,7 @@ def test_outside_back_ignores_stale_pointer_and_recomputes():
     st.se[(2, 3)] = SE.BRANCH
     st.back_edge = (2, 3)
     st.in_branch = None  # this node led the last round
-    _, emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -343,7 +350,7 @@ def test_outside_back_relays_toward_leader():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (2, 3)
-    _, emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
     assert sends(emits) == [((2, 3), nd.Back())]
 
 
@@ -354,9 +361,9 @@ def test_routed_back_follows_pointer_once():
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.back_edge = (2, 3)
-    st2, emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
     assert sends(emits) == [((2, 3), nd.Back())]
-    assert st2.back_edge is None
+    assert st.back_edge is None
 
 
 def test_routed_back_exits_at_the_pending_holder():
@@ -366,9 +373,9 @@ def test_routed_back_exits_at_the_pending_holder():
     st.in_branch = (2, 3)
     st.proceed_in_edge = (1, 2)
     st.received_ts = 9
-    st2, emits = transition(st, Deliver((2, 3), nd.Back(), 4))
+    emits = transition(st, Deliver((2, 3), nd.Back(), 4))
     assert sends(emits) == [((1, 2), nd.Back())]
-    assert st2.proceed_in_edge is None and st2.received_ts == INF
+    assert st.proceed_in_edge is None and st.received_ts == INF
 
 
 def test_prune_unlabelled_leaf_stays_silent():
@@ -377,10 +384,10 @@ def test_prune_unlabelled_leaf_stays_silent():
     st.prize_flag = False
     st.se[(1, 2)] = SE.BRANCH
     st.in_branch = (1, 2)
-    st2, emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
     assert sends(emits) == []
-    assert st2.se[(1, 2)] == SE.BRANCH
-    assert st2.prize_flag is False  # stays in the steiner part
+    assert st.se[(1, 2)] == SE.BRANCH
+    assert st.prize_flag is False  # stays in the steiner part
 
 
 def test_prune_labelled_leaf_prunes_itself():
@@ -389,10 +396,10 @@ def test_prune_labelled_leaf_prunes_itself():
     st.labelled_flag = True
     st.se[(7, 11)] = SE.BRANCH
     st.in_branch = (7, 11)
-    st2, emits = transition(st, Deliver((7, 11), nd.Prune(), 4))
-    assert st2.prize_flag is True and st2.root_flag is False
+    emits = transition(st, Deliver((7, 11), nd.Prune(), 4))
+    assert st.prize_flag is True and st.root_flag is False
     assert sends(emits) == [((7, 11), nd.BackwardPrune())]
-    assert st2.se[(7, 11)] == SE.BASIC
+    assert st.se[(7, 11)] == SE.BASIC
 
 
 def test_prune_resets_non_root_component_edges():
@@ -400,9 +407,9 @@ def test_prune_resets_non_root_component_edges():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.se[(2, 4)] = SE.REJECTED
-    st2, emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
     assert ((2, 3), nd.Prune()) in sends(emits)
-    assert all(se == SE.BASIC for se in st2.se.values())
+    assert all(se == SE.BASIC for se in st.se.values())
 
 
 def test_backward_prune_cascades_when_children_done():
@@ -413,10 +420,10 @@ def test_backward_prune_cascades_when_children_done():
     st.se[(7, 9)] = SE.BRANCH
     st.in_branch = (7, 9)
     st.prune_msg_count = 1
-    st2, emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
-    assert st2.prize_flag is True
+    emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
+    assert st.prize_flag is True
     assert ((7, 9), nd.BackwardPrune()) in sends(emits)
-    assert st2.se[(7, 9)] == SE.BASIC and st2.se[(7, 11)] == SE.BASIC
+    assert st.se[(7, 9)] == SE.BASIC and st.se[(7, 11)] == SE.BASIC
 
 
 def test_backward_prune_cascade_sends_no_prune_over_epm_edges():
@@ -431,9 +438,9 @@ def test_backward_prune_cascade_sends_no_prune_over_epm_edges():
     st.epm[(7, 11)] = True  # a wake edge that later became the child's branch
     st.in_branch = (7, 9)
     st.prune_msg_count = 1
-    st2, emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
+    emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
     assert sends(emits) == [((7, 9), nd.BackwardPrune())]
-    assert st2.prize_flag is True
+    assert st.prize_flag is True
 
 
 @pytest.mark.parametrize("rooted", [True, False])
@@ -444,8 +451,8 @@ def test_back_over_wake_edge_clears_epm_only_when_rooted(rooted):
     st.se[(3, 4)] = SE.BRANCH
     st.in_branch = (3, 4)
     st.epm[(4, 5)] = True
-    st2, emits = transition(st, Deliver((4, 5), nd.Back(root_flag=rooted), 4))
-    assert st2.epm[(4, 5)] is not rooted
+    emits = transition(st, Deliver((4, 5), nd.Back(root_flag=rooted), 4))
+    assert st.epm[(4, 5)] is not rooted
     assert sends(emits) == [((3, 4), nd.Back(root_flag=False))]
 
 
@@ -457,8 +464,8 @@ def test_rooted_back_over_branch_edge_keeps_epm():
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.epm[(2, 3)] = True
-    st2, emits = transition(st, Deliver((2, 3), nd.Back(root_flag=True), 4))
-    assert st2.epm[(2, 3)] is True
+    emits = transition(st, Deliver((2, 3), nd.Back(root_flag=True), 4))
+    assert st.epm[(2, 3)] is True
     assert sends(emits) == [((1, 2), nd.Back(root_flag=True))]
 
 
@@ -473,7 +480,6 @@ def _leader_awaiting_last_report(cs, best_epsilon, ts):
     st = mk(2, False, 5, {(1, 2): 3, (2, 3): 3})
     st.cs = cs
     st.se[(2, 3)] = SE.BRANCH
-    st.sn = SN.FIND
     st.find_count = 1
     st.best_epsilon = best_epsilon
     st.ts = ts
@@ -543,15 +549,24 @@ def _fact_corpus():
 
 def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     # a pending proceed is its in-edge and its timestamp at once; a report's
-    # pf says whether its ts is finite; every round is a find; the root
-    # decides prune once, and that decision opens the one prune phase
+    # pf says whether its ts is finite; every round is a find; a status or
+    # reject arrives only while the receiver awaits a test answer, and a
+    # report only while it awaits a report, so neither count goes below 0
+    # and a node reports once per round; the root decides prune once, and
+    # that decision opens the one prune phase
     real = nd.transition
     checked = 0
 
-    def transition_checked(state, event):
+    def transition_checked(st, event):
         nonlocal checked
-        new, emits = real(state, event)
-        assert (new.proceed_in_edge is None) == (new.received_ts == INF)
+        if isinstance(event, Deliver):
+            if isinstance(event.message, (Status, Reject)):
+                assert st.test_count > 0
+            elif isinstance(event.message, Report):
+                assert st.find_count > 0
+        emits = real(st, event)
+        assert st.find_count >= 0 and st.test_count >= 0
+        assert (st.proceed_in_edge is None) == (st.received_ts == INF)
         for em in emits:
             if isinstance(em, tuple):
                 msg = em[1]
@@ -560,7 +575,7 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
                 elif isinstance(msg, Initiate):
                     assert msg.sn == SN.FIND
         checked += 1
-        return new, emits
+        return emits
 
     monkeypatch.setattr(nd, "transition", transition_checked)
     runs = 0

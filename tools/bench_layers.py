@@ -1,0 +1,131 @@
+"""Time the simulator, the reference solver and verify from a given source tree.
+
+    python tools/bench_layers.py src
+
+imports dpcst from the directory given (a checkout's src) and prints one JSON
+object.  Every timing is the median process-CPU seconds over REPS runs, on
+generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320:
+
+- ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
+  seeded 1..8 on generate_random_instance(60, 360, 1), timed together;
+- ``gw``: ``gw_solve``, per n;
+- ``verify``: ``dpcst verify --no-exact``, run in-process through
+  dpcst.cli.main on the eager trace that ``dpcst solve --trace`` wrote, with
+  the trace's records and the tracemalloc peak of one more verify run
+  (traced apart from the timed runs, since tracing slows every allocation);
+
+with the git SHA of the checkout holding that directory and the Python
+version.  Point it at two checkouts to compare them; both run the same
+instances, so the medians differ only by the code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+SIZES = (40, 80, 160, 320)
+SEEDED = (60, 360, 1)  # generate_random_instance arguments of the seeded runs
+SEEDS = range(1, 9)
+REPS = 5
+
+
+def git_sha(path: Path) -> str | None:
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(path), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def median_cpu_s(fn) -> float:
+    times = []
+    for _ in range(REPS):
+        start = time.process_time()
+        fn()
+        times.append(time.process_time() - start)
+    return round(statistics.median(times), 4)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", type=Path, help="directory that holds the dpcst package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from dpcst import cli, sim
+    from dpcst.gw import gw_solve
+    from dpcst.instance import generate_random_instance, render_instance
+
+    def dpcst(*argv: str):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(list(argv))
+        if code != 0:
+            raise SystemExit(f"dpcst {' '.join(argv)}: exit {code}")
+
+    insts = {n: generate_random_instance(n, 3 * n, 1) for n in SIZES}
+    sim_s = {str(n): median_cpu_s(lambda: sim.run(inst)) for n, inst in insts.items()}
+    seeded = generate_random_instance(*SEEDED)
+    sim_s["seeded:1..8"] = median_cpu_s(lambda: [sim.run(seeded, seed) for seed in SEEDS])
+    gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
+
+    records, verify_s, peaks = {}, {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, inst in insts.items():
+            inst_path, trace_path = f"{tmp}/n{n}.pcst", f"{tmp}/n{n}.jsonl"
+            Path(inst_path).write_text(render_instance(inst))
+            dpcst("solve", "--trace", trace_path, inst_path)
+            with open(trace_path) as fh:
+                records[str(n)] = sum(1 for _line in fh)
+            verify = ("verify", inst_path, trace_path, "--no-exact")
+            verify_s[str(n)] = median_cpu_s(lambda: dpcst(*verify))
+            tracemalloc.start()
+            try:
+                dpcst(*verify)
+                peaks[str(n)] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+            finally:
+                tracemalloc.stop()
+    print(json.dumps({
+        "sim": {
+            "metric": "sim.run process CPU, median",
+            "unit": "s",
+            "instances": "generate_random_instance(n, 3n, 1), eager; "
+            "seeded:1..8 is the eight seeded runs on generate_random_instance(60, 360, 1)",
+            "reps": REPS,
+            "median_s": sim_s,
+        },
+        "gw": {
+            "metric": "gw_solve process CPU, median",
+            "unit": "s",
+            "instances": "generate_random_instance(n, 3n, 1)",
+            "reps": REPS,
+            "median_s": gw_s,
+        },
+        "verify": {
+            "metric": "dpcst verify --no-exact: process CPU, median; tracemalloc peak",
+            "instances": "generate_random_instance(n, 3n, 1), eager trace",
+            "reps": REPS,
+            "records": records,
+            "median_s": verify_s,
+            "peak_mb": peaks,
+        },
+        "git_sha": git_sha(args.src.resolve()),
+        "python": platform.python_version(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
