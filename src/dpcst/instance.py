@@ -9,6 +9,7 @@ ties everywhere break lexicographically on that pair.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,13 +32,25 @@ class ParseError(InstanceError):
         super().__init__(f"line {line}: {message}")
 
 
+# ASCII digits only: int() would also take spaces, underscores, a plus sign
+# and the digits of other scripts
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError("zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer or p/q")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:
@@ -175,7 +188,8 @@ def parse_instance(text: str) -> PcstInstance:
     prize <id> <rational>     # omitted nodes default to prize 0
     edge <id> <id> <rational>
 
-    '#' starts a comment; rationals are integers or p/q literals.
+    '#' starts a comment; node ids are integers and rationals are integers
+    or p/q literals, in ASCII digits.
     """
     node_ids: list[int] = []
     root: int | None = None
@@ -189,15 +203,15 @@ def parse_instance(text: str) -> PcstInstance:
         kind, args = parts[0], parts[1:]
         try:
             if kind == "nodes":
-                node_ids.extend(int(a) for a in args)
+                node_ids.extend(parse_int(a) for a in args)
             elif kind == "root":
                 if len(args) != 1:
                     raise ValueError("root takes one node id")
-                root = int(args[0])
+                root = parse_int(args[0])
             elif kind == "prize":
                 if len(args) != 2:
                     raise ValueError("prize takes a node id and a prize")
-                v, p = int(args[0]), parse_rational(args[1])
+                v, p = parse_int(args[0]), parse_rational(args[1])
                 if v in prizes:
                     raise ValueError(f"prize for node {v} repeated")
                 if p < 0:
@@ -207,7 +221,7 @@ def parse_instance(text: str) -> PcstInstance:
                 if len(args) != 3:
                     raise ValueError("edge takes two node ids and a weight")
                 u, v, w = args
-                e = norm_edge(int(u), int(v))
+                e = norm_edge(parse_int(u), parse_int(v))
                 if e[0] == e[1]:
                     raise ValueError("self-loop edge")
                 if e in weights:
@@ -248,6 +262,8 @@ def generate_random_instance(
         raise InstanceError("need n >= 2")
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise InstanceError(f"infeasible edge count m={m} for n={n}")
+    if weight_max < 0 or prize_max < 0:
+        raise InstanceError(f"weight_max={weight_max}, prize_max={prize_max}: both must be >= 0")
     rng = random.Random((n, m, seed, weight_max, prize_max).__repr__())
     node_ids = list(range(1, n + 1))
     edges: set[Edge] = set()

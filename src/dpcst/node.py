@@ -38,23 +38,18 @@ class SE(Enum):
     REFIND = "refind"
 
 
-class SN(Enum):
-    FIND = "find"
-    FOUND = "found"
-
-
 class ProtocolError(AssertionError):
     """A state the protocol proves unreachable; reaching it is an implementation bug."""
 
 
 # ---------------------------------------------------------------------------
-# Wire messages
+# Wire messages: a receiver knows the edge a message came over, so no message
+# names its sender
 
 
 @dataclass(frozen=True, slots=True)
 class Initiate:
     leader: int
-    sn: SN
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,19 +75,16 @@ class Report:
     best_epsilon: Fraction | float
     d_h: Fraction
     tp: Fraction
-    pf: bool
     ts: int | float
 
 
 @dataclass(frozen=True, slots=True)
 class Merge:
-    epsilon: Fraction
     d_h: Fraction
 
 
 @dataclass(frozen=True, slots=True)
 class Connect:
-    nid: int
     comp_w: Fraction
     deficit: Fraction
     d_h: Fraction
@@ -223,7 +215,6 @@ class NodeState:
     d_h: Fraction = Fraction(0)
     prize_flag: bool = field(init=False)
     labelled_flag: bool = False
-    root_flag: bool = field(init=False)
     # the edge of the pending proceed, whose delivery step is received_ts;
     # both are unset (None, INF) together
     proceed_in_edge: Edge | None = None
@@ -249,8 +240,15 @@ class NodeState:
         self.epm = dict.fromkeys(self.weights, False)
         self.lc = self.id
         self.cs = CS.INACTIVE if self.is_root else CS.SLEEPING
-        self.root_flag = self.is_root
         self.prize_flag = not self.is_root
+
+    @property
+    def root_flag(self) -> bool:
+        """Whether the node is in the root component.  That is the node's
+        steiner membership, which the prize flag stores: a node joins the
+        root component and the steiner part together, and a prune takes it
+        out of both."""
+        return not self.prize_flag
 
     def branch_edges(self) -> list[Edge]:
         return [e for e in self.sorted_edges if self.se[e] == SE.BRANCH]
@@ -352,7 +350,7 @@ def _join_round(ctx: _Ctx, leader: int, in_branch: Edge | None):
     st.back_edge = None
     st.ts = INF
     st.in_branch = in_branch
-    st.find_count = _flood(ctx, in_branch, Initiate(leader, SN.FIND))
+    st.find_count = _flood(ctx, in_branch, Initiate(leader))
     _proc_test(ctx)
     _proc_report(ctx)
 
@@ -366,15 +364,15 @@ def _to_leader(ctx: _Ctx, msg: Message):
         _start_round(ctx)
 
 
-def _route_merge(ctx: _Ctx, epsilon: Fraction, d_h: Fraction):
+def _route_merge(ctx: _Ctx, d_h: Fraction):
     """Follow the best edge: down the tree as a merge, or across it as a connect."""
     st = ctx.st
     if st.best_edge is None:
         raise ProtocolError(f"merge at node {st.id} without a best edge")
     if st.se[st.best_edge] == SE.BRANCH:
-        ctx.send(st.best_edge, Merge(epsilon, d_h))
+        ctx.send(st.best_edge, Merge(d_h))
     else:
-        ctx.send(st.best_edge, Connect(st.id, st.comp_w, st.d_v, d_h))
+        ctx.send(st.best_edge, Connect(st.comp_w, st.d_v, d_h))
 
 
 def _route_proceed(ctx: _Ctx, d_h: Fraction):
@@ -424,7 +422,6 @@ def _take_update(ctx: _Ctx, e: Edge | None, msg: UpdateInfo):
         st.labelled_flag = True
     else:
         st.cs = CS.ACTIVE
-    st.root_flag = msg.root_flag
     st.d_h = msg.d_h
     st.d_v += msg.epsilon
     st.comp_w = msg.total_w
@@ -454,7 +451,6 @@ def _leave_tree(ctx: _Ctx, up: Edge):
     """Drop out of the steiner part: report up the tree and unmark the edge."""
     st = ctx.st
     st.prize_flag = True
-    st.root_flag = False
     st.labelled_flag = False
     ctx.send(up, BackwardPrune())
     st.se[up] = SE.BASIC
@@ -535,7 +531,7 @@ def _proc_report(ctx: _Ctx):
         st.ts = st.received_ts
         st.back_edge = None
     if st.in_branch is not None:
-        ctx.send(st.in_branch, Report(st.best_epsilon, st.d_h, st.tp, st.ts != INF, st.ts))
+        ctx.send(st.in_branch, Report(st.best_epsilon, st.d_h, st.tp, st.ts))
     else:
         _decide(ctx)
 
@@ -543,7 +539,7 @@ def _proc_report(ctx: _Ctx):
 def _on_report(ctx: _Ctx, e: Edge, msg: Report, event: Deliver):
     st = ctx.st
     st.find_count -= 1
-    if msg.pf and st.ts > msg.ts:
+    if st.ts > msg.ts:
         st.ts = msg.ts
         st.back_edge = e
     if st.cs == CS.ACTIVE:
@@ -562,7 +558,7 @@ def _decide(ctx: _Ctx):
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "merge"))
-            _route_merge(ctx, eps1, st.d_h)
+            _route_merge(ctx, st.d_h)
         else:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
             # the leader takes its deactivation as the update it floods
@@ -591,11 +587,12 @@ def _decide(ctx: _Ctx):
 
 
 def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, event: Deliver):
-    _route_merge(ctx, msg.epsilon, msg.d_h)
+    _route_merge(ctx, msg.d_h)
 
 
 def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
     st = ctx.st
+    sender = e[0] if e[1] == st.id else e[1]
     if st.cs == CS.SLEEPING:
         st.cs = CS.ACTIVE
         st.d_h = msg.d_h
@@ -604,7 +601,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         eps1 = (st.weights[e] - st.d_v - msg.deficit) / 2
         eps2 = st.prize - st.comp_w
         if eps1 < eps2:
-            leads = st.id > msg.nid
+            leads = st.id > sender
             st.d_h += eps1
             st.d_v += eps1
             st.comp_w += msg.comp_w + 2 * eps1
@@ -620,7 +617,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.labelled_flag = True
             ctx.send(e, RefindEpsilon())
     elif st.cs == CS.INACTIVE:
-        leads = st.root_flag or st.id > msg.nid
+        leads = st.root_flag or st.id > sender
         if not st.root_flag:
             st.cs = CS.ACTIVE
         eps1 = st.weights[e] - st.d_v - msg.deficit

@@ -52,10 +52,12 @@ class TraceFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Trace records
 
-# the NodeState fields whose changes are traced
-TrackedField = typing.Literal[
-    "cs", "d_v", "comp_w", "d_h", "prize_flag", "labelled_flag", "root_flag", "lc"
-]
+# the NodeState fields whose changes are traced; a change's old value is the
+# previous new value of that node and field, or the NodeState constructor's.
+# The root flag is the prize flag negated, and a node takes a round's leader
+# (lc) from the Initiate delivered to it or from the round record it leads,
+# so neither is traced.
+TrackedField = typing.Literal["cs", "d_v", "comp_w", "d_h", "prize_flag", "labelled_flag"]
 _TRACKED_FIELDS = typing.get_args(TrackedField)
 _tracked = attrgetter(*_TRACKED_FIELDS)
 
@@ -73,8 +75,7 @@ class StateChange:
     step: int
     node: int
     field: TrackedField
-    old: object  # typed by the NodeState field
-    new: object
+    new: object  # typed by the NodeState field
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,7 +201,7 @@ class Simulation:
         if before != after:
             for f, a, b in zip(_TRACKED_FIELDS, before, after):
                 if a is not b and a != b:
-                    self.trace.append(StateChange(self.step, node_id, f, a, b))
+                    self.trace.append(StateChange(self.step, node_id, f, b))
 
     def _pick(self) -> tuple[int, int]:
         """The link to deliver from next.
@@ -425,7 +426,7 @@ def _optional_rational_to_json(x: Fraction | None) -> str:
     return "null" if x is None else _rational_to_json(x)
 
 
-def _enum_to_json(x: nd.SN | nd.CS) -> str:
+def _enum_to_json(x: nd.CS) -> str:
     return f'"{x.value}"'
 
 
@@ -445,7 +446,6 @@ _CODECS = {
     Fraction | float: (_epsilon_from_json, _epsilon_to_json),
     int | float: (_timestamp_from_json, _timestamp_to_json),
     Fraction | None: (_optional_rational_from_json, _optional_rational_to_json),
-    nd.SN: (nd.SN, _enum_to_json),
     nd.CS: (nd.CS, _enum_to_json),
     tuple[int, int]: (_link_from_json, _link_to_json),
     nd.Message: (_message_from_json, _message_to_text),
@@ -508,7 +508,7 @@ _MSG_ENCODERS = {cls: _message_encoder(cls) for cls in _MSG_TYPES.values()}
 # record class -> (kind, attributes in line order)
 _RECORD_LAYOUT = {
     Delivery: ("delivery", ("step", "link", "round_index", "message")),
-    StateChange: ("state", ("step", "node", "field", "old", "new")),
+    StateChange: ("state", ("step", "node", "field", "new")),
     EpsilonRecord: ("epsilon", ("step", "leader", "eps1", "eps2", "chosen")),
     RoundBoundary: ("round", ("step", "leader", "round_index")),
     PhaseBoundary: ("phase", ("step",)),
@@ -522,10 +522,10 @@ def _record_codec(cls, hints: dict) -> tuple:
     return _object_decoder(cls, hints), encode
 
 
-# tracked field -> codec of a state change of that field, whose old and new
-# values have the type of that NodeState field
+# tracked field -> codec of a state change of that field, whose new value has
+# the type of that NodeState field
 _STATE_CODECS = {
-    f: _record_codec(StateChange, {**typing.get_type_hints(StateChange), "old": t, "new": t})
+    f: _record_codec(StateChange, {**typing.get_type_hints(StateChange), "new": t})
     for f, t in typing.get_type_hints(nd.NodeState).items()
     if f in _TRACKED_FIELDS
 }

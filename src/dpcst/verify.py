@@ -10,9 +10,9 @@ epsilons subtract with ordinary signed arithmetic.
 
 The moats, deficits, component weights and activity and the merge forest
 live in a ``MoatLedger``, which the centralized reference solver (``gw``)
-shares.  Divergence between the
-shadow and the traced state changes means the system under test and the
-reconstruction disagree: exit-code-3 territory.
+shares.  Divergence between the shadow and the traced state changes means
+the system under test and the reconstruction disagree: exit-code-3
+territory.
 """
 
 from __future__ import annotations

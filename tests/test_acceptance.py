@@ -168,12 +168,12 @@ def test_criterion_6_golden_trace(example11):
     if not any(p.d_h == 15 for p in proceeds):
         failures.append("no proceed carrying highest deficit 15")
     connects = [
-        r.message
+        (r.link[0], r.message)
         for r in trace
         if isinstance(r, Delivery) and isinstance(r.message, nd.Connect)
     ]
-    if nd.Connect(2, Fraction(14), Fraction(7), Fraction(7)) not in connects:
-        failures.append("connect payload (2, 14, 7, 7) missing")
+    if (2, nd.Connect(Fraction(14), Fraction(7), Fraction(7))) not in connects:
+        failures.append("connect payload (14, 7, 7) from node 2 missing")
     sol = extract_solution(s)
     if sol.penalty_nodes != {1, 2, 5, 7, 11}:
         failures.append(f"penalty set {sorted(sol.penalty_nodes)}")

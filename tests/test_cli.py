@@ -166,10 +166,16 @@ def test_verify_trace_without_records_exits_one(two_penal, tmp_path, capsys, tex
         ("state", "cs", "new", 7),
         ("state", "prize_flag", "new", "false"),
         ("state", "d_v", "field", "sn"),
+        # changes of fields that other records restate, as traces once held
+        # them: the root flag is the prize flag negated, and a node's round
+        # leader is named by its Initiate or its round record
+        ("state", "labelled_flag", "field", "root_flag"),
+        ("state", "cs", None, {"field": "lc", "old": 2, "new": 5}),
     ],
 )
 def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, key, value):
-    # one edited line of an honest n = 8 trace
+    # one edited line of an honest n = 8 trace; a key of None sets every key
+    # of value
     inst_path = tmp_path / "g.pcst"
     inst_path.write_text(render_instance(generate_random_instance(8, 14, 3)))
     trace_path = tmp_path / "t.jsonl"
@@ -179,7 +185,7 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
     records = [json.loads(line) for line in lines]
     # the first record of that kind (and, for a state change, that field)
     at = next(i for i, r in enumerate(records) if r["kind"] == kind and r.get("field") == field)
-    records[at][key] = value
+    records[at].update(value if key is None else {key: value})
     lines[at] = json.dumps(records[at])
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(inst_path), str(trace_path)]) == 1
@@ -373,6 +379,10 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         ("nodes 1 2\nroot 1\nprize 2 -1\nedge 1 2 1\n", "line 3: negative prize at node 2"),
         ("nodes 1 2 3\nroot 1\nedge 1 2 1\n", "graph is not connected"),
         ("nodes 1 2\nroot 1\nedge 1 2 1/0\n", "line 3: zero denominator"),
+        ("nodes 1 2\nroot 1\nedge 1 2 1.5\n", "line 3: '1.5' is not an integer or p/q"),
+        ("nodes 1 2\nroot 1\nedge 1 2 \u0661\n", "line 3: '\u0661' is not an integer or p/q"),
+        ("nodes 1 2\nroot 1\nprize 2 +3\nedge 1 2 1\n", "line 3: '+3' is not an integer or p/q"),
+        ("nodes 1 two\nroot 1\nedge 1 2 1\n", "line 1: 'two' is not an integer"),
         ("nodes 1 2\nroot 1 2\nedge 1 2 1\n", "line 2: root takes one node id"),
         ("nodes 1 2\nroot 1\nedge 1 2\n", "line 3: edge takes two node ids and a weight"),
         ("nodes 1 2\nroot 1\nprize 2\nedge 1 2 1\n", "line 3: prize takes a node id and a prize"),
@@ -384,6 +394,7 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         "no-nodes", "repeated-id", "non-positive-id", "no-root", "root-not-a-node",
         "undeclared-endpoint", "undeclared-prize-node", "self-loop", "repeated-edge",
         "negative-weight", "negative-prize", "disconnected", "bad-rational",
+        "decimal-weight", "non-ascii-digit", "plus-sign", "non-integer-id",
         "root-arity", "edge-arity", "prize-arity", "repeated-prize", "not-utf8",
     ],
 )
@@ -396,6 +407,15 @@ def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):
     assert cap.err.splitlines() == [cap.err.strip()]
     assert cap.err.startswith("error: ") and problem in cap.err
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("flag", ["--wmax", "--pmax"])
+def test_gen_negative_bound_exits_one(capsys, flag):
+    assert main(["gen", "--n", "4", "--m", "4", flag, "-1"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [cap.err.strip()]
+    assert cap.err.startswith("error: ") and "must be >= 0" in cap.err
 
 
 def test_solve_exact_too_large_exits_one(tmp_path, capsys):
@@ -434,7 +454,7 @@ def _first_record_outside(lines: list[str]) -> list[str]:
     [
         (lambda lines: lines[:-1] + ["{not json"], 1, "t.jsonl:{last}:"),
         (lambda lines: _first_record_outside(lines)[:-1] + ["{not json"], 3, "outside the instance"),
-        (lambda lines: lines[: len(lines) // 2], 3, "the trace ends where a round record is due"),
+        (lambda lines: lines[: len(lines) // 2], 3, "the trace ends where a decision record is due"),
     ],
     ids=["malformed-last-line", "divergence-then-malformed-line", "cut-in-half"],
 )

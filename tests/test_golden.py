@@ -39,13 +39,14 @@ def test_merge_round_minus_one_six(example11):
 
 
 def test_merge_connect_payload(example11):
+    # the sender is the link's first node
     trace = run(example11).trace
     connects = [
-        r.message
+        (r.link[0], r.message)
         for r in trace
         if isinstance(r, Delivery) and isinstance(r.message, nd.Connect)
     ]
-    assert nd.Connect(2, F(14), F(7), F(7)) in connects
+    assert (2, nd.Connect(F(14), F(7), F(7))) in connects
 
 
 def test_deactivation_round_seven_halves_three(example11):

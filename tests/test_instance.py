@@ -60,7 +60,7 @@ def test_parse_disconnected():
 
 
 def test_parse_malformed():
-    with pytest.raises(ParseError, match="line 3: invalid literal"):
+    with pytest.raises(ParseError, match="line 3: 'x' is not an integer or p/q"):
         parse_instance("nodes 1 2\nroot 1\nedge 1 2 x")
     with pytest.raises(ParseError, match="line 3: unknown directive 'frobnicate'"):
         parse_instance("nodes 1 2\nroot 1\nfrobnicate 1\nedge 1 2 1")

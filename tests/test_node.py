@@ -8,7 +8,6 @@ from dpcst.node import (
     CS,
     INF,
     SE,
-    SN,
     Accept,
     Connect,
     Deliver,
@@ -65,10 +64,15 @@ def test_node_state_non_root():
 
 
 def test_node_state_has_no_field_beyond_its_declared_ones():
-    # slotted: a write to a removed or misspelt field raises
+    # slotted: a write to a removed or misspelt field raises, and the root
+    # flag is read from the prize flag, never written
     st = mk(2, False, 5, {(1, 2): 3})
     with pytest.raises(AttributeError):
-        st.sn = SN.FIND
+        st.sn = "find"
+    with pytest.raises(AttributeError):
+        st.root_flag = True
+    st.prize_flag = False
+    assert st.root_flag
 
 
 def test_epsilon_five_cases():
@@ -105,7 +109,7 @@ def test_root_wakeup_starts_round_and_tests():
     "is_root, event",
     [
         (True, SpontaneousWakeup()),
-        (False, Deliver((1, 2), Connect(1, F(14), F(7), F(7)), 3)),
+        (False, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3)),
         (False, Deliver((2, 3), nd.Proceed(F(2)), 5)),
     ],
     ids=["root-wakeup", "connect", "proceed"],
@@ -124,9 +128,9 @@ def test_initiate_forwards_and_counts():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.BRANCH
-    emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
+    emits = transition(st, Deliver((1, 2), Initiate(9), 1))
     out = sends(emits)
-    assert ((2, 3), Initiate(9, SN.FIND)) in out
+    assert ((2, 3), Initiate(9)) in out
     assert st.find_count == 1 and st.in_branch == (1, 2) and st.lc == 9
     assert ((2, 4), Test(9)) in out
     assert st.test_count == 1
@@ -135,7 +139,7 @@ def test_initiate_forwards_and_counts():
 def test_initiate_on_non_branch_edge_asserts():
     st = mk(2, False, 4, {(1, 2): 3})
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
+        transition(st, Deliver((1, 2), Initiate(9), 1))
 
 
 def test_leaf_with_all_edges_rejected_reports_immediately():
@@ -143,7 +147,7 @@ def test_leaf_with_all_edges_rejected_reports_immediately():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.REJECTED
-    emits = transition(st, Deliver((1, 2), Initiate(9, SN.FIND), 1))
+    emits = transition(st, Deliver((1, 2), Initiate(9), 1))
     assert st.test_count == 0
     reports = [m for _, m in sends(emits) if isinstance(m, Report)]
     assert len(reports) == 1 and reports[0].best_epsilon == INF
@@ -209,7 +213,7 @@ def test_report_aggregates_min_prize_and_dh():
     st.best_epsilon = F(3)
     st.best_edge = (1, 2)
     st.tp = F(0)
-    rep = Report(F(5), F(9), F(4), False, INF)
+    rep = Report(F(5), F(9), F(4), INF)
     emits = transition(st, Deliver((2, 3), rep, 7))
     out = sends(emits)
     assert st.best_epsilon == 3  # own candidate smaller than child's
@@ -221,9 +225,10 @@ def test_report_aggregates_min_prize_and_dh():
 
 
 def test_connect_wakes_sleeping_and_accepts_worked_example():
-    # payload from the worked merge: Connect(2, 14, 7, 7) on a weight-12 edge
+    # payload from the worked merge: Connect(14, 7, 7) from node 2 on a
+    # weight-12 edge
     st = mk(1, False, 10, {(1, 2): 12})
-    emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
+    emits = transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
     accepts = [m for _, m in sends(emits) if isinstance(m, Accept)]
     assert len(accepts) == 1
     acc = accepts[0]
@@ -236,7 +241,7 @@ def test_connect_wakes_sleeping_and_accepts_worked_example():
 
 def test_connect_refused_by_cheap_sleeping_node():
     st = mk(1, False, 2, {(1, 2): 12})  # prize 2 < any growth headroom
-    emits = transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
+    emits = transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
     assert [type(m).__name__ for _, m in sends(emits)] == ["RefindEpsilon"]
     assert st.cs == CS.INACTIVE and st.labelled_flag
     assert st.d_v == 2  # deficit settles at the prize
@@ -247,7 +252,7 @@ def test_connect_while_active_asserts():
     st = mk(1, False, 10, {(1, 2): 12})
     st.cs = CS.ACTIVE
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Connect(2, F(14), F(7), F(7)), 3))
+        transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
 
 
 def test_merge_routed_by_frontier_emits_connect():
@@ -258,8 +263,8 @@ def test_merge_routed_by_frontier_emits_connect():
     st.d_v = F(7)
     st.best_edge = (1, 2)
     st.best_epsilon = F(-1)
-    emits = transition(st, Deliver((2, 5), Merge(F(-1), F(7)), 4))
-    assert sends(emits) == [((1, 2), Connect(2, F(14), F(7), F(7)))]
+    emits = transition(st, Deliver((2, 5), Merge(F(7)), 4))
+    assert sends(emits) == [((1, 2), Connect(F(14), F(7), F(7)))]
 
 
 def test_accept_on_unexpected_edge_asserts():
@@ -380,8 +385,7 @@ def test_routed_back_exits_at_the_pending_holder():
 
 def test_prune_unlabelled_leaf_stays_silent():
     st = mk(2, False, 5, {(1, 2): 3})
-    st.root_flag = True
-    st.prize_flag = False
+    st.prize_flag = False  # in the root component
     st.se[(1, 2)] = SE.BRANCH
     st.in_branch = (1, 2)
     emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
@@ -392,7 +396,7 @@ def test_prune_unlabelled_leaf_stays_silent():
 
 def test_prune_labelled_leaf_prunes_itself():
     st = mk(11, False, 3, {(7, 11): 4})
-    st.root_flag = True
+    st.prize_flag = False  # in the root component
     st.labelled_flag = True
     st.se[(7, 11)] = SE.BRANCH
     st.in_branch = (7, 11)
@@ -414,7 +418,7 @@ def test_prune_resets_non_root_component_edges():
 
 def test_backward_prune_cascades_when_children_done():
     st = mk(7, False, 4, {(7, 11): 4, (7, 9): 12})
-    st.root_flag = True
+    st.prize_flag = False  # in the root component
     st.labelled_flag = True
     st.se[(7, 11)] = SE.BRANCH
     st.se[(7, 9)] = SE.BRANCH
@@ -430,7 +434,7 @@ def test_backward_prune_cascade_sends_no_prune_over_epm_edges():
     # _on_prune already forwarded over the EPM edge (7, 12) when it counted
     # the child; the cascade only reports up the tree
     st = mk(7, False, 4, {(7, 11): 4, (7, 9): 12, (7, 12): 5})
-    st.root_flag = True
+    st.prize_flag = False  # in the root component
     st.labelled_flag = True
     st.se[(7, 11)] = SE.BRANCH
     st.se[(7, 9)] = SE.BRANCH
@@ -459,7 +463,7 @@ def test_back_over_wake_edge_clears_epm_only_when_rooted(rooted):
 def test_rooted_back_over_branch_edge_keeps_epm():
     st = mk(2, False, 5, {(1, 2): 3, (2, 3): 3})
     st.cs = CS.INACTIVE
-    st.root_flag = True
+    st.prize_flag = False  # in the root component
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
@@ -496,7 +500,7 @@ def _routed_to():
     return st
 
 
-_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), F(0), False, INF), 4)
+_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), F(0), INF), 4)
 
 
 def test_decided_merge_without_best_edge_names_the_node():
@@ -507,7 +511,7 @@ def test_decided_merge_without_best_edge_names_the_node():
 
 def test_routed_merge_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
-        transition(_routed_to(), Deliver((1, 2), Merge(F(1), F(0)), 4))
+        transition(_routed_to(), Deliver((1, 2), Merge(F(0)), 4))
 
 
 def test_decided_back_without_pending_proceed_names_the_node():
@@ -548,9 +552,8 @@ def _fact_corpus():
 
 
 def test_derived_state_facts_hold_on_every_transition(monkeypatch):
-    # a pending proceed is its in-edge and its timestamp at once; a report's
-    # pf says whether its ts is finite; every round is a find; a status or
-    # reject arrives only while the receiver awaits a test answer, and a
+    # a pending proceed is its in-edge and its timestamp at once; a status
+    # or reject arrives only while the receiver awaits a test answer, and a
     # report only while it awaits a report, so neither count goes below 0
     # and a node reports once per round; the root decides prune once, and
     # that decision opens the one prune phase
@@ -567,13 +570,6 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
         emits = real(st, event)
         assert st.find_count >= 0 and st.test_count >= 0
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
-        for em in emits:
-            if isinstance(em, tuple):
-                msg = em[1]
-                if isinstance(msg, Report):
-                    assert msg.pf == (msg.ts != INF)
-                elif isinstance(msg, Initiate):
-                    assert msg.sn == SN.FIND
         checked += 1
         return emits
 

@@ -148,7 +148,7 @@ def test_back_record_carries_root_flag():
 
 
 def test_report_record_round_trips_infinite_epsilon_and_timestamp():
-    rec = Delivery(4, (2, 1), nd.Report(nd.INF, Fraction(7, 2), Fraction(3), False, nd.INF), 1)
+    rec = Delivery(4, (2, 1), nd.Report(nd.INF, Fraction(7, 2), Fraction(3), nd.INF), 1)
     d = record_to_json(rec)
     assert d["message"]["best_epsilon"] == "inf" and d["message"]["ts"] == "inf"
     assert record_from_json(d) == rec
@@ -160,11 +160,11 @@ def test_report_record_round_trips_infinite_epsilon_and_timestamp():
         {"type": "Back", "root_flag": "yes"},
         {"type": "Test", "leader": "1"},
         {"type": "Test", "leader": True},
-        {"type": "Initiate", "leader": 1, "sn": "lost"},
+        {"type": "Initiate", "leader": 1.0},
         {"type": "Status", "cs": "asleep", "deficit": "0"},
-        {"type": "Merge", "epsilon": 1.5, "d_h": "0"},
-        {"type": "Merge", "epsilon": "inf", "d_h": "0"},
-        {"type": "Report", "best_epsilon": "1", "d_h": "0", "tp": "0", "pf": False, "ts": "7"},
+        {"type": "Merge", "d_h": 1.5},
+        {"type": "Merge", "d_h": "inf"},
+        {"type": "Report", "best_epsilon": "1", "d_h": "0", "tp": "0", "ts": "7"},
     ],
 )
 def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
@@ -342,7 +342,7 @@ def _to_jsonable(x):
         return format_rational(x)
     if x == nd.INF and isinstance(x, float):
         return "inf"
-    if isinstance(x, nd.CS) or isinstance(x, nd.SN):
+    if isinstance(x, nd.CS):
         return x.value
     if isinstance(x, tuple):
         return list(x)
@@ -373,7 +373,6 @@ def _reference_record_dict(rec):
             "step": rec.step,
             "node": rec.node,
             "field": rec.field,
-            "old": _to_jsonable(rec.old),
             "new": _to_jsonable(rec.new),
         }
     if isinstance(rec, EpsilonRecord):
@@ -398,14 +397,14 @@ def _reference_lines(trace):
 
 F = Fraction
 _EDGE_MESSAGES = [
-    *(nd.Initiate(4, sn) for sn in nd.SN),
+    nd.Initiate(4),
     nd.Test(12),
     *(nd.Status(cs, F(-1, 6)) for cs in nd.CS),
     nd.Reject(),
-    nd.Report(nd.INF, F(7, 2), F(0), True, nd.INF),
-    nd.Report(F(-1, 6), F(-5, 3), F(40), False, 17),
-    nd.Merge(F(-1, 6), F(15)),
-    nd.Connect(7, F(15, 2), F(-1, 6), F(3)),
+    nd.Report(nd.INF, F(7, 2), F(0), nd.INF),
+    nd.Report(F(-1, 6), F(-5, 3), F(40), 17),
+    nd.Merge(F(15)),
+    nd.Connect(F(15, 2), F(-1, 6), F(3)),
     nd.Accept(True, False, F(22, 7), F(0)),
     nd.Accept(False, True, F(-3), F(1, 9)),
     nd.RefindEpsilon(),
@@ -418,26 +417,16 @@ _EDGE_MESSAGES = [
     nd.BackwardPrune(),
 ]
 _EDGE_STATE_VALUES = {
-    "cs": [
-        (nd.CS.SLEEPING, nd.CS.ACTIVE),
-        (nd.CS.ACTIVE, nd.CS.INACTIVE),
-        (nd.CS.INACTIVE, nd.CS.SLEEPING),
-    ],
-    "d_v": [(F(0), F(-1, 6)), (F(15, 2), F(3))],
-    "comp_w": [(F(7, 2), F(15))],
-    "d_h": [(F(-1, 6), F(10))],
-    "prize_flag": [(True, False)],
-    "labelled_flag": [(False, True)],
-    "root_flag": [(False, True), (True, False)],
-    "lc": [(0, 11)],
+    "cs": list(nd.CS),
+    "d_v": [F(-1, 6), F(3)],
+    "comp_w": [F(15)],
+    "d_h": [F(10)],
+    "prize_flag": [True, False],
+    "labelled_flag": [True, False],
 }
 _EDGE_RECORDS = [
     *(Delivery(3 + i, (i + 1, i + 2), m, i % 4) for i, m in enumerate(_EDGE_MESSAGES)),
-    *(
-        StateChange(9, 5, f, old, new)
-        for f, pairs in _EDGE_STATE_VALUES.items()
-        for old, new in pairs
-    ),
+    *(StateChange(9, 5, f, new) for f, values in _EDGE_STATE_VALUES.items() for new in values),
     EpsilonRecord(4, 2, nd.INF, None, "prune"),
     EpsilonRecord(4, 2, nd.INF, None, "back"),
     EpsilonRecord(5, 3, F(10), None, "proceed"),
@@ -474,21 +463,107 @@ def test_write_trace_matches_reference_writer(tmp_path, example11):
         assert list(read_trace(str(path))) == trace
 
 
+def _parent_format_lines(lines, inst):
+    """The line of every record of a trace as written before the format
+    dropped the values that other fields of the same run restate, from the
+    lines of the trace as written now.  It restores:
+
+    - a state change's old value, from the previous new value of that node
+      and field, or the NodeState constructor's;
+    - Initiate.sn, always "find";
+    - Report.pf, from ts being finite;
+    - Connect.nid, from the sender of the link;
+    - Merge.epsilon, from eps1 of the merge decision of the delivery's round;
+    - a root_flag change wherever the prize flag changes, to its negation;
+    - an lc change wherever a node's round leader changes: to the leader of
+      the last round record of the step, which the stepping node leads, or
+      else of the Initiate delivered to it.
+
+    A node's state changes are recorded together, last, at the step of its
+    transition, root_flag and lc after the others.  Digests of what this
+    yields match those pinned before the format changed, so the change lost
+    nothing."""
+    last = {}  # (node, field) -> JSON value of the latest change
+    for v in inst.node_ids:
+        root = v == inst.root
+        last.update({
+            (v, "cs"): "inactive" if root else "sleeping",
+            (v, "d_v"): "0", (v, "comp_w"): "0", (v, "d_h"): "0",
+            (v, "prize_flag"): not root, (v, "labelled_flag"): False,
+            (v, "root_flag"): root, (v, "lc"): v,
+        })
+    merge_eps1 = {}  # round -> eps1 of its merge decision
+    round_index = 0
+    step = node = leader = None
+    flag_changed = False
+
+    def change(field, new):
+        old, last[(node, field)] = last[(node, field)], new
+        return {"kind": "state", "step": step, "node": node, "field": field, "old": old, "new": new}
+
+    def end_of_step():
+        if flag_changed:
+            yield change("root_flag", not last[(node, "prize_flag")])
+        if leader is not None and leader != last[(node, "lc")]:
+            yield change("lc", leader)
+
+    for line in lines:
+        rec = json.loads(line)
+        if rec["step"] != step:
+            yield from map(_json_line, end_of_step())
+            step, node, leader, flag_changed = rec["step"], None, None, False
+        if rec["kind"] == "delivery":
+            node = rec["link"][1]
+            msg = rec["message"]
+            if msg["type"] == "Initiate":
+                leader = msg["leader"]
+                msg["sn"] = "find"
+            elif msg["type"] == "Report":
+                msg["pf"] = msg["ts"] != "inf"
+                msg["ts"] = msg.pop("ts")  # after pf
+            elif msg["type"] == "Merge":
+                rec["message"] = {"type": "Merge", "epsilon": merge_eps1[rec["round"]], **msg}
+            elif msg["type"] == "Connect":
+                rec["message"] = {"type": "Connect", "nid": rec["link"][0], **msg}
+        elif rec["kind"] == "round":
+            round_index = rec["round"]
+            node = leader = rec["leader"]
+        elif rec["kind"] == "epsilon" and rec["chosen"] == "merge":
+            merge_eps1[round_index] = rec["eps1"]
+        elif rec["kind"] == "state":
+            node = rec["node"]
+            flag_changed |= rec["field"] == "prize_flag"
+            rec = change(rec["field"], rec["new"])
+        yield _json_line(rec)
+    yield from map(_json_line, end_of_step())
+
+
+def _json_line(d):
+    return json.dumps(d) + "\n"
+
+
 @pytest.mark.parametrize(
-    "n, seed, digest",
+    "n, seed, digest, parent_digest",
     [
-        (40, None, "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
-        (80, None, "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
-        (40, 0, "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
+        (40, None, "295da7f6da921aa6db11a1c5f7d91ee7ef211983a8970cc8a648eb1b1927b3d4",
+         "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
+        (80, None, "dd007b7671ff5a6a930df33940271fb1eed1e2c7411b3657a7830a753c9db901",
+         "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
+        (40, 0, "64ca4cb44c54232d36a1b8b19a0dd5e73f2ffedde138c18548174cb2b3c70c59",
+         "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
 )
-def test_pinned_trace_digests(tmp_path, n, seed, digest):
+def test_pinned_trace_digests(tmp_path, n, seed, digest, parent_digest):
     # eager and seeded traces of the m = 3n, instance-seed-1 corpus, as
-    # written by the one-prune protocol
+    # written by the one-prune protocol; parent_digest was pinned before the
+    # trace format dropped the values other fields restate
+    inst = generate_random_instance(n, 3 * n, 1)
     path = tmp_path / "t.jsonl"
-    write_trace(run(generate_random_instance(n, 3 * n, 1), seed).trace, str(path))
+    write_trace(run(inst, seed).trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    parent = "".join(_parent_format_lines(path.read_text().splitlines(), inst))
+    assert hashlib.sha256(parent.encode()).hexdigest() == parent_digest
 
 
 def _refactor_corpus():
@@ -505,17 +580,22 @@ def _refactor_corpus():
 
 
 def test_refactor_corpus_trace_digest():
-    # one SHA-256 over the line of every record of every corpus run, pinned
-    # before the node automaton was rewritten to state each rule once; a
-    # refactor of the protocol code must leave it unchanged
-    h = hashlib.sha256()
+    # one SHA-256 over the line of every record of every corpus run; a
+    # refactor of the protocol code must leave it unchanged.  The parent
+    # format's digest was pinned before the node automaton was rewritten to
+    # state each rule once.
+    h, parent = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for inst, seed in _refactor_corpus():
-        for rec in run(inst, seed).trace:
-            h.update(record_to_line(rec).encode())
+        lines = [record_to_line(rec) for rec in run(inst, seed).trace]
+        for line in lines:
+            h.update(line.encode())
+        for line in _parent_format_lines(lines, inst):
+            parent.update(line.encode())
         runs += 1
     assert runs == 432
-    assert h.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
+    assert h.hexdigest() == "a9bfe9533d034269d0e39a38f524baf643eacda966503e1496649cb1bc0bd8e2"
+    assert parent.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
 @pytest.mark.parametrize(

@@ -139,7 +139,7 @@ def test_replay_divergence_on_edited_connect_payload():
             rec = sim.Delivery(
                 rec.step,
                 rec.link,
-                Connect(msg.nid, msg.comp_w, msg.deficit + 1, msg.d_h),
+                Connect(msg.comp_w, msg.deficit + 1, msg.d_h),
                 rec.round_index,
             )
         doctored.append(rec)
@@ -158,7 +158,7 @@ def test_replay_divergence_on_repeated_connect():
         if isinstance(rec, sim.Delivery) and isinstance(rec.message, Connect):
             # the same connect again, carrying the sender's deficit after the merge
             msg = rec.message
-            again = Connect(msg.nid, msg.comp_w, inst.weights[(1, 2)], msg.d_h)
+            again = Connect(msg.comp_w, inst.weights[(1, 2)], msg.d_h)
             doctored.append(sim.Delivery(rec.step, rec.link, again, rec.round_index))
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
@@ -173,7 +173,7 @@ def test_replay_requires_every_round_decision_and_phase_record():
         i for i, r in enumerate(trace)
         if isinstance(r, (RoundBoundary, EpsilonRecord, sim.PhaseBoundary))
     ]
-    assert len(trace) == 569 and len(at) == 31
+    assert len(trace) == 536 and len(at) == 31
     reconstruct_duals(trace, inst)
     for i in at:
         with pytest.raises(ReplayDivergence, match="out of place|the trace ends where"):

@@ -1,4 +1,4 @@
-"""Time the simulator, the reference solver and verify from a given source tree.
+"""Time the simulator, the reference solver, solve and verify from a given source tree.
 
     python tools/bench_layers.py src
 
@@ -9,6 +9,8 @@ generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320:
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
   seeded 1..8 on generate_random_instance(60, 360, 1), timed together;
 - ``gw``: ``gw_solve``, per n;
+- ``solve``: ``dpcst solve --trace``, run in-process through dpcst.cli.main
+  with the eager schedule, per n, with the bytes of the trace it writes;
 - ``verify``: ``dpcst verify --no-exact``, run in-process through
   dpcst.cli.main on the eager trace that ``dpcst solve --trace`` wrote, with
   the trace's records and the tracemalloc peak of one more verify run
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -81,12 +84,13 @@ def main(argv=None) -> int:
     sim_s["seeded:1..8"] = median_cpu_s(lambda: [sim.run(seeded, seed) for seed in SEEDS])
     gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
 
-    records, verify_s, peaks = {}, {}, {}
+    solve_s, trace_bytes, records, verify_s, peaks = {}, {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n, inst in insts.items():
             inst_path, trace_path = f"{tmp}/n{n}.pcst", f"{tmp}/n{n}.jsonl"
             Path(inst_path).write_text(render_instance(inst))
-            dpcst("solve", "--trace", trace_path, inst_path)
+            solve_s[str(n)] = median_cpu_s(lambda: dpcst("solve", "--trace", trace_path, inst_path))
+            trace_bytes[str(n)] = os.path.getsize(trace_path)
             with open(trace_path) as fh:
                 records[str(n)] = sum(1 for _line in fh)
             verify = ("verify", inst_path, trace_path, "--no-exact")
@@ -112,6 +116,13 @@ def main(argv=None) -> int:
             "instances": "generate_random_instance(n, 3n, 1)",
             "reps": REPS,
             "median_s": gw_s,
+        },
+        "solve": {
+            "metric": "dpcst solve --trace: process CPU, median; bytes of the trace",
+            "instances": "generate_random_instance(n, 3n, 1), eager",
+            "reps": REPS,
+            "median_s": solve_s,
+            "trace_bytes": trace_bytes,
         },
         "verify": {
             "metric": "dpcst verify --no-exact: process CPU, median; tracemalloc peak",
