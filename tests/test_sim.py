@@ -463,10 +463,10 @@ def test_write_trace_matches_reference_writer(tmp_path, example11):
         assert list(read_trace(str(path))) == trace
 
 
-def _parent_format_lines(lines, inst):
-    """The line of every record of a trace as written before the format
-    dropped the values that other fields of the same run restate, from the
-    lines of the trace as written now.  It restores:
+def _old_format_records(lines, inst):
+    """Every record of a trace, from its lines as written now, as the JSON
+    object its line held before the format dropped the values that other
+    fields of the same run restate.  It restores:
 
     - a state change's old value, from the previous new value of that node
       and field, or the NodeState constructor's;
@@ -510,7 +510,7 @@ def _parent_format_lines(lines, inst):
     for line in lines:
         rec = json.loads(line)
         if rec["step"] != step:
-            yield from map(_json_line, end_of_step())
+            yield from end_of_step()
             step, node, leader, flag_changed = rec["step"], None, None, False
         if rec["kind"] == "delivery":
             node = rec["link"][1]
@@ -534,16 +534,16 @@ def _parent_format_lines(lines, inst):
             node = rec["node"]
             flag_changed |= rec["field"] == "prize_flag"
             rec = change(rec["field"], rec["new"])
-        yield _json_line(rec)
-    yield from map(_json_line, end_of_step())
+        yield rec
+    yield from end_of_step()
 
 
-def _json_line(d):
-    return json.dumps(d) + "\n"
+def _old_format_text(lines, inst) -> str:
+    return "".join(json.dumps(rec) + "\n" for rec in _old_format_records(lines, inst))
 
 
 @pytest.mark.parametrize(
-    "n, seed, digest, parent_digest",
+    "n, seed, digest, old_digest",
     [
         (40, None, "295da7f6da921aa6db11a1c5f7d91ee7ef211983a8970cc8a648eb1b1927b3d4",
          "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
@@ -554,16 +554,16 @@ def _json_line(d):
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
 )
-def test_pinned_trace_digests(tmp_path, n, seed, digest, parent_digest):
+def test_pinned_trace_digests(tmp_path, n, seed, digest, old_digest):
     # eager and seeded traces of the m = 3n, instance-seed-1 corpus, as
-    # written by the one-prune protocol; parent_digest was pinned before the
+    # written by the one-prune protocol; old_digest was pinned before the
     # trace format dropped the values other fields restate
     inst = generate_random_instance(n, 3 * n, 1)
     path = tmp_path / "t.jsonl"
     write_trace(run(inst, seed).trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    parent = "".join(_parent_format_lines(path.read_text().splitlines(), inst))
-    assert hashlib.sha256(parent.encode()).hexdigest() == parent_digest
+    old = _old_format_text(path.read_text().splitlines(), inst)
+    assert hashlib.sha256(old.encode()).hexdigest() == old_digest
 
 
 def _refactor_corpus():
@@ -581,21 +581,20 @@ def _refactor_corpus():
 
 def test_refactor_corpus_trace_digest():
     # one SHA-256 over the line of every record of every corpus run; a
-    # refactor of the protocol code must leave it unchanged.  The parent
+    # refactor of the protocol code must leave it unchanged.  The old
     # format's digest was pinned before the node automaton was rewritten to
     # state each rule once.
-    h, parent = hashlib.sha256(), hashlib.sha256()
+    h, old = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for inst, seed in _refactor_corpus():
         lines = [record_to_line(rec) for rec in run(inst, seed).trace]
         for line in lines:
             h.update(line.encode())
-        for line in _parent_format_lines(lines, inst):
-            parent.update(line.encode())
+        old.update(_old_format_text(lines, inst).encode())
         runs += 1
     assert runs == 432
     assert h.hexdigest() == "a9bfe9533d034269d0e39a38f524baf643eacda966503e1496649cb1bc0bd8e2"
-    assert parent.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
+    assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
 @pytest.mark.parametrize(
