@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,19 +39,36 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _shown(text: str) -> str:
+    """text quoted, its middle cut out if it is long."""
+    return repr(text) if len(text) <= 24 else f"{text[:10] + '...' + text[-10:]!r} ({len(text)} characters)"
+
+
+def _int(text: str, digits: str, what: str) -> int:
+    """int(digits), digits being text or a part of it; what says what text
+    should hold."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{_shown(text)} is not {what} of at most {limit} digits") from None
+
+
 def parse_int(text: str) -> int:
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
+        raise ValueError(f"{_shown(text)} is not an integer")
+    return _int(text, text, "an integer")
 
 
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"{text!r} is not an integer or p/q")
+        raise ValueError(f"{_shown(text)} is not an integer or p/q")
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    what = "an integer or p/q, each number"
+    num, den = _int(text, num, what), _int(text, den or "1", what)
+    if den == 0:
         raise ValueError("zero denominator")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:

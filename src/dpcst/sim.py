@@ -66,8 +66,8 @@ _tracked = attrgetter(*_TRACKED_FIELDS)
 class Delivery:
     step: int
     link: tuple[int, int]  # (sender, receiver)
-    message: nd.Message
     round_index: int
+    message: nd.Message
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,7 +250,7 @@ class Simulation:
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
-        self.trace.append(Delivery(self.step, link, msg, tag))
+        self.trace.append(Delivery(self.step, link, tag, msg))
         sender, receiver = link
         self._apply(receiver, nd.Deliver(norm_edge(sender, receiver), msg, self.step), tag)
 
@@ -343,10 +343,11 @@ def count_messages(records: Iterable[Record]) -> dict:
 # ---------------------------------------------------------------------------
 # JSON-lines trace serialization
 #
-# Every line is written and read through one table keyed by field
-# annotation.  The writer compiles one f-string per message class and per
-# record kind at import; the reader decodes each field by its annotation, so
-# a value of the wrong JSON type is a TraceFormatError, never a traceback.
+# Each message class and record kind is read and written by one codec, a
+# decoder and an encoder compiled together at import from the class's own
+# fields in line order, each field by the codec of its annotation.  A value
+# of the wrong JSON type, a missing key or a key the class does not declare
+# is a TraceFormatError, never a traceback.
 
 
 def _int_from_json(x) -> int:
@@ -374,12 +375,8 @@ def _rational_from_json(x) -> Fraction:
     return _shared_rational(x)
 
 
-def _epsilon_from_json(x) -> Fraction | float:
-    return nd.INF if x == "inf" else _rational_from_json(x)
-
-
-def _timestamp_from_json(x) -> int | float:
-    return nd.INF if x == "inf" else _int_from_json(x)
+def _inf_or(decode, x):
+    return nd.INF if x == "inf" else decode(x)
 
 
 def _optional_rational_from_json(x) -> Fraction | None:
@@ -400,10 +397,10 @@ def _literal_from_json(values: tuple, x) -> str:
 
 def _message_from_json(d: dict) -> nd.Message:
     name = d["type"]
-    decode = _MSG_DECODERS.get(name)
-    if decode is None:
+    codec = _MESSAGE_CODECS.get(name)
+    if codec is None:
         raise ValueError(f"unknown message type {name!r}")
-    return decode(d)
+    return codec[0](d)
 
 
 def _quoted(x) -> str:
@@ -414,12 +411,8 @@ def _rational_to_json(x: Fraction) -> str:
     return f'"{format_rational(x)}"'
 
 
-def _epsilon_to_json(x: Fraction | float) -> str:
-    return '"inf"' if x == nd.INF else _rational_to_json(x)
-
-
-def _timestamp_to_json(x: int | float) -> str:
-    return '"inf"' if x == nd.INF else str(x)
+def _text_or_inf(encode, x) -> str:
+    return '"inf"' if x == nd.INF else encode(x)
 
 
 def _optional_rational_to_json(x: Fraction | None) -> str:
@@ -435,7 +428,7 @@ def _link_to_json(x: tuple[int, int]) -> str:
 
 
 def _message_to_text(msg: nd.Message) -> str:
-    return _MSG_ENCODERS[type(msg)](msg)
+    return _MESSAGE_CODECS[type(msg).__name__][1](msg)
 
 
 # field annotation -> (decoder from the parsed JSON value, encoder to JSON text)
@@ -443,8 +436,8 @@ _CODECS = {
     int: (_int_from_json, str),
     bool: (_bool_from_json, {True: "true", False: "false"}.__getitem__),
     Fraction: (_rational_from_json, _rational_to_json),
-    Fraction | float: (_epsilon_from_json, _epsilon_to_json),
-    int | float: (_timestamp_from_json, _timestamp_to_json),
+    Fraction | float: (partial(_inf_or, _rational_from_json), partial(_text_or_inf, _rational_to_json)),
+    int | float: (partial(_inf_or, _int_from_json), partial(_text_or_inf, str)),
     Fraction | None: (_optional_rational_from_json, _optional_rational_to_json),
     nd.CS: (nd.CS, _enum_to_json),
     tuple[int, int]: (_link_from_json, _link_to_json),
@@ -462,113 +455,84 @@ def _codec(hint) -> tuple:
 _KEYS = {"round_index": "round"}
 
 
-def _fields_from_json(cls, decoders: tuple, d: dict):
-    return cls(*[decode(d[key]) for key, decode in decoders])
+def _undeclared(head: str, keys: tuple, d: dict):
+    """Raise the error of a JSON object whose keys are not exactly keys:
+    a KeyError for the first one missing, else a ValueError naming the
+    first key it holds beyond them."""
+    for key in keys:
+        d[key]
+    extra = next(key for key in d if key not in keys)
+    raise ValueError(f"undeclared key {extra!r} in {{{head}, ...}}")
 
 
-def _object_decoder(cls, hints: dict) -> partial:
-    """Decoder of a cls from its JSON object, each field by its annotation."""
-    decoders = tuple((_KEYS.get(f.name, f.name), _codec(hints[f.name])[0]) for f in fields(cls))
-    return partial(_fields_from_json, cls, decoders)
-
-
-def _text_encoder(head: str, items, line: bool = False):
-    """Compile ``lambda x: f'{head, "key": <value>, ...}'``, each value
-    written by the encoder of its annotation, with a newline if ``line``;
-    ``items`` holds (attribute, annotation) pairs in line order.  One
-    compiled f-string per class, not a loop over its fields, because the
-    writer runs once per record; the source is built only from the record
-    and message classes' own field names."""
-    env = {}
-    parts = [head]
-    for i, (attr, hint) in enumerate(items):
-        encode = _codec(hint)[1]
-        value = f"x.{attr}"
+def _compile(cls, tag: str, name: str, hints: dict, end: str = "") -> tuple:
+    """(decoder, encoder) of cls, whose JSON object holds ``"tag": "name"``
+    and then one key per field, in field order, each field coded by its
+    annotation in hints.  The decoder builds a cls from that object and
+    takes no other key; the encoder writes the object as text, followed by
+    end.  Both are compiled, not loops over the fields, because they run
+    once per record; the source is built only from the record and message
+    classes' own field names."""
+    head = f'"{tag}": "{name}"'
+    env = {"cls": cls, "undeclared": _undeclared, "head": head}
+    keys, args, parts = [tag], [], [head]
+    for i, f in enumerate(fields(cls)):
+        key = _KEYS.get(f.name, f.name)
+        env[f"d{i}"], encode = _codec(hints[f.name])
+        value = f"x.{f.name}"
         if encode is not str:  # an int is written by the f-string itself
             env[f"e{i}"] = encode
             value = f"e{i}({value})"
-        parts.append(f'"{_KEYS.get(attr, attr)}": {{{value}}}')
-    end = "\\n" if line else ""
-    return eval("lambda x: f'{{" + ", ".join(parts) + "}}" + end + "'", env)
+        keys.append(key)
+        args.append(f'd{i}(d["{key}"])')
+        parts.append(f'"{key}": {{{value}}}')
+    env["keys"] = tuple(keys)
+    decode = f"lambda d: cls({', '.join(args)}) if len(d) == {len(keys)} else undeclared(head, keys, d)"
+    encode = "lambda x: f'{{" + ", ".join(parts) + "}}" + end + "'"
+    return eval(decode, env), eval(encode, env)
 
 
-def _message_encoder(cls):
-    hints = typing.get_type_hints(cls)
-    items = [(f.name, hints[f.name]) for f in fields(cls)]
-    return _text_encoder(f'"type": "{cls.__name__}"', items)
-
-
-# message type name -> decoder of its JSON object
-_MSG_DECODERS = {
-    name: _object_decoder(cls, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
+# message type name -> its codec
+_MESSAGE_CODECS = {
+    name: _compile(cls, "type", name, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
 }
-# message class -> its JSON object as text
-_MSG_ENCODERS = {cls: _message_encoder(cls) for cls in _MSG_TYPES.values()}
-
-# record class -> (kind, attributes in line order)
-_RECORD_LAYOUT = {
-    Delivery: ("delivery", ("step", "link", "round_index", "message")),
-    StateChange: ("state", ("step", "node", "field", "new")),
-    EpsilonRecord: ("epsilon", ("step", "leader", "eps1", "eps2", "chosen")),
-    RoundBoundary: ("round", ("step", "leader", "round_index")),
-    PhaseBoundary: ("phase", ("step",)),
+# record class -> its kind
+_RECORD_KINDS = dict(zip(typing.get_args(Record), ("delivery", "state", "epsilon", "round", "phase")))
+# record kind -> the codec of its lines; a state change's is its field's
+_RECORD_CODECS = {
+    kind: _compile(cls, "kind", kind, typing.get_type_hints(cls), "\\n")
+    for cls, kind in _RECORD_KINDS.items()
+    if cls is not StateChange
 }
-
-
-def _record_codec(cls, hints: dict) -> tuple:
-    """(decoder of its JSON object, encoder of its line) for a record class."""
-    kind, attrs = _RECORD_LAYOUT[cls]
-    encode = _text_encoder(f'"kind": "{kind}"', [(a, hints[a]) for a in attrs], line=True)
-    return _object_decoder(cls, hints), encode
-
-
-# tracked field -> codec of a state change of that field, whose new value has
-# the type of that NodeState field
+# tracked field -> the codec of its state changes' lines, whose new value
+# has the type of that NodeState field
 _STATE_CODECS = {
-    f: _record_codec(StateChange, {**typing.get_type_hints(StateChange), "new": t})
+    f: _compile(StateChange, "kind", "state", {**typing.get_type_hints(StateChange), "new": t}, "\\n")
     for f, t in typing.get_type_hints(nd.NodeState).items()
     if f in _TRACKED_FIELDS
 }
 
 
-def _state_from_json(d: dict) -> StateChange:
-    return _STATE_CODECS[_literal_from_json(_TRACKED_FIELDS, d["field"])][0](d)
-
-
-def _state_to_line(rec: StateChange) -> str:
-    return _STATE_CODECS[rec.field][1](rec)
-
-
-_RECORD_CODECS = {
-    cls: _record_codec(cls, typing.get_type_hints(cls))
-    for cls in _RECORD_LAYOUT
-    if cls is not StateChange
-}
-_RECORD_CODECS[StateChange] = (_state_from_json, _state_to_line)
-# record kind -> decoder of its JSON object
-_RECORD_DECODERS = {_RECORD_LAYOUT[cls][0]: decode for cls, (decode, _e) in _RECORD_CODECS.items()}
-# record class -> encoder of its line
-_RECORD_ENCODERS = {cls: encode for cls, (_d, encode) in _RECORD_CODECS.items()}
-
-
 def record_to_line(rec: Record) -> str:
     """The trace-file line of one record, newline included."""
-    return _RECORD_ENCODERS[type(rec)](rec)
+    if type(rec) is StateChange:
+        return _STATE_CODECS[rec.field][1](rec)
+    return _RECORD_CODECS[_RECORD_KINDS[type(rec)]][1](rec)
 
 
 def record_from_json(d: dict) -> Record:
     kind = d["kind"]
-    decode = _RECORD_DECODERS.get(kind)
-    if decode is None:
+    if kind == "state":
+        return _STATE_CODECS[_literal_from_json(_TRACKED_FIELDS, d["field"])][0](d)
+    codec = _RECORD_CODECS.get(kind)
+    if codec is None:
         raise ValueError(f"unknown record kind {kind!r}")
-    return decode(d)
+    return codec[0](d)
 
 
 def write_trace(trace: list[Record], path: str):
-    encoders = _RECORD_ENCODERS
-    with open(path, "w") as fh:
-        for rec in trace:  # line by line: joining the lines first raises peak memory
-            fh.write(encoders[type(rec)](rec))
+    with open(path, "w") as fh:  # line by line: joining the lines first raises peak memory
+        fh.writelines(map(record_to_line, trace))
 
 
 _decode_json = json.JSONDecoder().decode

@@ -180,6 +180,10 @@ class MoatLedger:
 # Replay
 
 
+# the decisions whose record holds the penalty epsilon eps2; the others hold none
+_EPS2_CHOICES = ("merge", "deactivate")
+
+
 class _Replay:
     """Replay-only state beside the ledger: the nodes the growth has not
     reached yet, the mirrors of the traced state and the round structure."""
@@ -212,7 +216,9 @@ class _Replay:
         """Take a round, decision or phase record in its place: rounds are
         numbered 1, 2, 3, ... in trace order, each has one decision, by its
         leader, before the next round starts, only the root decides prune,
-        and one phase record follows that decision and ends the growth."""
+        and one phase record follows that decision and ends the growth.  A
+        merge or deactivate decision holds its penalty epsilon eps2, the
+        others none."""
         if isinstance(rec, sm.RoundBoundary):
             ok, due = self.due == "round" and rec.round_index == self.rounds + 1, "decision"
         elif isinstance(rec, sm.EpsilonRecord):
@@ -228,6 +234,8 @@ class _Replay:
             )
         if due == "decision":
             self.rounds, self.leader = rec.round_index, rec.leader
+        elif isinstance(rec, sm.EpsilonRecord) and (rec.eps2 is None) == (rec.chosen in _EPS2_CHOICES):
+            raise ReplayDivergence(f"step {rec.step}: a {rec.chosen} decision with eps2 {rec.eps2}")
         self.due = due
 
     def merge(self, sender: int, receiver: int):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from dpcst.sim import EpsilonRecord, read_trace
 
 TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10\n"
 TWO_MERGE = "nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2\n"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -88,6 +90,30 @@ def test_verify_corrupted_trace_exits_three(two_penal, tmp_path, capsys):
     trace_path.write_text("\n".join(doctored) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 3
     assert "divergence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "chosen, eps2",
+    [("deactivate", None), ("merge", None), ("proceed", "1"), ("back", "0"), ("prune", "1")],
+)
+def test_verify_decision_eps2_against_its_choice_exits_three(tmp_path, capsys, chosen, eps2):
+    # a merge or deactivate decision holds its eps2 and the others none, as
+    # the node emits them; the first decision of the kind gets the other
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(6, 12, 1)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    rec = next(r for r in records if r["kind"] == "epsilon" and r["chosen"] == chosen)
+    rec["eps2"] = eps2
+    trace_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["verify", str(inst_path), str(trace_path)]) == 3
+    cap = capsys.readouterr()
+    out = [json.loads(line) for line in cap.out.splitlines()]
+    assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+    assert f"step {rec['step']}: a {chosen} decision with eps2 " in out[0]["witnesses"][0]
+    assert "Traceback" not in cap.err
 
 
 def test_verify_trace_missing_field_exits_one(two_penal, tmp_path, capsys):
@@ -192,6 +218,52 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
     err = capsys.readouterr().err
     assert f"t.jsonl:{at + 1}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, message, key",
+    [
+        ("delivery", None, "sender"),
+        ("state", None, "old"),  # as state changes once held their old value
+        ("epsilon", None, "eps"),
+        ("round", None, "sn"),
+        ("phase", None, "round"),
+        ("delivery", "Report", "pf"),  # as reports once held ts != inf
+        ("delivery", "Reject", "leader"),
+    ],
+)
+def test_verify_trace_undeclared_key_exits_one(tmp_path, capsys, kind, message, key):
+    # one key added to the first record of that kind (or to the first
+    # message of that type) of an honest n = 8 trace
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(8, 14, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    at = next(
+        i for i, r in enumerate(records)
+        if r["kind"] == kind and (message is None or r["message"]["type"] == message)
+    )
+    (records[at] if message is None else records[at]["message"])[key] = 1
+    lines[at] = json.dumps(records[at])
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"t.jsonl:{at + 1}: undeclared key '{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_old_format_trace_exits_one(two_penal, tmp_path, capsys):
+    # the eager trace of the two-node instance as written before state
+    # changes dropped their old value: its first state change is line 7
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text((DATA / "two_penal_old_format.jsonl").read_text())
+    assert main(["verify", two_penal, str(trace_path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == 'error: ' + str(trace_path) + ":7: undeclared key 'old' in {\"kind\": \"state\", ...}\n"
 
 
 def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):
@@ -383,6 +455,11 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         ("nodes 1 2\nroot 1\nedge 1 2 \u0661\n", "line 3: '\u0661' is not an integer or p/q"),
         ("nodes 1 2\nroot 1\nprize 2 +3\nedge 1 2 1\n", "line 3: '+3' is not an integer or p/q"),
         ("nodes 1 two\nroot 1\nedge 1 2 1\n", "line 1: 'two' is not an integer"),
+        ("nodes 1 " + "2" * 5000 + "\nroot 1\n",
+         "line 1: '2222222222...2222222222' (5000 characters) is not an integer of at most 4300 digits"),
+        ("nodes 1 2\nroot 1\nedge 1 2 1/" + "3" * 5000 + "\n",
+         "line 3: '1/33333333...3333333333' (5002 characters) is not an integer or p/q, each number "
+         "of at most 4300 digits"),
         ("nodes 1 2\nroot 1 2\nedge 1 2 1\n", "line 2: root takes one node id"),
         ("nodes 1 2\nroot 1\nedge 1 2\n", "line 3: edge takes two node ids and a weight"),
         ("nodes 1 2\nroot 1\nprize 2\nedge 1 2 1\n", "line 3: prize takes a node id and a prize"),
@@ -394,7 +471,7 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
         "no-nodes", "repeated-id", "non-positive-id", "no-root", "root-not-a-node",
         "undeclared-endpoint", "undeclared-prize-node", "self-loop", "repeated-edge",
         "negative-weight", "negative-prize", "disconnected", "bad-rational",
-        "decimal-weight", "non-ascii-digit", "plus-sign", "non-integer-id",
+        "decimal-weight", "non-ascii-digit", "plus-sign", "non-integer-id", "long-id", "long-weight",
         "root-arity", "edge-arity", "prize-arity", "repeated-prize", "not-utf8",
     ],
 )

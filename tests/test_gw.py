@@ -50,10 +50,10 @@ def _scanning_gw_grow(inst):
     return lg
 
 
-def test_two_node_deactivate():
+def test_two_node_deactivate(checked_gw_grow):
     # first iteration: edge headroom 10, penalty headroom 3 -> deactivate
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10")
-    lg = gw_grow(inst, check=True)
+    lg = checked_gw_grow(inst)
     assert lg.forest == set()
     assert lg.deactivated == [frozenset({2})]
     assert lg.y[frozenset({2})] == 3
@@ -61,18 +61,18 @@ def test_two_node_deactivate():
     assert sol.objective == 3
 
 
-def test_two_node_merge():
+def test_two_node_merge(checked_gw_grow):
     inst = parse_instance("nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2")
-    lg = gw_grow(inst, check=True)
+    lg = checked_gw_grow(inst)
     assert lg.forest == {(1, 2)}
     sol, cert = gw_solve(inst)
     assert sol.objective == 2
     assert cert.cut_sum((1, 2)) == 2  # merged edge is tight
 
 
-def test_single_node():
+def test_single_node(checked_gw_grow):
     inst = parse_instance("nodes 3\nroot 3")
-    lg = gw_grow(inst, check=True)
+    lg = checked_gw_grow(inst)
     assert len(lg.forest) + len(lg.deactivated) == 0  # no iteration
     assert not lg.y
     sol, _ = gw_solve(inst)
@@ -95,10 +95,10 @@ def test_prune_drops_hanging_deactivated_component():
     assert sol.penalty_nodes == {2}
 
 
-def test_iteration_cap_and_dual_identities():
+def test_iteration_cap_and_dual_identities(checked_gw_grow):
     for seed in range(12):
         inst = generate_random_instance(7, 10, seed)
-        lg = gw_grow(inst, check=True)  # re-checks invariants every iteration
+        lg = checked_gw_grow(inst)  # re-checks invariants every iteration
         assert len(lg.forest) + len(lg.deactivated) <= 2 * inst.n - 1
 
 
@@ -127,14 +127,14 @@ def test_branch_edges_tight_and_deactivated_tight():
             assert inner == sum((inst.prizes[v] for v in comp), Fraction(0))
 
 
-def test_fixture_solution(example11):
-    lg = gw_grow(example11, check=True)  # re-checks invariants every iteration
+def test_fixture_solution(example11, checked_gw_grow):
+    lg = checked_gw_grow(example11)  # re-checks invariants every iteration
     sol = gw_prune(example11, lg)
     assert check_edge_packing(lg.certificate(sol), example11).status == "pass"
     assert sol.penalty_nodes == {1, 2, 5, 7, 11}
 
 
-def test_event_queue_matches_scanning_reference():
+def test_event_queue_matches_scanning_reference(checked_gw_grow):
     # tie-heavy corpus: small weight and prize ranges make equal epsilons,
     # equal edge and penalty times and zero-width iterations common; the
     # ledgers must agree on moats in crediting order, deficits, weights, the
@@ -146,7 +146,7 @@ def test_event_queue_matches_scanning_reference():
             for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
                 for seed in range(3 if n <= 20 else 1):
                     inst = generate_random_instance(n, m, seed, wmax, pmax)
-                    got = gw_grow(inst, check=n <= 12)
+                    got = (checked_gw_grow if n <= 12 else gw_grow)(inst)
                     ref = _scanning_gw_grow(inst)
                     assert list(got.y.items()) == list(ref.y.items()), (n, m, seed, wmax, pmax)
                     assert got.d == ref.d and got.w == ref.w

@@ -128,7 +128,7 @@ def test_trace_roundtrip_through_json(tmp_path, example11):
 
 
 def test_record_json_stable_fields():
-    rec = Delivery(3, (1, 2), nd.Proceed(Fraction(15)), 4)
+    rec = Delivery(3, (1, 2), 4, nd.Proceed(Fraction(15)))
     d = record_to_json(rec)
     assert d == {
         "kind": "delivery",
@@ -141,14 +141,14 @@ def test_record_json_stable_fields():
 
 
 def test_back_record_carries_root_flag():
-    rec = Delivery(9, (5, 4), nd.Back(root_flag=True), 3)
+    rec = Delivery(9, (5, 4), 3, nd.Back(root_flag=True))
     d = record_to_json(rec)
     assert d["message"] == {"type": "Back", "root_flag": True}
     assert record_from_json(d) == rec
 
 
 def test_report_record_round_trips_infinite_epsilon_and_timestamp():
-    rec = Delivery(4, (2, 1), nd.Report(nd.INF, Fraction(7, 2), Fraction(3), nd.INF), 1)
+    rec = Delivery(4, (2, 1), 1, nd.Report(nd.INF, Fraction(7, 2), Fraction(3), nd.INF))
     d = record_to_json(rec)
     assert d["message"]["best_epsilon"] == "inf" and d["message"]["ts"] == "inf"
     assert record_from_json(d) == rec
@@ -239,7 +239,7 @@ class _ScanningSimulation(Simulation):
             link = min(pool, key=lambda l: self.queues[l][0][1])
         msg, _seq, tag = self.queues[link].popleft()
         self.step += 1
-        self.trace.append(Delivery(self.step, link, msg, tag))
+        self.trace.append(Delivery(self.step, link, tag, msg))
         sender, receiver = link
         self._apply(receiver, nd.Deliver(norm_edge(sender, receiver), msg, self.step), tag)
 
@@ -425,7 +425,7 @@ _EDGE_STATE_VALUES = {
     "labelled_flag": [True, False],
 }
 _EDGE_RECORDS = [
-    *(Delivery(3 + i, (i + 1, i + 2), m, i % 4) for i, m in enumerate(_EDGE_MESSAGES)),
+    *(Delivery(3 + i, (i + 1, i + 2), i % 4, m) for i, m in enumerate(_EDGE_MESSAGES)),
     *(StateChange(9, 5, f, new) for f, values in _EDGE_STATE_VALUES.items() for new in values),
     EpsilonRecord(4, 2, nd.INF, None, "prune"),
     EpsilonRecord(4, 2, nd.INF, None, "back"),
@@ -449,6 +449,36 @@ def test_line_encoder_matches_reference_on_every_kind_and_edge_value():
         assert record_to_line(rec) == json.dumps(expected) + "\n"
         assert record_to_json(rec) == expected
         assert record_from_json(expected) == rec
+
+
+def test_every_record_kind_and_message_type_takes_exactly_its_keys():
+    # an undeclared key is a ValueError naming it, in a record or in its
+    # message; a missing key is still a KeyError naming the field
+    for rec in _EDGE_RECORDS:
+        d = _reference_record_dict(rec)
+        for obj in [d, d["message"]] if "message" in d else [d]:
+            obj["extra"] = 0
+            with pytest.raises(ValueError, match="undeclared key 'extra' in {\"(kind|type)\": "):
+                record_from_json(d)
+            del obj["extra"]
+            for key, value in list(obj.items()):
+                del obj[key]
+                with pytest.raises(KeyError, match=key):
+                    record_from_json(d)
+                obj[key] = value
+        assert record_from_json(d) == rec
+
+
+def test_over_long_rational_is_named_with_its_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0,
+           "message": {"type": "Merge", "d_h": "7" * 5000}}
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(
+        sim.TraceFormatError,
+        match=r"t.jsonl:1: '7777777777...7777777777' \(5000 characters\) is not an integer or p/q",
+    ):
+        list(read_trace(str(path)))
 
 
 def test_write_trace_matches_reference_writer(tmp_path, example11):

@@ -7,7 +7,7 @@ import pytest
 
 from dpcst import sim
 from dpcst.exact import exact_pcst
-from dpcst.gw import gw_grow, gw_solve
+from dpcst.gw import gw_solve
 from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
 from dpcst.sim import EpsilonRecord, RoundBoundary, count_messages, extract_solution, run
 from dpcst.verify import (
@@ -139,8 +139,8 @@ def test_replay_divergence_on_edited_connect_payload():
             rec = sim.Delivery(
                 rec.step,
                 rec.link,
-                Connect(msg.comp_w, msg.deficit + 1, msg.d_h),
                 rec.round_index,
+                Connect(msg.comp_w, msg.deficit + 1, msg.d_h),
             )
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
@@ -159,7 +159,7 @@ def test_replay_divergence_on_repeated_connect():
             # the same connect again, carrying the sender's deficit after the merge
             msg = rec.message
             again = Connect(msg.comp_w, inst.weights[(1, 2)], msg.d_h)
-            doctored.append(sim.Delivery(rec.step, rec.link, again, rec.round_index))
+            doctored.append(sim.Delivery(rec.step, rec.link, rec.round_index, again))
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
 
@@ -385,7 +385,7 @@ def _identities_from_scratch(lg):
     return None
 
 
-def test_incremental_identity_check_matches_from_scratch(monkeypatch):
+def test_incremental_identity_check_matches_from_scratch(monkeypatch, checked_gw_grow):
     incremental = MoatLedger.check_identities
     checks = []
 
@@ -402,8 +402,9 @@ def test_incremental_identity_check_matches_from_scratch(monkeypatch):
         inst = generate_random_instance(n, 2 * n, n)
         for seed in [None, *range(3)]:
             reconstruct_duals(run(inst, seed).trace, inst)
-        lg = gw_grow(inst, check=True)
-        assert len(checks) >= len(lg.forest) + len(lg.deactivated)  # one per iteration
+        replayed = len(checks)
+        lg = checked_gw_grow(inst)
+        assert len(checks) - replayed == len(lg.forest) + len(lg.deactivated)  # one per iteration
     assert len(checks) > 200 and set(checks) == {None}
 
 
@@ -421,10 +422,10 @@ def _tamper_credit_inside_component(lg):
 
 
 @pytest.mark.parametrize("tamper", [_tamper_deficit, _tamper_weight, _tamper_credit_inside_component])
-def test_incremental_identity_check_reports_tampering_like_from_scratch(tamper):
+def test_incremental_identity_check_reports_tampering_like_from_scratch(tamper, checked_gw_grow):
     for seed in range(6):
         inst = generate_random_instance(8 + seed, 3 * (8 + seed), seed)
-        lg = gw_grow(inst, check=True)
+        lg = checked_gw_grow(inst)
         assert lg.check_identities() is None
         assert len(max(lg.members.values(), key=len)) > 1
         tamper(lg)

@@ -1,4 +1,4 @@
-"""Time the simulator, the reference solver, solve and verify from a given source tree.
+"""Time the simulator, gw, the trace writer and reader, solve and verify from a source tree.
 
     python tools/bench_layers.py src
 
@@ -9,6 +9,8 @@ generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320:
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
   seeded 1..8 on generate_random_instance(60, 360, 1), timed together;
 - ``gw``: ``gw_solve``, per n;
+- ``write``: ``sim.write_trace`` of the eager run's records, per n;
+- ``read``: draining ``sim.read_trace`` over the trace ``write`` wrote, per n;
 - ``solve``: ``dpcst solve --trace``, run in-process through dpcst.cli.main
   with the eager schedule, per n, with the bytes of the trace it writes;
 - ``verify``: ``dpcst verify --no-exact``, run in-process through
@@ -35,6 +37,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 SIZES = (40, 80, 160, 320)
@@ -84,10 +87,14 @@ def main(argv=None) -> int:
     sim_s["seeded:1..8"] = median_cpu_s(lambda: [sim.run(seeded, seed) for seed in SEEDS])
     gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
 
-    solve_s, trace_bytes, records, verify_s, peaks = {}, {}, {}, {}, {}
+    write_s, read_s, solve_s, trace_bytes, records, verify_s, peaks = {}, {}, {}, {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n, inst in insts.items():
             inst_path, trace_path = f"{tmp}/n{n}.pcst", f"{tmp}/n{n}.jsonl"
+            trace = sim.run(inst).trace
+            write_s[str(n)] = median_cpu_s(lambda: sim.write_trace(trace, trace_path))
+            read_s[str(n)] = median_cpu_s(lambda: deque(sim.read_trace(trace_path), maxlen=0))
+            del trace
             Path(inst_path).write_text(render_instance(inst))
             solve_s[str(n)] = median_cpu_s(lambda: dpcst("solve", "--trace", trace_path, inst_path))
             trace_bytes[str(n)] = os.path.getsize(trace_path)
@@ -116,6 +123,20 @@ def main(argv=None) -> int:
             "instances": "generate_random_instance(n, 3n, 1)",
             "reps": REPS,
             "median_s": gw_s,
+        },
+        "write": {
+            "metric": "sim.write_trace process CPU, median",
+            "unit": "s",
+            "instances": "generate_random_instance(n, 3n, 1), eager trace",
+            "reps": REPS,
+            "median_s": write_s,
+        },
+        "read": {
+            "metric": "sim.read_trace drained, process CPU, median",
+            "unit": "s",
+            "instances": "generate_random_instance(n, 3n, 1), eager trace",
+            "reps": REPS,
+            "median_s": read_s,
         },
         "solve": {
             "metric": "dpcst solve --trace: process CPU, median; bytes of the trace",
