@@ -496,7 +496,7 @@ def _compile(cls, tag: str, name: str, hints: dict, end: str = "") -> tuple:
 _MESSAGE_CODECS = {
     name: _compile(cls, "type", name, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
 }
-# record class -> its kind
+# record class -> its kind, in the order of Record
 _RECORD_KINDS = dict(zip(typing.get_args(Record), ("delivery", "state", "epsilon", "round", "phase")))
 # record kind -> the codec of its lines; a state change's is its field's
 _RECORD_CODECS = {
