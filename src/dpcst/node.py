@@ -8,6 +8,41 @@ nodes.  Component-level quantities (component weight W, highest deficit d_h,
 total prize TP) are replicated into member nodes and kept consistent by the
 update flood that follows every merge or deactivation.
 
+Two facts of the protocol keep the automaton and its wire small:
+
+- Growth is one component at a time, so at most one non-root component is
+  active.  The growth passes like a token, and the root's component holds
+  it first.  An active holder keeps it through its merges: its connect
+  wakes a sleeping node into it or merges it with an inactive component
+  (with the root's, which then holds the growth), and its deactivation
+  leaves it an inactive holder.  An inactive holder runs one round, which
+  ends in one message: a proceed hands the growth to the node or component
+  it reaches, a back hands it back to the component that woke the holder,
+  and the root's prune ends the growth.  A component turns active only by
+  a wake-up or by merging with the holder, so no two components are active
+  at once, and compute_epsilon_edge has no active-active case.  Within the
+  holder, a member answers a test of its own round with a reject, and not
+  with an active status, only once it has joined that round and taken
+  every update before it.  That needs the control preemption of
+  Simulation._pick, which delivers every Initiate and UpdateInfo in flight
+  before any test.
+- From the start of a component's round until its decision is carried
+  out, every member holds the same d_h, and no member's d_v exceeds it.
+  d_h changes only when a node wakes alone, by a proceed or by refusing a
+  connect, and at a merge or a deactivation, whose update reaches every
+  member ahead of the next round's Initiate on each tree link (per-link
+  FIFO).  No update arrives in between: a component runs a round only
+  while it holds the growth, and an update reaches it only from its own
+  merge or deactivation or from the holder's connect.  Each update leaves
+  d_h at least the member's new d_v: a deactivation raises both by eps2;
+  the joining side of a merge grows d_v by the epsilon of its best edge,
+  which the acceptor computes again from the same weight and deficits, and
+  takes the acceptor's d_h, which is at least the joining side's d_h plus
+  that epsilon; an inactive acceptor's side keeps d_v and only raises d_h,
+  and a sleeping acceptor sets both to one value.  So a report, sent up
+  the tree, and a merge, sent down it, would carry the receiver's own d_h:
+  neither does, and no node raises d_h to its own d_v or to a child's.
+
 Infinity is represented by float("inf"), used only as a sentinel in epsilon
 and timestamp fields: it is compared against exact Fractions but never enters
 arithmetic.
@@ -44,7 +79,8 @@ class ProtocolError(AssertionError):
 
 # ---------------------------------------------------------------------------
 # Wire messages: a receiver knows the edge a message came over, so no message
-# names its sender
+# names its sender, and no report or merge restates the receiver's own d_h
+# (see the module docstring)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,14 +109,13 @@ class Reject:
 @dataclass(frozen=True, slots=True)
 class Report:
     best_epsilon: Fraction | float
-    d_h: Fraction
     tp: Fraction
     ts: int | float
 
 
 @dataclass(frozen=True, slots=True)
 class Merge:
-    d_h: Fraction
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +127,6 @@ class Connect:
 
 @dataclass(frozen=True, slots=True)
 class Accept:
-    leader_flag: bool
     root_flag: bool
     total_w: Fraction
     d_h: Fraction
@@ -122,7 +156,7 @@ class Back:
     # The sender's root flag.  A back that crosses a wake edge from a rooted
     # node tells the waker that the tree flood will reach the woken side, so
     # the wake edge no longer has to carry a prune there.
-    root_flag: bool = False
+    root_flag: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,18 +294,18 @@ def compute_epsilon_edge(
     se_local: SE,
     w_e: Fraction,
     d_v: Fraction,
-    d_remote: Fraction | None,
+    d_remote: Fraction,
     d_h: Fraction,
 ) -> Fraction | float:
     """Growth-rate headroom of one inter-component edge.
 
     A sleeping neighbor has no deficit of its own yet; the local component's
     highest deficit d_h stands in for it.  Two inactive components only see
-    each other through a refind-marked edge.
+    each other through a refind-marked edge.  Two active components never
+    see each other, since growth is one component at a time (see the module
+    docstring); the paper's halved residual for that case is never needed.
     """
     if cs_local == CS.ACTIVE:
-        if cs_remote == CS.ACTIVE:
-            return (w_e - d_v - d_remote) / 2
         if cs_remote == CS.INACTIVE:
             return w_e - d_v - d_remote
         if cs_remote == CS.SLEEPING:
@@ -283,8 +317,7 @@ def compute_epsilon_edge(
             if se_local == SE.REFIND:
                 return w_e - d_v - d_remote
             return INF
-        raise ProtocolError("inactive component observed an active neighbor")
-    raise ProtocolError(f"epsilon computed in component state {cs_local}")
+    raise ProtocolError(f"epsilon computed in state {cs_local.value} against {cs_remote.value}")
 
 
 Send = tuple[Edge, Message]
@@ -364,15 +397,15 @@ def _to_leader(ctx: _Ctx, msg: Message):
         _start_round(ctx)
 
 
-def _route_merge(ctx: _Ctx, d_h: Fraction):
+def _route_merge(ctx: _Ctx):
     """Follow the best edge: down the tree as a merge, or across it as a connect."""
     st = ctx.st
     if st.best_edge is None:
         raise ProtocolError(f"merge at node {st.id} without a best edge")
     if st.se[st.best_edge] == SE.BRANCH:
-        ctx.send(st.best_edge, Merge(d_h))
+        ctx.send(st.best_edge, Merge())
     else:
-        ctx.send(st.best_edge, Connect(st.comp_w, st.d_v, d_h))
+        ctx.send(st.best_edge, Connect(st.comp_w, st.d_v, st.d_h))
 
 
 def _route_proceed(ctx: _Ctx, d_h: Fraction):
@@ -522,8 +555,6 @@ def _proc_report(ctx: _Ctx):
     st = ctx.st
     if st.find_count or st.test_count:
         return
-    if st.d_h < st.d_v:
-        st.d_h = st.d_v
     if st.cs == CS.ACTIVE:
         st.tp += st.prize
     # received_ts is INF unless a proceed is pending here
@@ -531,7 +562,7 @@ def _proc_report(ctx: _Ctx):
         st.ts = st.received_ts
         st.back_edge = None
     if st.in_branch is not None:
-        ctx.send(st.in_branch, Report(st.best_epsilon, st.d_h, st.tp, st.ts))
+        ctx.send(st.in_branch, Report(st.best_epsilon, st.tp, st.ts))
     else:
         _decide(ctx)
 
@@ -544,8 +575,6 @@ def _on_report(ctx: _Ctx, e: Edge, msg: Report, event: Deliver):
         st.back_edge = e
     if st.cs == CS.ACTIVE:
         st.tp += msg.tp
-    if st.d_h < msg.d_h:
-        st.d_h = msg.d_h
     _fold_candidate(st, msg.best_epsilon, e)
     _proc_report(ctx)
 
@@ -558,7 +587,7 @@ def _decide(ctx: _Ctx):
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "merge"))
-            _route_merge(ctx, st.d_h)
+            _route_merge(ctx)
         else:
             ctx.act(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
             # the leader takes its deactivation as the update it floods
@@ -587,12 +616,11 @@ def _decide(ctx: _Ctx):
 
 
 def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, event: Deliver):
-    _route_merge(ctx, msg.d_h)
+    _route_merge(ctx)
 
 
 def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
     st = ctx.st
-    sender = e[0] if e[1] == st.id else e[1]
     if st.cs == CS.SLEEPING:
         st.cs = CS.ACTIVE
         st.d_h = msg.d_h
@@ -601,13 +629,12 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         eps1 = (st.weights[e] - st.d_v - msg.deficit) / 2
         eps2 = st.prize - st.comp_w
         if eps1 < eps2:
-            leads = st.id > sender
             st.d_h += eps1
             st.d_v += eps1
             st.comp_w += msg.comp_w + 2 * eps1
             st.se[e] = SE.BRANCH
-            ctx.send(e, Accept(leads, st.root_flag, st.comp_w, st.d_h))
-            if leads:
+            ctx.send(e, Accept(st.root_flag, st.comp_w, st.d_h))
+            if st.id == max(e):  # the higher-id endpoint leads
                 _start_round(ctx)
         else:
             st.cs = CS.INACTIVE
@@ -617,7 +644,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.labelled_flag = True
             ctx.send(e, RefindEpsilon())
     elif st.cs == CS.INACTIVE:
-        leads = st.root_flag or st.id > sender
+        leads = st.root_flag or st.id == max(e)
         if not st.root_flag:
             st.cs = CS.ACTIVE
         eps1 = st.weights[e] - st.d_v - msg.deficit
@@ -628,7 +655,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         _flood(ctx, e, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
         st.se[e] = SE.BRANCH
         _clear_pending(st, e)
-        ctx.send(e, Accept(leads, st.root_flag, st.comp_w, st.d_h))
+        ctx.send(e, Accept(st.root_flag, st.comp_w, st.d_h))
         # In the root component only the root itself restarts the round; it
         # does so on receiving the update flood.  Elsewhere the higher-id
         # endpoint leads.
@@ -646,7 +673,9 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
     _clear_pending(st, e)
     # the joining side grows by its merge epsilon and floods that on
     _take_update(ctx, e, UpdateInfo(st.best_epsilon, msg.root_flag, False, msg.total_w, msg.d_h))
-    if not msg.leader_flag:
+    # the acceptor leads if it is in the root component (a sleeping acceptor
+    # never is) or has the higher id
+    if not msg.root_flag and st.id == max(e):
         _start_round(ctx)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import typing
 from bisect import bisect_left, insort
 from collections import deque
@@ -549,11 +550,18 @@ def read_trace(path: str) -> Iterator[Record]:
             if not line:
                 continue
             try:
-                rec = record_from_json(_decode_json(line.decode()))
+                obj = _decode_json(line.decode())
+            # bad UTF-8, bad JSON, or an array nested too deep
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError:  # the decoder's one other error: int() refused the digits
+                limit = sys.get_int_max_str_digits()
+                raise TraceFormatError(f"{path}:{lineno}: a trace integer has at most {limit} digits")
+            try:
+                rec = record_from_json(obj)
             except KeyError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
-            # a bad UTF-8 byte is a ValueError; an array nested too deep, a RecursionError
-            except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+            except (TypeError, ValueError, ArithmeticError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
             records += 1
             yield rec

@@ -229,6 +229,9 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
         ("round", None, "sn"),
         ("phase", None, "round"),
         ("delivery", "Report", "pf"),  # as reports once held ts != inf
+        ("delivery", "Report", "d_h"),  # as reports once held the sender's d_h
+        ("delivery", "Merge", "d_h"),
+        ("delivery", "Accept", "leader_flag"),  # as accepts once said who leads
         ("delivery", "Reject", "leader"),
     ],
 )

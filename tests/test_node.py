@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dpcst import node as nd
-from dpcst.instance import generate_random_instance
+from dpcst.instance import generate_random_instance, norm_edge
 from dpcst.node import (
     CS,
     INF,
@@ -76,24 +76,24 @@ def test_node_state_has_no_field_beyond_its_declared_ones():
 
 
 def test_epsilon_five_cases():
-    # active/active halves the residual
-    assert compute_epsilon_edge(CS.ACTIVE, CS.ACTIVE, SE.BASIC, F(10), F(0), F(0), F(0)) == 5
-    # active/inactive takes it whole
+    # active/inactive takes the residual whole
     assert compute_epsilon_edge(CS.ACTIVE, CS.INACTIVE, SE.BASIC, F(10), F(2), F(3), F(2)) == 5
-    # active/sleeping: own component's highest deficit stands in
-    assert compute_epsilon_edge(CS.ACTIVE, CS.SLEEPING, SE.BASIC, F(12), F(7), None, F(7)) == -1
+    # active/sleeping halves it, with the own component's highest deficit
+    # standing in for the sleeper's (a sleeping node's status carries 0)
+    assert compute_epsilon_edge(CS.ACTIVE, CS.SLEEPING, SE.BASIC, F(12), F(7), F(0), F(7)) == -1
     # inactive/sleeping
-    assert compute_epsilon_edge(CS.INACTIVE, CS.SLEEPING, SE.BASIC, F(21), F(2), None, F(7)) == 12
+    assert compute_epsilon_edge(CS.INACTIVE, CS.SLEEPING, SE.BASIC, F(21), F(2), F(0), F(7)) == 12
     # inactive/inactive: invisible unless the edge is marked refind
     assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.BASIC, F(5), F(1), F(1), F(1)) == INF
     assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.REFIND, F(5), F(1), F(1), F(1)) == 3
 
 
 def test_epsilon_rejects_impossible_observations():
-    with pytest.raises(ProtocolError):
-        compute_epsilon_edge(CS.INACTIVE, CS.ACTIVE, SE.BASIC, F(5), F(0), F(0), F(0))
-    with pytest.raises(ProtocolError):
-        compute_epsilon_edge(CS.SLEEPING, CS.ACTIVE, SE.BASIC, F(5), F(0), F(0), F(0))
+    # growth is one component at a time, so no active component ever sees
+    # another; an inactive one sees none at all, and a sleeping node tests no one
+    for cs_local in (CS.ACTIVE, CS.INACTIVE, CS.SLEEPING):
+        with pytest.raises(ProtocolError, match=f"in state {cs_local.value} against active"):
+            compute_epsilon_edge(cs_local, CS.ACTIVE, SE.BASIC, F(10), F(0), F(0), F(0))
 
 
 def test_root_wakeup_starts_round_and_tests():
@@ -168,23 +168,16 @@ def test_test_other_component_reports_status():
     assert sends(emits) == [((1, 2), Status(CS.INACTIVE, F(7)))]
 
 
-def _mid_round(st):
-    st.best_epsilon = INF
-    st.best_edge = None
-    return st
-
-
 def test_status_fold_strict_less_keeps_smaller_edge_on_tie():
     st = mk(2, False, 4, {(1, 2): 8, (2, 3): 8, (2, 4): 8})
     st.cs = CS.ACTIVE
     st.lc = 2
-    _mid_round(st)
     st.test_count = 3
-    transition(st, Deliver((2, 4), Status(CS.ACTIVE, F(2)), 1))
+    transition(st, Deliver((2, 4), Status(CS.INACTIVE, F(5)), 1))
     assert st.best_epsilon == 3 and st.best_edge == (2, 4)
-    transition(st, Deliver((2, 3), Status(CS.ACTIVE, F(2)), 2))
+    transition(st, Deliver((2, 3), Status(CS.INACTIVE, F(5)), 2))
     assert st.best_edge == (2, 3)  # same epsilon, smaller edge wins
-    transition(st, Deliver((1, 2), Status(CS.ACTIVE, F(4)), 3))
+    transition(st, Deliver((1, 2), Status(CS.INACTIVE, F(6)), 3))
     assert st.best_epsilon == 2 and st.best_edge == (1, 2)
 
 
@@ -201,27 +194,19 @@ def test_reject_marks_edge_and_clears_pending():
     assert sends(emits) == []  # one test still outstanding
 
 
-def test_report_aggregates_min_prize_and_dh():
+def test_report_aggregates_min_epsilon_and_prize():
     st = mk(2, False, 4, {(1, 2): 3, (2, 3): 5})
     st.cs = CS.ACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.se[(1, 2)] = SE.BRANCH
-    _mid_round(st)
     st.find_count = 1
-    st.test_count = 0
     st.best_epsilon = F(3)
     st.best_edge = (1, 2)
-    st.tp = F(0)
-    rep = Report(F(5), F(9), F(4), INF)
-    emits = transition(st, Deliver((2, 3), rep, 7))
-    out = sends(emits)
-    assert st.best_epsilon == 3  # own candidate smaller than child's
-    assert st.d_h == 9
-    up = [m for e, m in out if isinstance(m, Report)]
-    assert len(up) == 1
-    assert up[0].tp == F(4) + st.prize
-    assert up[0].d_h == 9
+    emits = transition(st, Deliver((2, 3), Report(F(5), F(4), INF), 7))
+    # own candidate smaller than the child's; the child's prize plus its own
+    assert st.best_epsilon == 3 and st.best_edge == (1, 2)
+    assert sends(emits) == [((1, 2), Report(F(3), F(4) + st.prize, INF))]
 
 
 def test_connect_wakes_sleeping_and_accepts_worked_example():
@@ -231,10 +216,8 @@ def test_connect_wakes_sleeping_and_accepts_worked_example():
     emits = transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
     accepts = [m for _, m in sends(emits) if isinstance(m, Accept)]
     assert len(accepts) == 1
-    acc = accepts[0]
-    assert acc.leader_flag is False  # 1 < 2, the connect sender leads
-    assert acc.total_w == 19
-    assert acc.d_h == 6
+    assert accepts == [Accept(False, F(19), F(6))]
+    assert not acts(emits)  # 1 < 2, the connect sender leads
     assert st.d_v == 6 and st.comp_w == 19 and st.cs == CS.ACTIVE
     assert st.se[(1, 2)] == SE.BRANCH
 
@@ -263,7 +246,8 @@ def test_merge_routed_by_frontier_emits_connect():
     st.d_v = F(7)
     st.best_edge = (1, 2)
     st.best_epsilon = F(-1)
-    emits = transition(st, Deliver((2, 5), Merge(F(7)), 4))
+    st.d_h = F(7)
+    emits = transition(st, Deliver((2, 5), Merge(), 4))
     assert sends(emits) == [((1, 2), Connect(F(14), F(7), F(7)))]
 
 
@@ -271,7 +255,25 @@ def test_accept_on_unexpected_edge_asserts():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.best_edge = (2, 5)
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Accept(True, False, F(1), F(1)), 4))
+        transition(st, Deliver((1, 2), Accept(False, F(1), F(1)), 4))
+
+
+@pytest.mark.parametrize(
+    "node_id, root_flag, starts",
+    [(1, False, False), (3, False, True), (3, True, False)],
+    ids=["acceptor-higher-id", "connector-higher-id", "rooted-acceptor"],
+)
+def test_accept_starts_a_round_unless_the_acceptor_leads(node_id, root_flag, starts):
+    # node_id connected to node 2 over its best edge; the acceptor leads when
+    # it is in the root component or has the higher id
+    e = norm_edge(node_id, 2)
+    st = mk(node_id, False, 10, {e: 12})
+    st.cs = CS.ACTIVE
+    st.best_edge = e
+    st.best_epsilon = F(1)
+    emits = transition(st, Deliver(e, Accept(root_flag, F(20), F(8)), 4))
+    assert st.se[e] == SE.BRANCH and st.d_v == 1 and st.d_h == 8 and st.root_flag is root_flag
+    assert any(isinstance(a, RoundStarted) for a in acts(emits)) is starts
 
 
 def test_update_info_deactivation_flood():
@@ -334,7 +336,7 @@ def test_proceed_pokes_inactive_leader():
 def test_outside_back_at_leader_restarts_round():
     st = mk(1, True, 5, {(1, 2): 3})
     st.cs = CS.INACTIVE
-    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -346,7 +348,7 @@ def test_outside_back_ignores_stale_pointer_and_recomputes():
     st.se[(2, 3)] = SE.BRANCH
     st.back_edge = (2, 3)
     st.in_branch = None  # this node led the last round
-    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
+    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -355,8 +357,8 @@ def test_outside_back_relays_toward_leader():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (2, 3)
-    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
-    assert sends(emits) == [((2, 3), nd.Back())]
+    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    assert sends(emits) == [((2, 3), nd.Back(False))]
 
 
 def test_routed_back_follows_pointer_once():
@@ -366,8 +368,8 @@ def test_routed_back_follows_pointer_once():
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.back_edge = (2, 3)
-    emits = transition(st, Deliver((1, 2), nd.Back(), 4))
-    assert sends(emits) == [((2, 3), nd.Back())]
+    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    assert sends(emits) == [((2, 3), nd.Back(False))]
     assert st.back_edge is None
 
 
@@ -378,8 +380,8 @@ def test_routed_back_exits_at_the_pending_holder():
     st.in_branch = (2, 3)
     st.proceed_in_edge = (1, 2)
     st.received_ts = 9
-    emits = transition(st, Deliver((2, 3), nd.Back(), 4))
-    assert sends(emits) == [((1, 2), nd.Back())]
+    emits = transition(st, Deliver((2, 3), nd.Back(False), 4))
+    assert sends(emits) == [((1, 2), nd.Back(False))]
     assert st.proceed_in_edge is None and st.received_ts == INF
 
 
@@ -500,7 +502,7 @@ def _routed_to():
     return st
 
 
-_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), F(0), INF), 4)
+_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), INF), 4)
 
 
 def test_decided_merge_without_best_edge_names_the_node():
@@ -511,7 +513,7 @@ def test_decided_merge_without_best_edge_names_the_node():
 
 def test_routed_merge_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
-        transition(_routed_to(), Deliver((1, 2), Merge(F(0)), 4))
+        transition(_routed_to(), Deliver((1, 2), Merge(), 4))
 
 
 def test_decided_back_without_pending_proceed_names_the_node():
@@ -522,7 +524,7 @@ def test_decided_back_without_pending_proceed_names_the_node():
 
 def test_routed_back_without_pending_proceed_names_the_node():
     with pytest.raises(ProtocolError, match="back at node 2 without a back edge or a pending"):
-        transition(_routed_to(), Deliver((1, 2), nd.Back(), 4))
+        transition(_routed_to(), Deliver((1, 2), nd.Back(False), 4))
 
 
 def test_decided_proceed_without_best_edge_names_the_node():
@@ -534,6 +536,55 @@ def test_decided_proceed_without_best_edge_names_the_node():
 def test_routed_proceed_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
         transition(_routed_to(), Deliver((1, 2), nd.Proceed(F(0)), 4))
+
+
+# ---------------------------------------------------------------------------
+# The other states the protocol never reaches: each raise, from the smallest
+# node 2 that reaches it
+
+
+@pytest.mark.parametrize(
+    "fields, event, match",
+    [
+        ({}, SpontaneousWakeup(), "spontaneous wakeup at a non-root node"),
+        ({}, Deliver((2, 3), Reject(), 4), r"delivery on unknown edge \(2, 3\) at node 2"),
+        (
+            {},
+            Deliver((1, 2), nd.UpdateInfo(F(0), True, True, F(0), F(0)), 4),
+            "deactivation flood inside the root component",
+        ),
+        (
+            {"cs": CS.INACTIVE, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
+            Deliver((1, 2), Report(INF, F(0), INF), 4),
+            "non-root leader 2 has no outgoing option and no pending proceed",
+        ),
+        (
+            {"cs": CS.ACTIVE, "prize_flag": False, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
+            Deliver((1, 2), Report(INF, F(0), INF), 4),
+            "decide reached in state CS.ACTIVE root_flag=True",
+        ),
+        (
+            {"cs": CS.ACTIVE},
+            Deliver((1, 2), nd.Proceed(F(0)), 4),
+            "proceed delivered to an active component",
+        ),
+        (
+            {"se": {(1, 2): SE.REJECTED}},
+            Deliver((1, 2), nd.Proceed(F(0)), 4),
+            r"proceed on rejected edge \(1, 2\)",
+        ),
+    ],
+    ids=[
+        "wakeup-at-non-root", "unknown-edge", "root-deactivation", "leader-without-option",
+        "decide-in-root-active", "proceed-to-active", "proceed-on-rejected",
+    ],
+)
+def test_unreachable_state_raises(fields, event, match):
+    st = mk(2, False, 5, {(1, 2): 3})
+    for name, value in fields.items():
+        setattr(st, name, value)
+    with pytest.raises(ProtocolError, match=match):
+        transition(st, event)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +606,15 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     # a pending proceed is its in-edge and its timestamp at once; a status
     # or reject arrives only while the receiver awaits a test answer, and a
     # report only while it awaits a report, so neither count goes below 0
-    # and a node reports once per round; the root decides prune once, and
-    # that decision opens the one prune phase
+    # and a node reports once per round; no node's deficit exceeds its
+    # component's highest deficit as the node holds it; the root decides
+    # prune once, and that decision opens the one prune phase
     real = nd.transition
     checked = 0
 
     def transition_checked(st, event):
         nonlocal checked
+        assert st.d_h >= st.d_v
         if isinstance(event, Deliver):
             if isinstance(event.message, (Status, Reject)):
                 assert st.test_count > 0
@@ -569,6 +622,7 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
                 assert st.find_count > 0
         emits = real(st, event)
         assert st.find_count >= 0 and st.test_count >= 0
+        assert st.d_h >= st.d_v
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
         checked += 1
         return emits

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import typing
 from dataclasses import fields
 from fractions import Fraction
@@ -148,7 +149,7 @@ def test_back_record_carries_root_flag():
 
 
 def test_report_record_round_trips_infinite_epsilon_and_timestamp():
-    rec = Delivery(4, (2, 1), 1, nd.Report(nd.INF, Fraction(7, 2), Fraction(3), nd.INF))
+    rec = Delivery(4, (2, 1), 1, nd.Report(nd.INF, Fraction(3), nd.INF))
     d = record_to_json(rec)
     assert d["message"]["best_epsilon"] == "inf" and d["message"]["ts"] == "inf"
     assert record_from_json(d) == rec
@@ -162,9 +163,9 @@ def test_report_record_round_trips_infinite_epsilon_and_timestamp():
         {"type": "Test", "leader": True},
         {"type": "Initiate", "leader": 1.0},
         {"type": "Status", "cs": "asleep", "deficit": "0"},
-        {"type": "Merge", "d_h": 1.5},
-        {"type": "Merge", "d_h": "inf"},
-        {"type": "Report", "best_epsilon": "1", "d_h": "0", "tp": "0", "ts": "7"},
+        {"type": "Proceed", "d_h": 1.5},
+        {"type": "Proceed", "d_h": "inf"},
+        {"type": "Report", "best_epsilon": "1", "tp": "0", "ts": "7"},
     ],
 )
 def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
@@ -401,12 +402,12 @@ _EDGE_MESSAGES = [
     nd.Test(12),
     *(nd.Status(cs, F(-1, 6)) for cs in nd.CS),
     nd.Reject(),
-    nd.Report(nd.INF, F(7, 2), F(0), nd.INF),
-    nd.Report(F(-1, 6), F(-5, 3), F(40), 17),
-    nd.Merge(F(15)),
+    nd.Report(nd.INF, F(0), nd.INF),
+    nd.Report(F(-1, 6), F(40), 17),
+    nd.Merge(),
     nd.Connect(F(15, 2), F(-1, 6), F(3)),
-    nd.Accept(True, False, F(22, 7), F(0)),
-    nd.Accept(False, True, F(-3), F(1, 9)),
+    nd.Accept(False, F(22, 7), F(0)),
+    nd.Accept(True, F(-3), F(1, 9)),
     nd.RefindEpsilon(),
     nd.UpdateInfo(F(-1, 6), True, False, F(9), F(7, 2)),
     nd.UpdateInfo(F(10), False, True, F(0), F(0)),
@@ -472,11 +473,22 @@ def test_every_record_kind_and_message_type_takes_exactly_its_keys():
 def test_over_long_rational_is_named_with_its_line(tmp_path):
     path = tmp_path / "t.jsonl"
     rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0,
-           "message": {"type": "Merge", "d_h": "7" * 5000}}
+           "message": {"type": "Proceed", "d_h": "7" * 5000}}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(
         sim.TraceFormatError,
         match=r"t.jsonl:1: '7777777777...7777777777' \(5000 characters\) is not an integer or p/q",
+    ):
+        list(read_trace(str(path)))
+
+
+def test_over_long_integer_is_named_with_its_line(tmp_path):
+    # the JSON decoder refuses it before any field is decoded
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"kind": "phase", "step": 0}\n{"kind": "phase", "step": ' + "7" * 5000 + "}\n")
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(
+        sim.TraceFormatError, match=f"t.jsonl:2: a trace integer has at most {limit} digits$"
     ):
         list(read_trace(str(path)))
 
@@ -502,8 +514,11 @@ def _old_format_records(lines, inst):
       and field, or the NodeState constructor's;
     - Initiate.sn, always "find";
     - Report.pf, from ts being finite;
+    - Report.d_h and Merge.d_h, from the receiving node's latest d_h;
     - Connect.nid, from the sender of the link;
     - Merge.epsilon, from eps1 of the merge decision of the delivery's round;
+    - Accept.leader_flag, from the acceptor (the sender) being in the root
+      component or having the higher id of the link;
     - a root_flag change wherever the prize flag changes, to its negation;
     - an lc change wherever a node's round leader changes: to the leader of
       the last round record of the step, which the stepping node leads, or
@@ -549,12 +564,20 @@ def _old_format_records(lines, inst):
                 leader = msg["leader"]
                 msg["sn"] = "find"
             elif msg["type"] == "Report":
-                msg["pf"] = msg["ts"] != "inf"
-                msg["ts"] = msg.pop("ts")  # after pf
+                rec["message"] = {
+                    "type": "Report", "best_epsilon": msg["best_epsilon"],
+                    "d_h": last[(node, "d_h")], "tp": msg["tp"],
+                    "pf": msg["ts"] != "inf", "ts": msg["ts"],
+                }
             elif msg["type"] == "Merge":
-                rec["message"] = {"type": "Merge", "epsilon": merge_eps1[rec["round"]], **msg}
+                rec["message"] = {
+                    "type": "Merge", "epsilon": merge_eps1[rec["round"]], "d_h": last[(node, "d_h")],
+                }
             elif msg["type"] == "Connect":
                 rec["message"] = {"type": "Connect", "nid": rec["link"][0], **msg}
+            elif msg["type"] == "Accept":
+                leads = msg["root_flag"] or rec["link"][0] > rec["link"][1]
+                rec["message"] = {"type": "Accept", "leader_flag": leads, **msg}
         elif rec["kind"] == "round":
             round_index = rec["round"]
             node = leader = rec["leader"]
@@ -575,11 +598,11 @@ def _old_format_text(lines, inst) -> str:
 @pytest.mark.parametrize(
     "n, seed, digest, old_digest",
     [
-        (40, None, "295da7f6da921aa6db11a1c5f7d91ee7ef211983a8970cc8a648eb1b1927b3d4",
+        (40, None, "0ee30904421f01b7e3caa4b42738703f2298e8bd3ce80581c4a2aefdf9480b55",
          "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
-        (80, None, "dd007b7671ff5a6a930df33940271fb1eed1e2c7411b3657a7830a753c9db901",
+        (80, None, "fef0d210b0025a5f771f5fc0fa8a4550eb708a925f7dce62529de55793dff140",
          "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
-        (40, 0, "64ca4cb44c54232d36a1b8b19a0dd5e73f2ffedde138c18548174cb2b3c70c59",
+        (40, 0, "5e40dd3faf98fa3e208fa08f0abd0d8e903cad53a56a83e3d509a7729cf9b7c6",
          "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
@@ -623,7 +646,7 @@ def test_refactor_corpus_trace_digest():
         old.update(_old_format_text(lines, inst).encode())
         runs += 1
     assert runs == 432
-    assert h.hexdigest() == "a9bfe9533d034269d0e39a38f524baf643eacda966503e1496649cb1bc0bd8e2"
+    assert h.hexdigest() == "b1004796d50bda12449cb47ddce15ee84903c77f83b2f85cd80846452f3b8a23"
     assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
