@@ -673,8 +673,8 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
     _clear_pending(st, e)
     # the joining side grows by its merge epsilon and floods that on
     _take_update(ctx, e, UpdateInfo(st.best_epsilon, msg.root_flag, False, msg.total_w, msg.d_h))
-    # the acceptor leads if it is in the root component (a sleeping acceptor
-    # never is) or has the higher id
+    # the acceptor's side restarts the round if the acceptor is in the root
+    # component (a sleeping acceptor never is) or has the higher id
     if not msg.root_flag and st.id == max(e):
         _start_round(ctx)
 
