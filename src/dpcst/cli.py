@@ -54,8 +54,12 @@ def _read_solution(inst: PcstInstance, path: str) -> Solution:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
+    # bad UTF-8, bad JSON, or nested too deep
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"{path}: not a JSON solution: {exc}") from None
+    except ValueError:  # the decoder's one other error: int() refused the digits
+        limit = sys.get_int_max_str_digits()
+        raise InstanceError(f"{path}: a solution integer has at most {limit} digits") from None
     if not isinstance(data, dict):
         raise InstanceError(f"{path}: a solution is a JSON object, not {type(data).__name__}")
     keys = ("objective", "branch_edges", "steiner_nodes", "penalty_nodes")

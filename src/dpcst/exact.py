@@ -3,14 +3,19 @@
 Enumerates every root-containing vertex subset whose induced subgraph is
 connected; the cheapest tree on such a subset is its induced MST, so the
 optimum is min over subsets of MST(G[V']) + sum of prizes outside V'.
+
+One subset costs integer and bit operations only: every weight and prize is
+scaled by the lcm of their denominators, the root is node index 0, and a
+subset is a mask over the other nodes (bit b for node index b + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .instance import Edge, InstanceError, PcstInstance, Solution, make_solution
+from .instance import InstanceError, PcstInstance, Solution, make_solution
 
 MAX_EXACT_NODES = 16
 
@@ -22,67 +27,54 @@ class ExactResult:
     enumerated_count: int
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
-def induced_mst(
-    inst: PcstInstance, nodes: frozenset[int], order: list[Edge]
-) -> tuple[Fraction, list[Edge]] | None:
-    """Kruskal on the induced subgraph, given all edges in order by (weight,
-    edge); None if the induced subgraph is disconnected."""
-    uf = UnionFind(nodes)
-    total = Fraction(0)
-    chosen: list[Edge] = []
-    for e in order:
-        if e[0] in nodes and e[1] in nodes and uf.union(*e):
-            chosen.append(e)
-            total += inst.weights[e]
-    if len(chosen) != len(nodes) - 1:
-        return None
-    return total, chosen
-
-
 def exact_pcst(inst: PcstInstance) -> ExactResult:
-    """Exhaustive optimum; guards at 16 nodes (2^(n-1) subsets)."""
+    """Exhaustive optimum; guards at 16 nodes (2^(n-1) subsets).  Ties go to
+    the smallest value, then the smallest sorted node tuple, then the
+    smallest sorted MST edge tuple."""
     if inst.n > MAX_EXACT_NODES:
         raise InstanceError(f"too many nodes to enumerate: n={inst.n} > {MAX_EXACT_NODES}")
-    others = sorted(v for v in inst.node_ids if v != inst.root)
-    order = sorted(inst.weights, key=lambda e: (inst.weights[e], e))
-    total_prize = sum(inst.prizes.values(), Fraction(0))
-    best_key = None
-    best: tuple[frozenset[int], list[Edge], Fraction] | None = None
-    count = 0
-    for mask in range(1 << len(others)):
-        nodes = frozenset([inst.root] + [others[i] for i in range(len(others)) if mask >> i & 1])
-        mst = induced_mst(inst, nodes, order)
-        if mst is None:
+    scale = lcm(*(x.denominator for x in (*inst.weights.values(), *inst.prizes.values())))
+    nodes = [inst.root] + [v for v in inst.node_ids if v != inst.root]
+    index = {v: i for i, v in enumerate(nodes)}
+    # Kruskal order, each edge as (mask of its non-root ends, ends, scaled weight, edge);
+    # an edge lies inside a subset when its mask does
+    edges = [
+        ((1 << index[u] | 1 << index[v]) >> 1, index[u], index[v], int(inst.weights[u, v] * scale), (u, v))
+        for u, v in sorted(inst.weights, key=lambda e: (inst.weights[e], e))
+    ]
+    inside = [0]  # inside[mask]: the scaled prize of mask's nodes; each node doubles the table
+    for v in nodes[1:]:
+        prize = int(inst.prizes[v] * scale)
+        inside += [x + prize for x in inside]
+    # the tie key (value, sorted nodes, sorted tree edges) of the best subset so
+    # far, starting from {root}, which is always connected
+    best = (inside[-1], (inst.root,), ())
+    count = 1
+    for mask in range(1, len(inside)):
+        size = mask.bit_count()  # the edge count of the subset's tree
+        parent = list(range(len(nodes)))
+        tree = []
+        weight = 0
+        for need, i, j, w, e in edges:
+            if need & mask == need:
+                while i != parent[i]:  # n <= 16: no path compression needed
+                    i = parent[i]
+                while j != parent[j]:
+                    j = parent[j]
+                if i != j:
+                    parent[i] = j
+                    tree.append(e)
+                    weight += w
+                    if len(tree) == size:
+                        break
+        if len(tree) != size:
             continue
         count += 1
-        tree_w, tree_edges = mst
-        value = tree_w + total_prize - sum((inst.prizes[v] for v in nodes), Fraction(0))
-        # ties: smallest value, then lexicographically smallest vertex set,
-        # then smallest edge set
-        key = (value, tuple(sorted(nodes)), tuple(sorted(tree_edges)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (nodes, tree_edges, value)
-    assert best is not None  # the singleton {root} subset is always connected
-    nodes, tree_edges, value = best
-    sol = make_solution(inst, tree_edges, nodes)
-    assert sol.objective == value
-    return ExactResult(sol, value, count)
+        value = weight + inside[-1] - inside[mask]
+        if value <= best[0]:
+            steiner = [inst.root, *(nodes[b + 1] for b in range(mask.bit_length()) if mask >> b & 1)]
+            best = min(best, (value, tuple(sorted(steiner)), tuple(sorted(tree))))
+    value, steiner, tree = best
+    sol = make_solution(inst, tree, steiner)
+    assert sol.objective == Fraction(value, scale)
+    return ExactResult(sol, sol.objective, count)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import node as nd
 from . import sim as sm
-from .exact import ExactResult, UnionFind
+from .exact import ExactResult
 from .instance import (
     Edge,
     InstanceError,
@@ -82,6 +82,24 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {"check": self.check, "status": self.status, "witnesses": self.witnesses}
+
+
+class UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
 
 
 class MoatLedger:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 import tracemalloc
 
 import pytest
@@ -390,11 +391,13 @@ def test_solve_negative_seed_is_a_schedule(two_penal, capsys):
          "sol.json: not a JSON solution: maximum recursion depth exceeded"),
         (lambda sol: json.dumps(sol).replace("objective", "obj\udcffective"),
          "sol.json: not a JSON solution: 'utf-8' codec can't decode byte 0xff"),
+        (lambda sol: json.dumps({**sol, "penalty_nodes": "N"}).replace('"N"', "[" + "2" * 5000 + "]"),
+         f"sol.json: a solution integer has at most {sys.get_int_max_str_digits()} digits"),
     ],
     ids=[
         "missing-key", "short-edge", "array", "unknown-edge",
         "unknown-penalty-nodes", "steiner-root-only", "repeated-penalty-node",
-        "nested-too-deep", "not-utf8",
+        "nested-too-deep", "not-utf8", "long-integer",
     ],
 )
 def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):

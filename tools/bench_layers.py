@@ -1,14 +1,16 @@
-"""Time the simulator, gw, the trace writer and reader, solve and verify from a source tree.
+"""Time the simulator, gw, the exact oracle, the trace writer and reader, solve and verify from a source tree.
 
     python tools/bench_layers.py src
 
 imports dpcst from the directory given (a checkout's src) and prints one JSON
 object.  Every timing is the median process-CPU seconds over REPS runs, on
-generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320:
+generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320 (for the exact
+oracle, n = 8 to 16):
 
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
   seeded 1..8 on generate_random_instance(60, 360, 1), timed together;
 - ``gw``: ``gw_solve``, per n;
+- ``exact``: ``exact_pcst``, with its ``enumerated_count``, per n;
 - ``write``: ``sim.write_trace`` of the eager run's records, per n;
 - ``read``: draining ``sim.read_trace`` over the trace ``write`` wrote, per n;
 - ``solve``: ``dpcst solve --trace``, run in-process through dpcst.cli.main
@@ -41,6 +43,7 @@ from collections import deque
 from pathlib import Path
 
 SIZES = (40, 80, 160, 320)
+EXACT_SIZES = (8, 10, 12, 14, 16)
 SEEDED = (60, 360, 1)  # generate_random_instance arguments of the seeded runs
 SEEDS = range(1, 9)
 REPS = 5
@@ -72,6 +75,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from dpcst import cli, sim
+    from dpcst.exact import exact_pcst
     from dpcst.gw import gw_solve
     from dpcst.instance import generate_random_instance, render_instance
 
@@ -86,6 +90,11 @@ def main(argv=None) -> int:
     seeded = generate_random_instance(*SEEDED)
     sim_s["seeded:1..8"] = median_cpu_s(lambda: [sim.run(seeded, seed) for seed in SEEDS])
     gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
+    exact_s, subsets = {}, {}
+    for n in EXACT_SIZES:
+        inst = generate_random_instance(n, 3 * n, 1)
+        exact_s[str(n)] = median_cpu_s(lambda: exact_pcst(inst))
+        subsets[str(n)] = exact_pcst(inst).enumerated_count
 
     write_s, read_s, solve_s, trace_bytes, records, verify_s, peaks = {}, {}, {}, {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,6 +132,14 @@ def main(argv=None) -> int:
             "instances": "generate_random_instance(n, 3n, 1)",
             "reps": REPS,
             "median_s": gw_s,
+        },
+        "exact": {
+            "metric": "exact_pcst process CPU, median; connected root-containing subsets",
+            "unit": "s",
+            "instances": "generate_random_instance(n, 3n, 1)",
+            "reps": REPS,
+            "median_s": exact_s,
+            "enumerated_count": subsets,
         },
         "write": {
             "metric": "sim.write_trace process CPU, median",
