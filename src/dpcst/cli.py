@@ -183,8 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()  # built once: parse_args keeps each call's options apart
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InstanceError, OSError, sim.TraceFormatError) as exc:

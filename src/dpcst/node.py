@@ -2,11 +2,11 @@
 
 Each node owns one mutable state, built from what it knows at the start (its
 prize and the weights of its incident edges); the transition function updates
-it in place as events arrive and returns the node's sends and actions.  All
-asynchrony lives in the simulator; the automaton never shares state with other
-nodes.  Component-level quantities (component weight W, highest deficit d_h,
-total prize TP) are replicated into member nodes and kept consistent by the
-update flood that follows every merge or deactivation.
+it in place as messages (and the root's wakeup) arrive and returns the node's
+sends and actions.  All asynchrony lives in the simulator; the automaton never
+shares state with other nodes.  Component-level quantities (component weight
+W, highest deficit d_h, total prize TP) are replicated into member nodes and
+kept consistent by the update flood that follows every merge or deactivation.
 
 Two facts of the protocol keep the automaton and its wire small:
 
@@ -55,7 +55,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Literal
 
-from .instance import Edge, norm_edge
+from .instance import Edge
 
 INF = float("inf")
 
@@ -188,24 +188,6 @@ Message = (
 
 
 # ---------------------------------------------------------------------------
-# Local events
-
-
-@dataclass(frozen=True, slots=True)
-class SpontaneousWakeup:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Deliver:
-    edge: Edge
-    message: Message
-    seq: int  # global delivery sequence number; source of received_ts
-
-
-LocalEvent = SpontaneousWakeup | Deliver
-
-
 # Actions reported to the harness alongside the state transition.
 
 # a leader's decision once it knows its round's epsilons
@@ -324,35 +306,28 @@ Send = tuple[Edge, Message]
 Emission = Send | Action  # in true emission order; round tags depend on it
 
 
-class _Ctx:
-    """Collects sends and actions, in order, while handlers update the state."""
+class _Ctx(list):
+    """The node's sends and actions, appended in order while handlers update
+    the state st."""
 
-    def __init__(self, st: NodeState):
-        self.st = st
-        self.emits: list[Emission] = []
-
-    def send(self, edge: Edge, msg: Message):
-        self.emits.append((edge, msg))
-
-    def act(self, action: Action):
-        self.emits.append(action)
+    __slots__ = ("st",)
 
 
-def transition(st: NodeState, event: LocalEvent) -> list[Emission]:
-    """Apply one event to st, in place; returns what the node emits."""
-    ctx = _Ctx(st)
-    if isinstance(event, SpontaneousWakeup):
+def transition(st: NodeState, e: Edge | None, msg: Message | None, seq: int) -> list[Emission]:
+    """Apply the delivery of msg over the normalized edge e at step seq to
+    st, in place, or the root's wakeup if msg is None; returns what the node
+    emits."""
+    ctx = _Ctx()
+    ctx.st = st
+    if msg is None:
         if not st.is_root:
             raise ProtocolError("spontaneous wakeup at a non-root node")
         _start_round(ctx)
-        return ctx.emits
-    msg = event.message
-    e = norm_edge(*event.edge)
-    if e not in st.weights:
+    elif e not in st.weights:
         raise ProtocolError(f"delivery on unknown edge {e} at node {st.id}")
-    handler = _HANDLERS[type(msg)]
-    handler(ctx, e, msg, event)
-    return ctx.emits
+    else:
+        _HANDLERS[type(msg)](ctx, e, msg, seq)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +336,13 @@ def transition(st: NodeState, event: LocalEvent) -> list[Emission]:
 
 def _flood(ctx: _Ctx, exclude: Edge | None, msg: Message) -> int:
     """Send msg over every branch edge but exclude; returns the count."""
-    out = [e for e in ctx.st.branch_edges() if e != exclude]
-    for e in out:
-        ctx.send(e, msg)
+    out = [(e, msg) for e in ctx.st.branch_edges() if e != exclude]
+    ctx.extend(out)
     return len(out)
 
 
 def _start_round(ctx: _Ctx):
-    ctx.act(RoundStarted(ctx.st.id))
+    ctx.append(RoundStarted(ctx.st.id))
     _join_round(ctx, ctx.st.id, None)
 
 
@@ -392,7 +366,7 @@ def _to_leader(ctx: _Ctx, msg: Message):
     """Pass msg up toward the round's leader, or restart the round here if
     this node led it."""
     if ctx.st.in_branch is not None:
-        ctx.send(ctx.st.in_branch, msg)
+        ctx.append((ctx.st.in_branch, msg))
     else:
         _start_round(ctx)
 
@@ -403,9 +377,9 @@ def _route_merge(ctx: _Ctx):
     if st.best_edge is None:
         raise ProtocolError(f"merge at node {st.id} without a best edge")
     if st.se[st.best_edge] == SE.BRANCH:
-        ctx.send(st.best_edge, Merge())
+        ctx.append((st.best_edge, Merge()))
     else:
-        ctx.send(st.best_edge, Connect(st.comp_w, st.d_v, st.d_h))
+        ctx.append((st.best_edge, Connect(st.comp_w, st.d_v, st.d_h)))
 
 
 def _route_proceed(ctx: _Ctx, d_h: Fraction):
@@ -414,7 +388,7 @@ def _route_proceed(ctx: _Ctx, d_h: Fraction):
     e = st.best_edge
     if e is None:
         raise ProtocolError(f"proceed at node {st.id} without a best edge")
-    ctx.send(e, Proceed(d_h))
+    ctx.append((e, Proceed(d_h)))
     # Every proceed sent off the tree leaves an EPM mark: the edge may be the
     # only path the prune flood has to whatever forms behind it.  A
     # refused-connect singleton in particular is reachable solely over its
@@ -433,10 +407,10 @@ def _route_back(ctx: _Ctx):
     st = ctx.st
     if st.back_edge is not None:
         # one-shot pointer: a later back must not re-follow it
-        ctx.send(st.back_edge, Back(st.root_flag))
+        ctx.append((st.back_edge, Back(st.root_flag)))
         st.back_edge = None
     elif st.proceed_in_edge is not None:
-        ctx.send(st.proceed_in_edge, Back(st.root_flag))
+        ctx.append((st.proceed_in_edge, Back(st.root_flag)))
         _clear_pending(st, st.proceed_in_edge)
     else:
         raise ProtocolError(f"back at node {st.id} without a back edge or a pending proceed")
@@ -474,10 +448,10 @@ def _send_prunes(ctx: _Ctx, exclude: Edge | None):
         if e == exclude:
             continue
         if st.se[e] == SE.BRANCH:
-            ctx.send(e, Prune())
+            ctx.append((e, Prune()))
             st.prune_msg_count += 1
         elif st.epm[e] and st.se[e] != SE.REJECTED:
-            ctx.send(e, Prune())
+            ctx.append((e, Prune()))
 
 
 def _leave_tree(ctx: _Ctx, up: Edge):
@@ -485,7 +459,7 @@ def _leave_tree(ctx: _Ctx, up: Edge):
     st = ctx.st
     st.prize_flag = True
     st.labelled_flag = False
-    ctx.send(up, BackwardPrune())
+    ctx.append((up, BackwardPrune()))
     st.se[up] = SE.BASIC
 
 
@@ -493,7 +467,7 @@ def _leave_tree(ctx: _Ctx, up: Edge):
 # Round machinery
 
 
-def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, event: Deliver):
+def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, seq: int):
     if ctx.st.se[e] != SE.BRANCH:
         raise ProtocolError(f"initiate on non-branch edge {e} at node {ctx.st.id}")
     _join_round(ctx, msg.leader, e)
@@ -501,19 +475,18 @@ def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, event: Deliver):
 
 def _proc_test(ctx: _Ctx):
     st = ctx.st
-    st.test_count = 0
-    for e in st.sorted_edges:
-        if st.se[e] in (SE.BASIC, SE.REFIND):
-            ctx.send(e, Test(st.lc))
-            st.test_count += 1
+    test = Test(st.lc)  # one frozen message, sent over every tested edge
+    out = [(e, test) for e in st.sorted_edges if st.se[e] in (SE.BASIC, SE.REFIND)]
+    ctx.extend(out)
+    st.test_count = len(out)
 
 
-def _on_test(ctx: _Ctx, e: Edge, msg: Test, event: Deliver):
+def _on_test(ctx: _Ctx, e: Edge, msg: Test, seq: int):
     st = ctx.st
     if st.lc == msg.leader:
-        ctx.send(e, Reject())
+        ctx.append((e, Reject()))
     else:
-        ctx.send(e, Status(st.cs, st.d_v))
+        ctx.append((e, Status(st.cs, st.d_v)))
 
 
 def _fold_candidate(st: NodeState, eps, e: Edge):
@@ -526,7 +499,7 @@ def _fold_candidate(st: NodeState, eps, e: Edge):
         st.best_edge = e
 
 
-def _on_status(ctx: _Ctx, e: Edge, msg: Status, event: Deliver):
+def _on_status(ctx: _Ctx, e: Edge, msg: Status, seq: int):
     st = ctx.st
     st.test_count -= 1
     eps = compute_epsilon_edge(
@@ -536,7 +509,7 @@ def _on_status(ctx: _Ctx, e: Edge, msg: Status, event: Deliver):
     _proc_report(ctx)
 
 
-def _on_reject(ctx: _Ctx, e: Edge, msg: Reject, event: Deliver):
+def _on_reject(ctx: _Ctx, e: Edge, msg: Reject, seq: int):
     st = ctx.st
     st.test_count -= 1
     st.se[e] = SE.REJECTED
@@ -562,12 +535,12 @@ def _proc_report(ctx: _Ctx):
         st.ts = st.received_ts
         st.back_edge = None
     if st.in_branch is not None:
-        ctx.send(st.in_branch, Report(st.best_epsilon, st.tp, st.ts))
+        ctx.append((st.in_branch, Report(st.best_epsilon, st.tp, st.ts)))
     else:
         _decide(ctx)
 
 
-def _on_report(ctx: _Ctx, e: Edge, msg: Report, event: Deliver):
+def _on_report(ctx: _Ctx, e: Edge, msg: Report, seq: int):
     st = ctx.st
     st.find_count -= 1
     if st.ts > msg.ts:
@@ -586,22 +559,22 @@ def _decide(ctx: _Ctx):
     if not st.root_flag and st.cs == CS.ACTIVE:
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
-            ctx.act(EpsilonComputed(st.id, eps1, eps2, "merge"))
+            ctx.append(EpsilonComputed(st.id, eps1, eps2, "merge"))
             _route_merge(ctx)
         else:
-            ctx.act(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
+            ctx.append(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
             # the leader takes its deactivation as the update it floods
             _take_update(ctx, None, UpdateInfo(eps2, False, True, st.comp_w + eps2, st.d_h + eps2))
             _start_round(ctx)
     elif st.cs == CS.INACTIVE:
         if eps1 != INF:
-            ctx.act(EpsilonComputed(st.id, eps1, None, "proceed"))
+            ctx.append(EpsilonComputed(st.id, eps1, None, "proceed"))
             _route_proceed(ctx, st.d_h)
         elif st.ts != INF:
-            ctx.act(EpsilonComputed(st.id, eps1, None, "back"))
+            ctx.append(EpsilonComputed(st.id, eps1, None, "back"))
             _route_back(ctx)
         elif st.is_root:
-            ctx.act(EpsilonComputed(st.id, eps1, None, "prune"))
+            ctx.append(EpsilonComputed(st.id, eps1, None, "prune"))
             _send_prunes(ctx, None)
         else:
             raise ProtocolError(
@@ -615,11 +588,11 @@ def _decide(ctx: _Ctx):
 # Merging
 
 
-def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, event: Deliver):
+def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, seq: int):
     _route_merge(ctx)
 
 
-def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
+def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, seq: int):
     st = ctx.st
     if st.cs == CS.SLEEPING:
         st.cs = CS.ACTIVE
@@ -633,7 +606,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.d_v += eps1
             st.comp_w += msg.comp_w + 2 * eps1
             st.se[e] = SE.BRANCH
-            ctx.send(e, Accept(st.root_flag, st.comp_w, st.d_h))
+            ctx.append((e, Accept(st.root_flag, st.comp_w, st.d_h)))
             if st.id == max(e):  # the higher-id endpoint leads
                 _start_round(ctx)
         else:
@@ -642,7 +615,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
             st.d_v += eps2
             st.d_h = msg.d_h + eps2
             st.labelled_flag = True
-            ctx.send(e, RefindEpsilon())
+            ctx.append((e, RefindEpsilon()))
     elif st.cs == CS.INACTIVE:
         leads = st.root_flag or st.id == max(e)
         if not st.root_flag:
@@ -655,7 +628,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         _flood(ctx, e, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
         st.se[e] = SE.BRANCH
         _clear_pending(st, e)
-        ctx.send(e, Accept(st.root_flag, st.comp_w, st.d_h))
+        ctx.append((e, Accept(st.root_flag, st.comp_w, st.d_h)))
         # In the root component only the root itself restarts the round; it
         # does so on receiving the update flood.  Elsewhere the higher-id
         # endpoint leads.
@@ -665,7 +638,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, event: Deliver):
         raise ProtocolError(f"connect received while active at node {st.id}")
 
 
-def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
+def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, seq: int):
     st = ctx.st
     if e != st.best_edge:
         raise ProtocolError(f"accept on unexpected edge {e} at node {st.id}")
@@ -679,13 +652,13 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, event: Deliver):
         _start_round(ctx)
 
 
-def _on_update_info(ctx: _Ctx, e: Edge, msg: UpdateInfo, event: Deliver):
+def _on_update_info(ctx: _Ctx, e: Edge, msg: UpdateInfo, seq: int):
     _take_update(ctx, e, msg)
     if ctx.st.is_root:
         _start_round(ctx)
 
 
-def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, event: Deliver):
+def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, seq: int):
     st = ctx.st
     if st.se[e] == SE.BASIC:
         st.se[e] = SE.REFIND
@@ -696,14 +669,14 @@ def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, event: Deliver):
 # Proceed / back
 
 
-def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, event: Deliver):
+def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, seq: int):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the frontier of the round.
         _route_proceed(ctx, msg.d_h)
     elif st.se[e] == SE.BASIC:
         st.proceed_in_edge = e
-        st.received_ts = event.seq
+        st.received_ts = seq
         if st.cs == CS.SLEEPING:
             _wakeup(ctx, msg.d_h)
         elif st.cs == CS.INACTIVE:
@@ -726,7 +699,7 @@ def _wakeup(ctx: _Ctx, d_k: Fraction):
     _start_round(ctx)
 
 
-def _on_back(ctx: _Ctx, e: Edge, msg: Back, event: Deliver):
+def _on_back(ctx: _Ctx, e: Edge, msg: Back, seq: int):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the earliest pending proceed.
@@ -754,7 +727,7 @@ def _prunable(st: NodeState, via: Edge) -> bool:
     )
 
 
-def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, event: Deliver):
+def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, seq: int):
     st = ctx.st
     # In the root component the tree flood reaches every member over its
     # branch edge; a copy arriving sideways (over a wake edge from a dormant
@@ -776,7 +749,7 @@ def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, event: Deliver):
         _leave_tree(ctx, e)
 
 
-def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune, event: Deliver):
+def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune, seq: int):
     st = ctx.st
     st.prune_msg_count -= 1
     st.se[e] = SE.BASIC

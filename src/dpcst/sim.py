@@ -39,7 +39,7 @@ _MSG_TYPES = {cls.__name__: cls for cls in typing.get_args(nd.Message)}
 # BackwardPrune have their own totals
 GROWTH_TYPES = frozenset(name for name in _MSG_TYPES if name not in ("Prune", "BackwardPrune"))
 # control traffic preempts everything else (see Simulation._pick)
-_CONTROL = (nd.UpdateInfo, nd.Initiate)
+_CONTROL = frozenset((nd.UpdateInfo, nd.Initiate))
 
 
 class LivelockError(RuntimeError):
@@ -134,14 +134,20 @@ class Simulation:
         for v in inst.node_ids:
             weights = {norm_edge(v, u): inst.weights[norm_edge(v, u)] for u in inst.neighbors(v)}
             self.nodes[v] = nd.NodeState(v, v == inst.root, inst.prizes[v], weights)
-        # directed link -> queue of (message, send_seq, round_tag)
-        self.queues: dict[tuple[int, int], deque] = {
-            (u, v): deque()
-            for (a, b) in sorted(inst.weights)
-            for (u, v) in ((a, b), (b, a))
+        # directed link -> queue of (message, send_seq, round_tag); a
+        # delivery finds its receiver, edge and queue in ``incoming``, a send
+        # its link and queue in ``outgoing`` (by sender, then edge).  Each
+        # link is one tuple, shared by every Delivery record over it.
+        self.queues: dict[tuple[int, int], deque] = {}
+        self.incoming: dict[tuple[int, int], tuple[int, Edge, deque]] = {}
+        self.outgoing: dict[int, dict[Edge, tuple[tuple[int, int], deque]]] = {
+            v: {} for v in inst.node_ids
         }
-        # one shared tuple per link, so Delivery records do not each hold a copy
-        self.link_of = {link: link for link in self.queues}
+        for e in sorted(inst.weights):
+            for link in (e, e[::-1]):
+                q = self.queues[link] = deque()
+                self.incoming[link] = (link[1], e, q)
+                self.outgoing[link[0]][e] = (link, q)
         self.ready: list[tuple[int, int]] = []
         self.control_links: list[tuple[int, int]] = []
         self.control_count = dict.fromkeys(self.queues, 0)
@@ -159,31 +165,30 @@ class Simulation:
         return self.root_wakeup_pending or bool(self.ready)
 
     def _enqueue(self, sender: int, edge: Edge, msg: nd.Message, round_tag: int):
-        receiver = edge[0] if edge[1] == sender else edge[1]
-        link = self.link_of[(sender, receiver)]
-        q = self.queues[link]
+        link, q = self.outgoing[sender][edge]
         if not q:
             insort(self.ready, link)
             if self.heads is not None:
                 heappush(self.heads, (self.send_seq, link))
         q.append((msg, self.send_seq, round_tag))
         self.send_seq += 1
-        if isinstance(msg, _CONTROL):
+        if type(msg) in _CONTROL:
             if not self.control_count[link]:
                 insort(self.control_links, link)
             self.control_count[link] += 1
 
-    def _apply(self, node_id: int, event, round_tag: int):
+    def _apply(self, node_id: int, edge: Edge | None, msg: nd.Message | None, round_tag: int):
+        """Run node_id's transition on msg over edge (the root's wakeup if
+        msg is None) and queue and record what it emits."""
         st = self.nodes[node_id]
         before = _tracked(st)
-        emissions = nd.transition(st, event)
+        emissions = nd.transition(st, edge, msg, self.step)
         # Sends inherit the round tag current at their emission point; a round
         # started mid-handler re-tags only what follows it.
         current_tag = round_tag
         for em in emissions:
-            if isinstance(em, tuple):
-                edge, msg = em
-                self._enqueue(node_id, edge, msg, current_tag)
+            if type(em) is tuple:
+                self._enqueue(node_id, em[0], em[1], current_tag)
             elif isinstance(em, nd.RoundStarted):
                 self.round_index += 1
                 current_tag = self.round_index
@@ -217,7 +222,7 @@ class Simulation:
         """
         if self.rng is not None:
             pool = self.control_links or self.ready
-            return pool[self.rng.randrange(len(pool))]
+            return self.rng.choice(pool)
         if self.control_links:
             return min(self.control_links, key=lambda l: self.queues[l][0][1])
         heads = self.heads
@@ -235,25 +240,24 @@ class Simulation:
         if self.root_wakeup_pending:
             self.root_wakeup_pending = False
             self.step += 1
-            self._apply(self.inst.root, nd.SpontaneousWakeup(), self.round_index)
+            self._apply(self.inst.root, None, None, self.round_index)
             return
         if not self.ready:
             raise RuntimeError("step_once called at quiescence")
         link = self._pick()
-        q = self.queues[link]
+        receiver, edge, q = self.incoming[link]
         msg, _seq, tag = q.popleft()
         if not q:
             del self.ready[bisect_left(self.ready, link)]
         elif self.heads is not None:
             heappush(self.heads, (q[0][1], link))
-        if isinstance(msg, _CONTROL):
+        if type(msg) in _CONTROL:
             self.control_count[link] -= 1
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
         self.trace.append(Delivery(self.step, link, tag, msg))
-        sender, receiver = link
-        self._apply(receiver, nd.Deliver(norm_edge(sender, receiver), msg, self.step), tag)
+        self._apply(receiver, edge, msg, tag)
 
     def run_to_quiescence(self) -> list[Record]:
         while self.in_flight():

@@ -68,6 +68,26 @@ def test_identical_invocations_identical_output(capsys, tmp_path):
     assert capsys.readouterr().out == o1
 
 
+def test_options_do_not_leak_into_the_next_call(two_penal, tmp_path, capsys):
+    # main reuses one parser, so each call must start from the defaults
+    gen = ["gen", "--n", "5", "--m", "7", "--seed", "3"]
+    assert main(gen) == 0
+    plain_gen = capsys.readouterr().out
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text("untouched\n")
+    assert main(["solve", "--alg", "gw", "--trace", str(trace_path), "--json", two_penal]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "gw"
+    assert main(["solve", two_penal]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["algorithm"] == "dpcst"
+    assert "\n" in out.strip()  # indented, not --json
+    assert trace_path.read_text() == "untouched\n"
+    assert main([*gen, "--wmax", "3", "--pmax", "2"]) == 0
+    assert capsys.readouterr().out != plain_gen
+    assert main(gen) == 0
+    assert capsys.readouterr().out == plain_gen
+
+
 def test_verify_clean_run_exits_zero(two_penal, tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     main(["solve", "--alg", "dpcst", "--trace", str(trace_path), two_penal])

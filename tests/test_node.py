@@ -10,7 +10,6 @@ from dpcst.node import (
     SE,
     Accept,
     Connect,
-    Deliver,
     EpsilonComputed,
     Initiate,
     Merge,
@@ -19,13 +18,12 @@ from dpcst.node import (
     Reject,
     Report,
     RoundStarted,
-    SpontaneousWakeup,
     Status,
     Test,
     compute_epsilon_edge,
     transition,
 )
-from dpcst.sim import EpsilonRecord, PhaseBoundary, run
+from dpcst.sim import EpsilonRecord, PhaseBoundary, Simulation, run
 
 F = Fraction
 
@@ -98,7 +96,7 @@ def test_epsilon_rejects_impossible_observations():
 
 def test_root_wakeup_starts_round_and_tests():
     st = mk(1, True, 5, {(1, 2): 3, (1, 3): 4})
-    emits = transition(st, SpontaneousWakeup())
+    emits = transition(st, None, None, 1)
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
     out = sends(emits)
     assert [(e, type(m).__name__) for e, m in out] == [((1, 2), "Test"), ((1, 3), "Test")]
@@ -108,9 +106,9 @@ def test_root_wakeup_starts_round_and_tests():
 @pytest.mark.parametrize(
     "is_root, event",
     [
-        (True, SpontaneousWakeup()),
-        (False, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3)),
-        (False, Deliver((2, 3), nd.Proceed(F(2)), 5)),
+        (True, (None, None, 1)),
+        (False, ((1, 2), Connect(F(14), F(7), F(7)), 3)),
+        (False, ((2, 3), nd.Proceed(F(2)), 5)),
     ],
     ids=["root-wakeup", "connect", "proceed"],
 )
@@ -118,7 +116,7 @@ def test_transition_is_deterministic(is_root, event):
     a = mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
     b = mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
     assert a == b
-    emits_a, emits_b = transition(a, event), transition(b, event)
+    emits_a, emits_b = transition(a, *event), transition(b, *event)
     assert emits_a and emits_a == emits_b
     assert a == b and a != mk(2, is_root, 10, {(1, 2): 12, (2, 3): 4})
 
@@ -128,7 +126,7 @@ def test_initiate_forwards_and_counts():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.BRANCH
-    emits = transition(st, Deliver((1, 2), Initiate(9), 1))
+    emits = transition(st, (1, 2), Initiate(9), 1)
     out = sends(emits)
     assert ((2, 3), Initiate(9)) in out
     assert st.find_count == 1 and st.in_branch == (1, 2) and st.lc == 9
@@ -139,7 +137,7 @@ def test_initiate_forwards_and_counts():
 def test_initiate_on_non_branch_edge_asserts():
     st = mk(2, False, 4, {(1, 2): 3})
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Initiate(9), 1))
+        transition(st, (1, 2), Initiate(9), 1)
 
 
 def test_leaf_with_all_edges_rejected_reports_immediately():
@@ -147,7 +145,7 @@ def test_leaf_with_all_edges_rejected_reports_immediately():
     st.cs = CS.INACTIVE
     st.se[(1, 2)] = SE.BRANCH
     st.se[(2, 3)] = SE.REJECTED
-    emits = transition(st, Deliver((1, 2), Initiate(9), 1))
+    emits = transition(st, (1, 2), Initiate(9), 1)
     assert st.test_count == 0
     reports = [m for _, m in sends(emits) if isinstance(m, Report)]
     assert len(reports) == 1 and reports[0].best_epsilon == INF
@@ -156,7 +154,7 @@ def test_leaf_with_all_edges_rejected_reports_immediately():
 def test_test_same_component_rejects():
     st = mk(2, False, 4, {(1, 2): 3})
     st.lc = 9
-    emits = transition(st, Deliver((1, 2), Test(9), 1))
+    emits = transition(st, (1, 2), Test(9), 1)
     assert sends(emits) == [((1, 2), Reject())]
 
 
@@ -164,7 +162,7 @@ def test_test_other_component_reports_status():
     st = mk(2, False, 4, {(1, 2): 3})
     st.cs = CS.INACTIVE
     st.d_v = F(7)
-    emits = transition(st, Deliver((1, 2), Test(9), 1))
+    emits = transition(st, (1, 2), Test(9), 1)
     assert sends(emits) == [((1, 2), Status(CS.INACTIVE, F(7)))]
 
 
@@ -173,11 +171,11 @@ def test_status_fold_strict_less_keeps_smaller_edge_on_tie():
     st.cs = CS.ACTIVE
     st.lc = 2
     st.test_count = 3
-    transition(st, Deliver((2, 4), Status(CS.INACTIVE, F(5)), 1))
+    transition(st, (2, 4), Status(CS.INACTIVE, F(5)), 1)
     assert st.best_epsilon == 3 and st.best_edge == (2, 4)
-    transition(st, Deliver((2, 3), Status(CS.INACTIVE, F(5)), 2))
+    transition(st, (2, 3), Status(CS.INACTIVE, F(5)), 2)
     assert st.best_edge == (2, 3)  # same epsilon, smaller edge wins
-    transition(st, Deliver((1, 2), Status(CS.INACTIVE, F(6)), 3))
+    transition(st, (1, 2), Status(CS.INACTIVE, F(6)), 3)
     assert st.best_epsilon == 2 and st.best_edge == (1, 2)
 
 
@@ -187,7 +185,7 @@ def test_reject_marks_edge_and_clears_pending():
     st.test_count = 2
     st.proceed_in_edge = (1, 2)
     st.received_ts = 5
-    emits = transition(st, Deliver((1, 2), Reject(), 9))
+    emits = transition(st, (1, 2), Reject(), 9)
     assert st.se[(1, 2)] == SE.REJECTED
     assert st.proceed_in_edge is None
     assert st.received_ts == INF
@@ -203,7 +201,7 @@ def test_report_aggregates_min_epsilon_and_prize():
     st.find_count = 1
     st.best_epsilon = F(3)
     st.best_edge = (1, 2)
-    emits = transition(st, Deliver((2, 3), Report(F(5), F(4), INF), 7))
+    emits = transition(st, (2, 3), Report(F(5), F(4), INF), 7)
     # own candidate smaller than the child's; the child's prize plus its own
     assert st.best_epsilon == 3 and st.best_edge == (1, 2)
     assert sends(emits) == [((1, 2), Report(F(3), F(4) + st.prize, INF))]
@@ -213,7 +211,7 @@ def test_connect_wakes_sleeping_and_accepts_worked_example():
     # payload from the worked merge: Connect(14, 7, 7) from node 2 on a
     # weight-12 edge
     st = mk(1, False, 10, {(1, 2): 12})
-    emits = transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
+    emits = transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
     accepts = [m for _, m in sends(emits) if isinstance(m, Accept)]
     assert accepts == [Accept(False, F(19), F(6))]
     assert not acts(emits)  # 1 < 2, the connect sender leads
@@ -223,7 +221,7 @@ def test_connect_wakes_sleeping_and_accepts_worked_example():
 
 def test_connect_refused_by_cheap_sleeping_node():
     st = mk(1, False, 2, {(1, 2): 12})  # prize 2 < any growth headroom
-    emits = transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
+    emits = transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
     assert [type(m).__name__ for _, m in sends(emits)] == ["RefindEpsilon"]
     assert st.cs == CS.INACTIVE and st.labelled_flag
     assert st.d_v == 2  # deficit settles at the prize
@@ -234,7 +232,7 @@ def test_connect_while_active_asserts():
     st = mk(1, False, 10, {(1, 2): 12})
     st.cs = CS.ACTIVE
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Connect(F(14), F(7), F(7)), 3))
+        transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
 
 
 def test_merge_routed_by_frontier_emits_connect():
@@ -246,7 +244,7 @@ def test_merge_routed_by_frontier_emits_connect():
     st.best_edge = (1, 2)
     st.best_epsilon = F(-1)
     st.d_h = F(7)
-    emits = transition(st, Deliver((2, 5), Merge(), 4))
+    emits = transition(st, (2, 5), Merge(), 4)
     assert sends(emits) == [((1, 2), Connect(F(14), F(7), F(7)))]
 
 
@@ -254,7 +252,7 @@ def test_accept_on_unexpected_edge_asserts():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.best_edge = (2, 5)
     with pytest.raises(ProtocolError):
-        transition(st, Deliver((1, 2), Accept(False, F(1), F(1)), 4))
+        transition(st, (1, 2), Accept(False, F(1), F(1)), 4)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +268,7 @@ def test_accept_starts_a_round_unless_the_acceptor_leads(node_id, root_flag, sta
     st.cs = CS.ACTIVE
     st.best_edge = e
     st.best_epsilon = F(1)
-    emits = transition(st, Deliver(e, Accept(root_flag, F(20), F(8)), 4))
+    emits = transition(st, e, Accept(root_flag, F(20), F(8)), 4)
     assert st.se[e] == SE.BRANCH and st.d_v == 1 and st.d_h == 8 and st.root_flag is root_flag
     assert any(isinstance(a, RoundStarted) for a in acts(emits)) is starts
 
@@ -282,7 +280,7 @@ def test_update_info_deactivation_flood():
     st.se[(1, 2)] = SE.BRANCH
     st.d_v = F(7)
     msg = nd.UpdateInfo(F(3), False, True, F(30), F(10))
-    emits = transition(st, Deliver((2, 5), msg, 4))
+    emits = transition(st, (2, 5), msg, 4)
     assert st.cs == CS.INACTIVE and st.labelled_flag
     assert st.d_v == 10 and st.comp_w == 30 and st.d_h == 10
     assert ((1, 2), msg) in sends(emits)
@@ -292,7 +290,7 @@ def test_update_info_root_flood_sets_steiner_membership():
     st = mk(2, False, 12, {(1, 2): 12})
     st.cs = CS.ACTIVE
     msg = nd.UpdateInfo(F(3), True, False, F(30), F(10))
-    transition(st, Deliver((1, 2), msg, 4))
+    transition(st, (1, 2), msg, 4)
     assert st.cs == CS.INACTIVE and not st.prize_flag and st.root_flag
 
 
@@ -300,7 +298,7 @@ def test_refind_marks_and_relays():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.se[(2, 5)] = SE.BRANCH
     st.in_branch = (2, 5)
-    emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
+    emits = transition(st, (1, 2), nd.RefindEpsilon(), 4)
     assert st.se[(1, 2)] == SE.REFIND
     assert sends(emits) == [((2, 5), nd.RefindEpsilon())]
 
@@ -309,13 +307,13 @@ def test_refind_at_leader_restarts_round():
     st = mk(2, False, 12, {(1, 2): 12})
     st.cs = CS.ACTIVE
     st.in_branch = None
-    emits = transition(st, Deliver((1, 2), nd.RefindEpsilon(), 4))
+    emits = transition(st, (1, 2), nd.RefindEpsilon(), 4)
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
 def test_proceed_wakes_sleeping_node():
     st = mk(4, False, 26, {(3, 4): 40})
-    emits = transition(st, Deliver((3, 4), nd.Proceed(F(15)), 11))
+    emits = transition(st, (3, 4), nd.Proceed(F(15)), 11)
     assert st.cs == CS.ACTIVE
     assert st.d_v == 15 and st.comp_w == 15 and st.d_h == 15
     assert st.proceed_in_edge == (3, 4)
@@ -327,7 +325,7 @@ def test_proceed_pokes_inactive_leader():
     st = mk(3, False, 15, {(3, 9): 21, (3, 4): 40})
     st.cs = CS.INACTIVE
     st.in_branch = None
-    emits = transition(st, Deliver((3, 9), nd.Proceed(F(7)), 11))
+    emits = transition(st, (3, 9), nd.Proceed(F(7)), 11)
     assert st.proceed_in_edge == (3, 9) and st.received_ts == 11
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
@@ -335,7 +333,7 @@ def test_proceed_pokes_inactive_leader():
 def test_outside_back_at_leader_restarts_round():
     st = mk(1, True, 5, {(1, 2): 3})
     st.cs = CS.INACTIVE
-    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    emits = transition(st, (1, 2), nd.Back(False), 4)
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -347,7 +345,7 @@ def test_outside_back_ignores_stale_pointer_and_recomputes():
     st.se[(2, 3)] = SE.BRANCH
     st.back_edge = (2, 3)
     st.in_branch = None  # this node led the last round
-    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    emits = transition(st, (1, 2), nd.Back(False), 4)
     assert any(isinstance(a, RoundStarted) for a in acts(emits))
 
 
@@ -356,7 +354,7 @@ def test_outside_back_relays_toward_leader():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (2, 3)
-    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    emits = transition(st, (1, 2), nd.Back(False), 4)
     assert sends(emits) == [((2, 3), nd.Back(False))]
 
 
@@ -367,7 +365,7 @@ def test_routed_back_follows_pointer_once():
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.back_edge = (2, 3)
-    emits = transition(st, Deliver((1, 2), nd.Back(False), 4))
+    emits = transition(st, (1, 2), nd.Back(False), 4)
     assert sends(emits) == [((2, 3), nd.Back(False))]
     assert st.back_edge is None
 
@@ -379,7 +377,7 @@ def test_routed_back_exits_at_the_pending_holder():
     st.in_branch = (2, 3)
     st.proceed_in_edge = (1, 2)
     st.received_ts = 9
-    emits = transition(st, Deliver((2, 3), nd.Back(False), 4))
+    emits = transition(st, (2, 3), nd.Back(False), 4)
     assert sends(emits) == [((1, 2), nd.Back(False))]
     assert st.proceed_in_edge is None and st.received_ts == INF
 
@@ -389,7 +387,7 @@ def test_prune_unlabelled_leaf_stays_silent():
     st.prize_flag = False  # in the root component
     st.se[(1, 2)] = SE.BRANCH
     st.in_branch = (1, 2)
-    emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
+    emits = transition(st, (1, 2), nd.Prune(), 4)
     assert sends(emits) == []
     assert st.se[(1, 2)] == SE.BRANCH
     assert st.prize_flag is False  # stays in the steiner part
@@ -401,7 +399,7 @@ def test_prune_labelled_leaf_prunes_itself():
     st.labelled_flag = True
     st.se[(7, 11)] = SE.BRANCH
     st.in_branch = (7, 11)
-    emits = transition(st, Deliver((7, 11), nd.Prune(), 4))
+    emits = transition(st, (7, 11), nd.Prune(), 4)
     assert st.prize_flag is True and st.root_flag is False
     assert sends(emits) == [((7, 11), nd.BackwardPrune())]
     assert st.se[(7, 11)] == SE.BASIC
@@ -412,7 +410,7 @@ def test_prune_resets_non_root_component_edges():
     st.cs = CS.INACTIVE
     st.se[(2, 3)] = SE.BRANCH
     st.se[(2, 4)] = SE.REJECTED
-    emits = transition(st, Deliver((1, 2), nd.Prune(), 4))
+    emits = transition(st, (1, 2), nd.Prune(), 4)
     assert ((2, 3), nd.Prune()) in sends(emits)
     assert all(se == SE.BASIC for se in st.se.values())
 
@@ -425,7 +423,7 @@ def test_backward_prune_cascades_when_children_done():
     st.se[(7, 9)] = SE.BRANCH
     st.in_branch = (7, 9)
     st.prune_msg_count = 1
-    emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
+    emits = transition(st, (7, 11), nd.BackwardPrune(), 4)
     assert st.prize_flag is True
     assert ((7, 9), nd.BackwardPrune()) in sends(emits)
     assert st.se[(7, 9)] == SE.BASIC and st.se[(7, 11)] == SE.BASIC
@@ -443,7 +441,7 @@ def test_backward_prune_cascade_sends_no_prune_over_epm_edges():
     st.epm[(7, 11)] = True  # a wake edge that later became the child's branch
     st.in_branch = (7, 9)
     st.prune_msg_count = 1
-    emits = transition(st, Deliver((7, 11), nd.BackwardPrune(), 4))
+    emits = transition(st, (7, 11), nd.BackwardPrune(), 4)
     assert sends(emits) == [((7, 9), nd.BackwardPrune())]
     assert st.prize_flag is True
 
@@ -456,7 +454,7 @@ def test_back_over_wake_edge_clears_epm_only_when_rooted(rooted):
     st.se[(3, 4)] = SE.BRANCH
     st.in_branch = (3, 4)
     st.epm[(4, 5)] = True
-    emits = transition(st, Deliver((4, 5), nd.Back(root_flag=rooted), 4))
+    emits = transition(st, (4, 5), nd.Back(root_flag=rooted), 4)
     assert st.epm[(4, 5)] is not rooted
     assert sends(emits) == [((3, 4), nd.Back(root_flag=False))]
 
@@ -469,7 +467,7 @@ def test_rooted_back_over_branch_edge_keeps_epm():
     st.se[(2, 3)] = SE.BRANCH
     st.in_branch = (1, 2)
     st.epm[(2, 3)] = True
-    emits = transition(st, Deliver((2, 3), nd.Back(root_flag=True), 4))
+    emits = transition(st, (2, 3), nd.Back(root_flag=True), 4)
     assert st.epm[(2, 3)] is True
     assert sends(emits) == [((1, 2), nd.Back(root_flag=True))]
 
@@ -501,40 +499,40 @@ def _routed_to():
     return st
 
 
-_LAST_REPORT = Deliver((2, 3), Report(INF, F(0), INF), 4)
+_LAST_REPORT = ((2, 3), Report(INF, F(0), INF), 4)
 
 
 def test_decided_merge_without_best_edge_names_the_node():
     st = _leader_awaiting_last_report(CS.ACTIVE, F(1), INF)  # 1 < eps2 = 5
     with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
-        transition(st, _LAST_REPORT)
+        transition(st, *_LAST_REPORT)
 
 
 def test_routed_merge_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
-        transition(_routed_to(), Deliver((1, 2), Merge(), 4))
+        transition(_routed_to(), (1, 2), Merge(), 4)
 
 
 def test_decided_back_without_pending_proceed_names_the_node():
     st = _leader_awaiting_last_report(CS.INACTIVE, INF, 7)
     with pytest.raises(ProtocolError, match="back at node 2 without a back edge or a pending"):
-        transition(st, _LAST_REPORT)
+        transition(st, *_LAST_REPORT)
 
 
 def test_routed_back_without_pending_proceed_names_the_node():
     with pytest.raises(ProtocolError, match="back at node 2 without a back edge or a pending"):
-        transition(_routed_to(), Deliver((1, 2), nd.Back(False), 4))
+        transition(_routed_to(), (1, 2), nd.Back(False), 4)
 
 
 def test_decided_proceed_without_best_edge_names_the_node():
     st = _leader_awaiting_last_report(CS.INACTIVE, F(2), INF)
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
-        transition(st, _LAST_REPORT)
+        transition(st, *_LAST_REPORT)
 
 
 def test_routed_proceed_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
-        transition(_routed_to(), Deliver((1, 2), nd.Proceed(F(0)), 4))
+        transition(_routed_to(), (1, 2), nd.Proceed(F(0)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -545,31 +543,31 @@ def test_routed_proceed_without_best_edge_names_the_node():
 @pytest.mark.parametrize(
     "fields, event, match",
     [
-        ({}, SpontaneousWakeup(), "spontaneous wakeup at a non-root node"),
-        ({}, Deliver((2, 3), Reject(), 4), r"delivery on unknown edge \(2, 3\) at node 2"),
+        ({}, (None, None, 1), "spontaneous wakeup at a non-root node"),
+        ({}, ((2, 3), Reject(), 4), r"delivery on unknown edge \(2, 3\) at node 2"),
         (
             {},
-            Deliver((1, 2), nd.UpdateInfo(F(0), True, True, F(0), F(0)), 4),
+            ((1, 2), nd.UpdateInfo(F(0), True, True, F(0), F(0)), 4),
             "deactivation flood inside the root component",
         ),
         (
             {"cs": CS.INACTIVE, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
-            Deliver((1, 2), Report(INF, F(0), INF), 4),
+            ((1, 2), Report(INF, F(0), INF), 4),
             "non-root leader 2 has no outgoing option and no pending proceed",
         ),
         (
             {"cs": CS.ACTIVE, "prize_flag": False, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
-            Deliver((1, 2), Report(INF, F(0), INF), 4),
+            ((1, 2), Report(INF, F(0), INF), 4),
             "decide reached in state CS.ACTIVE root_flag=True",
         ),
         (
             {"cs": CS.ACTIVE},
-            Deliver((1, 2), nd.Proceed(F(0)), 4),
+            ((1, 2), nd.Proceed(F(0)), 4),
             "proceed delivered to an active component",
         ),
         (
             {"se": {(1, 2): SE.REJECTED}},
-            Deliver((1, 2), nd.Proceed(F(0)), 4),
+            ((1, 2), nd.Proceed(F(0)), 4),
             r"proceed on rejected edge \(1, 2\)",
         ),
     ],
@@ -583,7 +581,7 @@ def test_unreachable_state_raises(fields, event, match):
     for name, value in fields.items():
         setattr(st, name, value)
     with pytest.raises(ProtocolError, match=match):
-        transition(st, event)
+        transition(st, *event)
 
 
 # ---------------------------------------------------------------------------
@@ -607,31 +605,43 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     # report only while it awaits a report, so neither count goes below 0
     # and a node reports once per round; no node's deficit exceeds its
     # component's highest deficit as the node holds it; the root decides
-    # prune once, and that decision opens the one prune phase
+    # prune once, and that decision opens the one prune phase.  The
+    # simulator calls nd.transition and Simulation.step_once through their
+    # attributes once per step, the root wakeup included, so wrappers
+    # patched there (as perfbench's probes are) see every step.
     real = nd.transition
-    checked = 0
+    real_step = Simulation.step_once
+    checked = stepped = 0
 
-    def transition_checked(st, event):
+    def transition_checked(st, e, msg, seq):
         nonlocal checked
         assert st.d_h >= st.d_v
-        if isinstance(event, Deliver):
-            if isinstance(event.message, (Status, Reject)):
-                assert st.test_count > 0
-            elif isinstance(event.message, Report):
-                assert st.find_count > 0
-        emits = real(st, event)
+        if isinstance(msg, (Status, Reject)):
+            assert st.test_count > 0
+        elif isinstance(msg, Report):
+            assert st.find_count > 0
+        emits = real(st, e, msg, seq)
         assert st.find_count >= 0 and st.test_count >= 0
         assert st.d_h >= st.d_v
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
         checked += 1
         return emits
 
+    def step_counted(self):
+        nonlocal stepped
+        stepped += 1
+        real_step(self)
+
     monkeypatch.setattr(nd, "transition", transition_checked)
-    runs = 0
+    monkeypatch.setattr(Simulation, "step_once", step_counted)
+    runs = steps = 0
     for inst, seed in _fact_corpus():
-        trace = run(inst, seed).trace
+        s = run(inst, seed)
+        trace = s.trace
+        steps += s.step
         prunes = [r for r in trace if isinstance(r, EpsilonRecord) and r.chosen == "prune"]
         assert [r.leader for r in prunes] == [inst.root]
         assert sum(isinstance(r, PhaseBoundary) for r in trace) == 1
         runs += 1
     assert runs == 156 and checked > 80_000
+    assert checked == stepped == steps

@@ -8,7 +8,9 @@ generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320 (for the exact
 oracle, n = 8 to 16):
 
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
-  seeded 1..8 on generate_random_instance(60, 360, 1), timed together;
+  seeded 1..8 on generate_random_instance(60, 360, 1), timed together; beside
+  each median, the deliveries it made (every step but the root wakeup) and
+  the microseconds per delivery;
 - ``gw``: ``gw_solve``, per n;
 - ``exact``: ``exact_pcst``, with its ``enumerated_count``, per n;
 - ``write``: ``sim.write_trace`` of the eager run's records, per n;
@@ -86,9 +88,14 @@ def main(argv=None) -> int:
             raise SystemExit(f"dpcst {' '.join(argv)}: exit {code}")
 
     insts = {n: generate_random_instance(n, 3 * n, 1) for n in SIZES}
-    sim_s = {str(n): median_cpu_s(lambda: sim.run(inst)) for n, inst in insts.items()}
+    sim_runs = {str(n): [(inst, None)] for n, inst in insts.items()}
     seeded = generate_random_instance(*SEEDED)
-    sim_s["seeded:1..8"] = median_cpu_s(lambda: [sim.run(seeded, seed) for seed in SEEDS])
+    sim_runs["seeded:1..8"] = [(seeded, seed) for seed in SEEDS]
+    sim_s, deliveries = {}, {}
+    for key, runs in sim_runs.items():
+        counts = []
+        sim_s[key] = median_cpu_s(lambda: counts.append(sum(sim.run(i, k).step - 1 for i, k in runs)))
+        deliveries[key] = counts[0]
     gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
     exact_s, subsets = {}, {}
     for n in EXACT_SIZES:
@@ -119,12 +126,14 @@ def main(argv=None) -> int:
                 tracemalloc.stop()
     print(json.dumps({
         "sim": {
-            "metric": "sim.run process CPU, median",
+            "metric": "sim.run process CPU, median; deliveries; microseconds per delivery",
             "unit": "s",
             "instances": "generate_random_instance(n, 3n, 1), eager; "
             "seeded:1..8 is the eight seeded runs on generate_random_instance(60, 360, 1)",
             "reps": REPS,
             "median_s": sim_s,
+            "deliveries": deliveries,
+            "us_per_delivery": {k: round(1e6 * sim_s[k] / deliveries[k], 2) for k in sim_s},
         },
         "gw": {
             "metric": "gw_solve process CPU, median",
