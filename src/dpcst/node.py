@@ -248,11 +248,9 @@ class NodeState:
     received_ts: int | float = INF
     ts: int | float = INF  # received_ts of the earliest pending proceed in the subtree
     prune_seen: bool = False
-    sorted_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sorted_edges = tuple(sorted(self.weights))
-        self.se = dict.fromkeys(self.weights, SE.BASIC)
+        self.se = dict.fromkeys(sorted(self.weights), SE.BASIC)  # in edge order
         self.epm = dict.fromkeys(self.weights, False)
         self.lc = self.id
         self.cs = CS.INACTIVE if self.is_root else CS.SLEEPING
@@ -267,7 +265,7 @@ class NodeState:
         return not self.prize_flag
 
     def branch_edges(self) -> list[Edge]:
-        return [e for e in self.sorted_edges if self.se[e] == SE.BRANCH]
+        return [e for e, s in self.se.items() if s == SE.BRANCH]
 
 
 def compute_epsilon_edge(
@@ -444,13 +442,13 @@ def _send_prunes(ctx: _Ctx, exclude: Edge | None):
     dormant node's forward is harmless.
     """
     st = ctx.st
-    for e in st.sorted_edges:
+    for e, s in st.se.items():
         if e == exclude:
             continue
-        if st.se[e] == SE.BRANCH:
+        if s == SE.BRANCH:
             ctx.append((e, Prune()))
             st.prune_msg_count += 1
-        elif st.epm[e] and st.se[e] != SE.REJECTED:
+        elif st.epm[e] and s != SE.REJECTED:
             ctx.append((e, Prune()))
 
 
@@ -476,7 +474,7 @@ def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, seq: int):
 def _proc_test(ctx: _Ctx):
     st = ctx.st
     test = Test(st.lc)  # one frozen message, sent over every tested edge
-    out = [(e, test) for e in st.sorted_edges if st.se[e] in (SE.BASIC, SE.REFIND)]
+    out = [(e, test) for e, s in st.se.items() if s in (SE.BASIC, SE.REFIND)]
     ctx.extend(out)
     st.test_count = len(out)
 

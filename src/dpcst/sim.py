@@ -20,7 +20,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
-from heapq import heappop, heappush
 from operator import attrgetter
 
 from . import node as nd
@@ -123,8 +122,9 @@ class Simulation:
     - ``ready``: the non-empty links, sorted;
     - ``control_links``: the links holding at least one queued control
       message (UpdateInfo or Initiate) anywhere in their queue, sorted;
-    - for eager runs, a heap of (head send_seq, link) whose entries are live
-      only while that message is still at the head of its link.
+    - for eager runs, ``sends``: every send's (send_seq, link) in send
+      order, popped from the left; an entry is live while its message is
+      still queued, and then it is at the head of its link.
     """
 
     def __init__(self, inst: PcstInstance, seed: int | None = None):
@@ -151,7 +151,7 @@ class Simulation:
         self.ready: list[tuple[int, int]] = []
         self.control_links: list[tuple[int, int]] = []
         self.control_count = dict.fromkeys(self.queues, 0)
-        self.heads: list[tuple[int, tuple[int, int]]] | None = [] if self.rng is None else None
+        self.sends: deque[tuple[int, tuple[int, int]]] | None = deque() if self.rng is None else None
         self.trace: list[Record] = []
         self.step = 0
         self.send_seq = 0
@@ -168,8 +168,8 @@ class Simulation:
         link, q = self.outgoing[sender][edge]
         if not q:
             insort(self.ready, link)
-            if self.heads is not None:
-                heappush(self.heads, (self.send_seq, link))
+        if self.sends is not None:
+            self.sends.append((self.send_seq, link))
         q.append((msg, self.send_seq, round_tag))
         self.send_seq += 1
         if type(msg) in _CONTROL:
@@ -225,9 +225,9 @@ class Simulation:
             return self.rng.choice(pool)
         if self.control_links:
             return min(self.control_links, key=lambda l: self.queues[l][0][1])
-        heads = self.heads
+        sends = self.sends
         while True:
-            seq, link = heappop(heads)
+            seq, link = sends.popleft()
             q = self.queues[link]
             if q and q[0][1] == seq:
                 return link
@@ -249,8 +249,6 @@ class Simulation:
         msg, _seq, tag = q.popleft()
         if not q:
             del self.ready[bisect_left(self.ready, link)]
-        elif self.heads is not None:
-            heappush(self.heads, (q[0][1], link))
         if type(msg) in _CONTROL:
             self.control_count[link] -= 1
             if not self.control_count[link]:

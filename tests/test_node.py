@@ -56,7 +56,7 @@ def test_node_state_non_root():
     assert all(se == SE.BASIC for se in st.se.values())
     assert st.received_ts == INF
     assert st.lc == 2
-    assert st.sorted_edges == ((1, 2), (2, 3), (2, 4))
+    assert tuple(st.se) == ((1, 2), (2, 3), (2, 4))
     st.se[(2, 3)] = SE.BRANCH
     assert st.branch_edges() == [(2, 3)]
 

@@ -254,11 +254,13 @@ def _assert_scheduler_state(s: Simulation) -> bool:
     assert s.in_flight() == bool(queued or s.root_wakeup_pending)
     assert s.ready == sorted(queued)
     assert s.control_links == sorted(control)
-    if s.heads is None:
-        assert s.rng is not None  # seeded runs keep no heap
+    if s.sends is None:
+        assert s.rng is not None  # seeded runs keep no send order
     else:
-        live = {(seq, l) for (seq, l) in s.heads if l in queued and queued[l][0][1] == seq}
-        assert live == {(q[0][1], l) for l, q in queued.items()}
+        # in send order, holding every queued message's send
+        assert list(s.sends) == sorted(s.sends)
+        undelivered = {(seq, l) for l, q in queued.items() for (_m, seq, _t) in q}
+        assert undelivered <= set(s.sends)
     return any(not isinstance(queued[l][0][0], _CONTROL) for l in control)
 
 
