@@ -188,26 +188,30 @@ Message = (
 
 
 # ---------------------------------------------------------------------------
-# Actions reported to the harness alongside the state transition.
+# Actions: a round's start and its leader's decision, emitted alongside the
+# sends and stamped with the step of the transition.  They are the trace's
+# round and decision records as the simulator writes them; a decision's
+# leader is its round's, and a round's number is its place among them.
 
 # a leader's decision once it knows its round's epsilons
 Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
 
 
 @dataclass(frozen=True, slots=True)
-class RoundStarted:
+class RoundBoundary:
+    step: int
     leader: int
 
 
 @dataclass(frozen=True, slots=True)
-class EpsilonComputed:
-    leader: int
+class EpsilonRecord:
+    step: int
     eps1: Fraction | float
     eps2: Fraction | None
     chosen: Choice
 
 
-Action = RoundStarted | EpsilonComputed
+Action = RoundBoundary | EpsilonRecord
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +310,9 @@ Emission = Send | Action  # in true emission order; round tags depend on it
 
 class _Ctx(list):
     """The node's sends and actions, appended in order while handlers update
-    the state st."""
+    the state st at step seq."""
 
-    __slots__ = ("st",)
+    __slots__ = ("st", "seq")
 
 
 def transition(st: NodeState, e: Edge | None, msg: Message | None, seq: int) -> list[Emission]:
@@ -317,6 +321,7 @@ def transition(st: NodeState, e: Edge | None, msg: Message | None, seq: int) -> 
     emits."""
     ctx = _Ctx()
     ctx.st = st
+    ctx.seq = seq
     if msg is None:
         if not st.is_root:
             raise ProtocolError("spontaneous wakeup at a non-root node")
@@ -324,7 +329,7 @@ def transition(st: NodeState, e: Edge | None, msg: Message | None, seq: int) -> 
     elif e not in st.weights:
         raise ProtocolError(f"delivery on unknown edge {e} at node {st.id}")
     else:
-        _HANDLERS[type(msg)](ctx, e, msg, seq)
+        _HANDLERS[type(msg)](ctx, e, msg)
     return ctx
 
 
@@ -340,7 +345,7 @@ def _flood(ctx: _Ctx, exclude: Edge | None, msg: Message) -> int:
 
 
 def _start_round(ctx: _Ctx):
-    ctx.append(RoundStarted(ctx.st.id))
+    ctx.append(RoundBoundary(ctx.seq, ctx.st.id))
     _join_round(ctx, ctx.st.id, None)
 
 
@@ -465,7 +470,7 @@ def _leave_tree(ctx: _Ctx, up: Edge):
 # Round machinery
 
 
-def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate, seq: int):
+def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate):
     if ctx.st.se[e] != SE.BRANCH:
         raise ProtocolError(f"initiate on non-branch edge {e} at node {ctx.st.id}")
     _join_round(ctx, msg.leader, e)
@@ -479,7 +484,7 @@ def _proc_test(ctx: _Ctx):
     st.test_count = len(out)
 
 
-def _on_test(ctx: _Ctx, e: Edge, msg: Test, seq: int):
+def _on_test(ctx: _Ctx, e: Edge, msg: Test):
     st = ctx.st
     if st.lc == msg.leader:
         ctx.append((e, Reject()))
@@ -497,7 +502,7 @@ def _fold_candidate(st: NodeState, eps, e: Edge):
         st.best_edge = e
 
 
-def _on_status(ctx: _Ctx, e: Edge, msg: Status, seq: int):
+def _on_status(ctx: _Ctx, e: Edge, msg: Status):
     st = ctx.st
     st.test_count -= 1
     eps = compute_epsilon_edge(
@@ -507,7 +512,7 @@ def _on_status(ctx: _Ctx, e: Edge, msg: Status, seq: int):
     _proc_report(ctx)
 
 
-def _on_reject(ctx: _Ctx, e: Edge, msg: Reject, seq: int):
+def _on_reject(ctx: _Ctx, e: Edge, msg: Reject):
     st = ctx.st
     st.test_count -= 1
     st.se[e] = SE.REJECTED
@@ -538,7 +543,7 @@ def _proc_report(ctx: _Ctx):
         _decide(ctx)
 
 
-def _on_report(ctx: _Ctx, e: Edge, msg: Report, seq: int):
+def _on_report(ctx: _Ctx, e: Edge, msg: Report):
     st = ctx.st
     st.find_count -= 1
     if st.ts > msg.ts:
@@ -557,22 +562,22 @@ def _decide(ctx: _Ctx):
     if not st.root_flag and st.cs == CS.ACTIVE:
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
-            ctx.append(EpsilonComputed(st.id, eps1, eps2, "merge"))
+            ctx.append(EpsilonRecord(ctx.seq, eps1, eps2, "merge"))
             _route_merge(ctx)
         else:
-            ctx.append(EpsilonComputed(st.id, eps1, eps2, "deactivate"))
+            ctx.append(EpsilonRecord(ctx.seq, eps1, eps2, "deactivate"))
             # the leader takes its deactivation as the update it floods
             _take_update(ctx, None, UpdateInfo(eps2, False, True, st.comp_w + eps2, st.d_h + eps2))
             _start_round(ctx)
     elif st.cs == CS.INACTIVE:
         if eps1 != INF:
-            ctx.append(EpsilonComputed(st.id, eps1, None, "proceed"))
+            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "proceed"))
             _route_proceed(ctx, st.d_h)
         elif st.ts != INF:
-            ctx.append(EpsilonComputed(st.id, eps1, None, "back"))
+            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "back"))
             _route_back(ctx)
         elif st.is_root:
-            ctx.append(EpsilonComputed(st.id, eps1, None, "prune"))
+            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "prune"))
             _send_prunes(ctx, None)
         else:
             raise ProtocolError(
@@ -586,11 +591,11 @@ def _decide(ctx: _Ctx):
 # Merging
 
 
-def _on_merge(ctx: _Ctx, e: Edge, msg: Merge, seq: int):
+def _on_merge(ctx: _Ctx, e: Edge, msg: Merge):
     _route_merge(ctx)
 
 
-def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, seq: int):
+def _on_connect(ctx: _Ctx, e: Edge, msg: Connect):
     st = ctx.st
     if st.cs == CS.SLEEPING:
         st.cs = CS.ACTIVE
@@ -636,7 +641,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect, seq: int):
         raise ProtocolError(f"connect received while active at node {st.id}")
 
 
-def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, seq: int):
+def _on_accept(ctx: _Ctx, e: Edge, msg: Accept):
     st = ctx.st
     if e != st.best_edge:
         raise ProtocolError(f"accept on unexpected edge {e} at node {st.id}")
@@ -650,13 +655,13 @@ def _on_accept(ctx: _Ctx, e: Edge, msg: Accept, seq: int):
         _start_round(ctx)
 
 
-def _on_update_info(ctx: _Ctx, e: Edge, msg: UpdateInfo, seq: int):
+def _on_update_info(ctx: _Ctx, e: Edge, msg: UpdateInfo):
     _take_update(ctx, e, msg)
     if ctx.st.is_root:
         _start_round(ctx)
 
 
-def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, seq: int):
+def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon):
     st = ctx.st
     if st.se[e] == SE.BASIC:
         st.se[e] = SE.REFIND
@@ -667,14 +672,14 @@ def _on_refind(ctx: _Ctx, e: Edge, msg: RefindEpsilon, seq: int):
 # Proceed / back
 
 
-def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed, seq: int):
+def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the frontier of the round.
         _route_proceed(ctx, msg.d_h)
     elif st.se[e] == SE.BASIC:
         st.proceed_in_edge = e
-        st.received_ts = seq
+        st.received_ts = ctx.seq
         if st.cs == CS.SLEEPING:
             _wakeup(ctx, msg.d_h)
         elif st.cs == CS.INACTIVE:
@@ -697,7 +702,7 @@ def _wakeup(ctx: _Ctx, d_k: Fraction):
     _start_round(ctx)
 
 
-def _on_back(ctx: _Ctx, e: Edge, msg: Back, seq: int):
+def _on_back(ctx: _Ctx, e: Edge, msg: Back):
     st = ctx.st
     if st.se[e] == SE.BRANCH and st.in_branch == e:
         # Routed down from the leader toward the earliest pending proceed.
@@ -725,7 +730,7 @@ def _prunable(st: NodeState, via: Edge) -> bool:
     )
 
 
-def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, seq: int):
+def _on_prune(ctx: _Ctx, e: Edge, msg: Prune):
     st = ctx.st
     # In the root component the tree flood reaches every member over its
     # branch edge; a copy arriving sideways (over a wake edge from a dormant
@@ -747,7 +752,7 @@ def _on_prune(ctx: _Ctx, e: Edge, msg: Prune, seq: int):
         _leave_tree(ctx, e)
 
 
-def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune, seq: int):
+def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune):
     st = ctx.st
     st.prune_msg_count -= 1
     st.se[e] = SE.BASIC

@@ -78,28 +78,8 @@ class StateChange:
     new: object  # typed by the NodeState field
 
 
-@dataclass(frozen=True, slots=True)
-class EpsilonRecord:
-    step: int
-    leader: int
-    eps1: Fraction | float
-    eps2: Fraction | None
-    chosen: nd.Choice
-
-
-@dataclass(frozen=True, slots=True)
-class RoundBoundary:
-    step: int
-    leader: int
-    round_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class PhaseBoundary:
-    step: int
-
-
-Record = Delivery | StateChange | EpsilonRecord | RoundBoundary | PhaseBoundary
+# the round and decision records are the node's actions, written as emitted
+Record = Delivery | StateChange | nd.EpsilonRecord | nd.RoundBoundary
 
 
 def message_bound(n: int, m: int) -> int:
@@ -189,18 +169,11 @@ class Simulation:
         for em in emissions:
             if type(em) is tuple:
                 self._enqueue(node_id, em[0], em[1], current_tag)
-            elif isinstance(em, nd.RoundStarted):
-                self.round_index += 1
-                current_tag = self.round_index
-                self.trace.append(RoundBoundary(self.step, em.leader, self.round_index))
-            elif isinstance(em, nd.EpsilonComputed):
-                self.trace.append(
-                    EpsilonRecord(self.step, em.leader, em.eps1, em.eps2, em.chosen)
-                )
-                # only the root decides prune, once: the decision ends the
-                # one chain of rounds and starts none
-                if em.chosen == "prune":
-                    self.trace.append(PhaseBoundary(self.step))
+            else:
+                self.trace.append(em)
+                if type(em) is nd.RoundBoundary:
+                    self.round_index += 1
+                    current_tag = self.round_index
         # most transitions change no tracked field: one tuple comparison,
         # which like the loop takes identity before equality, rules them out
         after = _tracked(st)
@@ -317,10 +290,10 @@ class MessageCounter:
                     per_round[rec.round_index] = per_round.get(rec.round_index, 0) + 1
                 elif name == "Prune":
                     receipts[rec.link[1]] = receipts.get(rec.link[1], 0) + 1
-            elif isinstance(rec, EpsilonRecord):
+            elif isinstance(rec, nd.EpsilonRecord):
                 actions[rec.chosen] = actions.get(rec.chosen, 0) + 1
-            elif isinstance(rec, RoundBoundary) and rec.round_index > self.rounds:
-                self.rounds = rec.round_index
+            elif isinstance(rec, nd.RoundBoundary):
+                self.rounds += 1
             yield rec
 
     def counts(self) -> dict:
@@ -500,7 +473,7 @@ _MESSAGE_CODECS = {
     name: _compile(cls, "type", name, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
 }
 # record class -> its kind, in the order of Record
-_RECORD_KINDS = dict(zip(typing.get_args(Record), ("delivery", "state", "epsilon", "round", "phase")))
+_RECORD_KINDS = dict(zip(typing.get_args(Record), ("delivery", "state", "epsilon", "round")))
 # record kind -> the codec of its lines; a state change's is its field's
 _RECORD_CODECS = {
     kind: _compile(cls, "kind", kind, typing.get_type_hints(cls), "\\n")

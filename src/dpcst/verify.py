@@ -216,7 +216,7 @@ class _Replay:
         self.traced_w = {v: Fraction(0) for v in inst.node_ids}
         self.traced_prize = {v: v != inst.root for v in inst.node_ids}
         # the round structure: rounds started, the last one's leader and the
-        # kind of round, decision or phase record due next (None: no more)
+        # kind of record due next, round or decision (None: no more)
         self.rounds = 0
         self.leader: int | None = None
         self.due: str | None = "round"
@@ -230,29 +230,27 @@ class _Replay:
         if v in self.asleep:
             raise ReplayDivergence(f"node {v} {act} before the trace wakes it")
 
-    def follow(self, rec: sm.RoundBoundary | sm.EpsilonRecord | sm.PhaseBoundary):
-        """Take a round, decision or phase record in its place: rounds are
-        numbered 1, 2, 3, ... in trace order, each has one decision, by its
-        leader, before the next round starts, only the root decides prune,
-        and one phase record follows that decision and ends the growth.  A
+    def follow(self, rec: nd.RoundBoundary | nd.EpsilonRecord):
+        """Take a round or decision record in its place: rounds and
+        decisions alternate, a round first, and each decision is its round
+        leader's; only a round the root leads may decide prune, and that
+        decision ends the growth, so no round or decision follows it.  A
         merge or deactivate decision holds its penalty epsilon eps2, the
         others none."""
-        if isinstance(rec, sm.RoundBoundary):
-            ok, due = self.due == "round" and rec.round_index == self.rounds + 1, "decision"
-        elif isinstance(rec, sm.EpsilonRecord):
-            ok = self.due == "decision" and rec.leader == self.leader
-            ok = ok and (rec.chosen != "prune" or rec.leader == self.inst.root)
-            due = "phase" if rec.chosen == "prune" else "round"
+        if isinstance(rec, nd.RoundBoundary):
+            ok, due = self.due == "round", "decision"
         else:
-            ok, due = self.due == "phase", None
+            ok = self.due == "decision" and (rec.chosen != "prune" or self.leader == self.inst.root)
+            due = None if rec.chosen == "prune" else "round"
         if not ok:
             raise ReplayDivergence(
                 f"step {rec.step}: {rec} out of place; due: {self.due or 'nothing'} "
                 f"in round {self.rounds}, led by {self.leader}"
             )
         if due == "decision":
-            self.rounds, self.leader = rec.round_index, rec.leader
-        elif isinstance(rec, sm.EpsilonRecord) and (rec.eps2 is None) == (rec.chosen in _EPS2_CHOICES):
+            self.rounds += 1
+            self.leader = rec.leader
+        elif (rec.eps2 is None) == (rec.chosen in _EPS2_CHOICES):
             raise ReplayDivergence(f"step {rec.step}: a {rec.chosen} decision with eps2 {rec.eps2}")
         self.due = due
 
@@ -302,12 +300,12 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
                 rp.traced_prize[rec.node] = rec.new
         else:
             rp.follow(rec)
-            if isinstance(rec, sm.RoundBoundary):
+            if isinstance(rec, nd.RoundBoundary):
                 pending_checks.append((rec.step, rec.leader))
-            elif isinstance(rec, sm.EpsilonRecord) and rec.chosen == "deactivate":
-                rp.check_awake(rec.leader, "deactivates")
-                lg.grow(rec.leader, rec.eps2)
-                lg.deactivate(rec.leader)
+            elif rec.chosen == "deactivate":
+                rp.check_awake(rp.leader, "deactivates")
+                lg.grow(rp.leader, rec.eps2)
+                lg.deactivate(rp.leader)
     run_checks()
     if rp.due is not None:
         raise ReplayDivergence(f"the trace ends where a {rp.due} record is due")
@@ -334,7 +332,7 @@ def _check_in_instance(rec: sm.Record, inst: PcstInstance):
         ok = norm_edge(*rec.link) in inst.weights
     elif isinstance(rec, sm.StateChange):
         ok = rec.node in inst.prizes
-    elif isinstance(rec, (sm.EpsilonRecord, sm.RoundBoundary)):
+    elif isinstance(rec, nd.RoundBoundary):
         ok = rec.leader in inst.prizes
     else:
         ok = True

@@ -18,7 +18,8 @@ from dpcst import gw, sim, verify
 from dpcst import node as nd
 from dpcst.exact import ExactResult, exact_pcst
 from dpcst.instance import PcstInstance, Solution, generate_random_instance
-from dpcst.sim import EpsilonRecord, Delivery, count_messages, extract_solution
+from dpcst.node import EpsilonRecord
+from dpcst.sim import Delivery, count_messages, extract_solution
 from dpcst.verify import DualCertificate
 
 N_INSTANCES = 200

@@ -8,7 +8,8 @@ import pytest
 from dpcst import cli
 from dpcst.cli import main
 from dpcst.instance import generate_random_instance, render_instance
-from dpcst.sim import EpsilonRecord, read_trace
+from dpcst.node import EpsilonRecord
+from dpcst.sim import read_trace
 
 TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10\n"
 TWO_MERGE = "nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2\n"
@@ -182,8 +183,7 @@ def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbag
     [
         {"kind": "delivery", "step": 1, "link": [1, 99], "round": 0,
          "message": {"type": "Back", "root_flag": False}},
-        {"kind": "epsilon", "step": 1, "leader": 99, "eps1": "1", "eps2": "2", "chosen": "deactivate"},
-        {"kind": "round", "step": 1, "leader": 99, "round": 1},
+        {"kind": "round", "step": 1, "leader": 99},
     ],
 )
 def test_verify_trace_outside_instance_exits_three(two_penal, tmp_path, capsys, record):
@@ -248,7 +248,8 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
         ("state", None, "old"),  # as state changes once held their old value
         ("epsilon", None, "eps"),
         ("round", None, "sn"),
-        ("phase", None, "round"),
+        ("round", None, "round"),  # as round records once held their number
+        ("epsilon", None, "leader"),  # as decisions once named their round's leader
         ("delivery", "Report", "pf"),  # as reports once held ts != inf
         ("delivery", "Report", "d_h"),  # as reports once held the sender's d_h
         ("delivery", "Merge", "d_h"),
@@ -281,13 +282,14 @@ def test_verify_trace_undeclared_key_exits_one(tmp_path, capsys, kind, message, 
 
 def test_verify_old_format_trace_exits_one(two_penal, tmp_path, capsys):
     # the eager trace of the two-node instance as written before state
-    # changes dropped their old value: its first state change is line 7
+    # changes dropped their old value: its first line, a round record, still
+    # holds the round's number
     trace_path = tmp_path / "t.jsonl"
     trace_path.write_text((DATA / "two_penal_old_format.jsonl").read_text())
     assert main(["verify", two_penal, str(trace_path)]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err == 'error: ' + str(trace_path) + ":7: undeclared key 'old' in {\"kind\": \"state\", ...}\n"
+    assert cap.err == 'error: ' + str(trace_path) + ":1: undeclared key 'round' in {\"kind\": \"round\", ...}\n"
 
 
 def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):
@@ -529,21 +531,43 @@ def test_solve_exact_too_large_exits_one(tmp_path, capsys):
     assert err == "error: too many nodes to enumerate: n=17 > 16\n"
 
 
-def test_verify_trace_without_phase_record_exits_three(tmp_path, capsys):
+def _prune_decision_line(lines: list[str]) -> int:
+    prunes = [i for i, line in enumerate(lines) if json.loads(line).get("chosen") == "prune"]
+    assert len(prunes) == 1
+    return prunes[0]
+
+
+def test_verify_trace_cut_before_the_prune_decision_exits_three(tmp_path, capsys):
     inst_path = tmp_path / "g.pcst"
     inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
     trace_path = tmp_path / "t.jsonl"
     assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
-    phases = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "phase"]
-    assert len(phases) == 1
-    del lines[phases[0]]
-    trace_path.write_text("\n".join(lines) + "\n")
+    trace_path.write_text("\n".join(lines[: _prune_decision_line(lines)]) + "\n")
     assert main(["verify", str(inst_path), str(trace_path)]) == 3
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
-    assert "the trace ends where a phase record is due" in out[0]["witnesses"][0]
+    assert "the trace ends where a decision record is due" in out[0]["witnesses"][0]
+
+
+def test_verify_trace_with_a_phase_record_exits_one(tmp_path, capsys):
+    # the phase record that once followed the root's prune decision is no
+    # longer a record kind
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    at = _prune_decision_line(lines) + 1
+    step = json.loads(lines[at - 1])["step"]
+    lines.insert(at, json.dumps({"kind": "phase", "step": step}))
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: {trace_path}:{at + 1}: unknown record kind 'phase'\n"
 
 
 def _first_record_outside(lines: list[str]) -> list[str]:

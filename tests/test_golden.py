@@ -9,7 +9,8 @@ the final penalty set.
 from fractions import Fraction
 
 from dpcst import node as nd
-from dpcst.sim import Delivery, EpsilonRecord, run, extract_solution
+from dpcst.node import EpsilonRecord
+from dpcst.sim import Delivery, run, extract_solution
 
 F = Fraction
 

@@ -10,20 +10,20 @@ from dpcst.node import (
     SE,
     Accept,
     Connect,
-    EpsilonComputed,
+    EpsilonRecord,
     Initiate,
     Merge,
     NodeState,
     ProtocolError,
     Reject,
     Report,
-    RoundStarted,
+    RoundBoundary,
     Status,
     Test,
     compute_epsilon_edge,
     transition,
 )
-from dpcst.sim import EpsilonRecord, PhaseBoundary, Simulation, run
+from dpcst.sim import Simulation, run
 
 F = Fraction
 
@@ -97,7 +97,7 @@ def test_epsilon_rejects_impossible_observations():
 def test_root_wakeup_starts_round_and_tests():
     st = mk(1, True, 5, {(1, 2): 3, (1, 3): 4})
     emits = transition(st, None, None, 1)
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
     out = sends(emits)
     assert [(e, type(m).__name__) for e, m in out] == [((1, 2), "Test"), ((1, 3), "Test")]
     assert st.test_count == 2
@@ -270,7 +270,7 @@ def test_accept_starts_a_round_unless_the_acceptor_leads(node_id, root_flag, sta
     st.best_epsilon = F(1)
     emits = transition(st, e, Accept(root_flag, F(20), F(8)), 4)
     assert st.se[e] == SE.BRANCH and st.d_v == 1 and st.d_h == 8 and st.root_flag is root_flag
-    assert any(isinstance(a, RoundStarted) for a in acts(emits)) is starts
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits)) is starts
 
 
 def test_update_info_deactivation_flood():
@@ -308,7 +308,7 @@ def test_refind_at_leader_restarts_round():
     st.cs = CS.ACTIVE
     st.in_branch = None
     emits = transition(st, (1, 2), nd.RefindEpsilon(), 4)
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
 
 def test_proceed_wakes_sleeping_node():
@@ -318,7 +318,7 @@ def test_proceed_wakes_sleeping_node():
     assert st.d_v == 15 and st.comp_w == 15 and st.d_h == 15
     assert st.proceed_in_edge == (3, 4)
     assert st.received_ts == 11
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
 
 def test_proceed_pokes_inactive_leader():
@@ -327,14 +327,14 @@ def test_proceed_pokes_inactive_leader():
     st.in_branch = None
     emits = transition(st, (3, 9), nd.Proceed(F(7)), 11)
     assert st.proceed_in_edge == (3, 9) and st.received_ts == 11
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
 
 def test_outside_back_at_leader_restarts_round():
     st = mk(1, True, 5, {(1, 2): 3})
     st.cs = CS.INACTIVE
     emits = transition(st, (1, 2), nd.Back(False), 4)
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
 
 def test_outside_back_ignores_stale_pointer_and_recomputes():
@@ -346,7 +346,7 @@ def test_outside_back_ignores_stale_pointer_and_recomputes():
     st.back_edge = (2, 3)
     st.in_branch = None  # this node led the last round
     emits = transition(st, (1, 2), nd.Back(False), 4)
-    assert any(isinstance(a, RoundStarted) for a in acts(emits))
+    assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
 
 def test_outside_back_relays_toward_leader():
@@ -639,9 +639,10 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
         s = run(inst, seed)
         trace = s.trace
         steps += s.step
-        prunes = [r for r in trace if isinstance(r, EpsilonRecord) and r.chosen == "prune"]
-        assert [r.leader for r in prunes] == [inst.root]
-        assert sum(isinstance(r, PhaseBoundary) for r in trace) == 1
+        # one prune decision, in a round the root leads
+        growth = [r for r in trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
+        prunes = [i for i, r in enumerate(growth) if isinstance(r, EpsilonRecord) and r.chosen == "prune"]
+        assert [growth[i - 1].leader for i in prunes] == [inst.root]
         runs += 1
     assert runs == 156 and checked > 80_000
     assert checked == stepped == steps

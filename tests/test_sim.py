@@ -11,11 +11,9 @@ from dpcst import node as nd
 from dpcst import sim
 from dpcst.exact import exact_pcst
 from dpcst.instance import format_rational, generate_random_instance, norm_edge, parse_instance
+from dpcst.node import EpsilonRecord, RoundBoundary
 from dpcst.sim import (
     Delivery,
-    EpsilonRecord,
-    PhaseBoundary,
-    RoundBoundary,
     Simulation,
     StateChange,
     count_messages,
@@ -59,7 +57,7 @@ def test_single_node_quiesces_immediately():
     assert sol.objective == 0
     assert s.step <= 2
     assert count_messages(s.trace)["total"] == 0
-    assert sum(isinstance(r, PhaseBoundary) for r in s.trace) == 1
+    assert [r.chosen for r in s.trace if isinstance(r, EpsilonRecord)] == ["prune"]
 
 
 def test_two_node_merge_quiesces_with_branch():
@@ -92,11 +90,15 @@ def test_schedule_invariance_of_solution():
 
 
 def test_exactly_one_phase_boundary_and_increasing_rounds():
+    # the phase boundary is the one prune decision, the last of them; rounds
+    # alternate with decisions, and a round's number is its place among them
     inst = generate_random_instance(8, 14, 21)
     trace = run(inst).trace
-    assert sum(isinstance(r, PhaseBoundary) for r in trace) == 1
-    rounds = [r.round_index for r in trace if isinstance(r, RoundBoundary)]
-    assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
+    growth = [r for r in trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
+    assert [type(r) for r in growth] == [RoundBoundary, EpsilonRecord] * (len(growth) // 2)
+    assert [r.chosen for r in growth[1::2]].index("prune") == len(growth) // 2 - 1
+    tags = {r.round_index for r in trace if isinstance(r, Delivery)}
+    assert tags <= set(range(1, len(growth) // 2 + 1))
 
 
 def test_count_messages_caps():
@@ -171,7 +173,7 @@ def test_report_record_round_trips_infinite_epsilon_and_timestamp():
 def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
     path = tmp_path / "t.jsonl"
     rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": message}
-    path.write_text('{"kind": "phase", "step": 0}\n' + json.dumps(rec) + "\n")
+    path.write_text('{"kind": "round", "step": 0, "leader": 1}\n' + json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match="t.jsonl:2:"):
         list(read_trace(str(path)))
 
@@ -386,15 +388,12 @@ def _reference_record_dict(rec):
         return {
             "kind": "epsilon",
             "step": rec.step,
-            "leader": rec.leader,
             "eps1": _to_jsonable(rec.eps1),
             "eps2": _to_jsonable(rec.eps2),
             "chosen": rec.chosen,
         }
     if isinstance(rec, RoundBoundary):
-        return {"kind": "round", "step": rec.step, "leader": rec.leader, "round": rec.round_index}
-    if isinstance(rec, PhaseBoundary):
-        return {"kind": "phase", "step": rec.step}
+        return {"kind": "round", "step": rec.step, "leader": rec.leader}
     raise TypeError(f"unknown record {rec!r}")
 
 
@@ -434,13 +433,12 @@ _EDGE_STATE_VALUES = {
 _EDGE_RECORDS = [
     *(Delivery(3 + i, (i + 1, i + 2), i % 4, m) for i, m in enumerate(_EDGE_MESSAGES)),
     *(StateChange(9, 5, f, new) for f, values in _EDGE_STATE_VALUES.items() for new in values),
-    EpsilonRecord(4, 2, nd.INF, None, "prune"),
-    EpsilonRecord(4, 2, nd.INF, None, "back"),
-    EpsilonRecord(5, 3, F(10), None, "proceed"),
-    EpsilonRecord(6, 1, F(-1, 6), F(7, 2), "merge"),
-    EpsilonRecord(7, 1, F(15, 2), F(3), "deactivate"),
-    RoundBoundary(1, 1, 1),
-    PhaseBoundary(88),
+    EpsilonRecord(4, nd.INF, None, "prune"),
+    EpsilonRecord(4, nd.INF, None, "back"),
+    EpsilonRecord(5, F(10), None, "proceed"),
+    EpsilonRecord(6, F(-1, 6), F(7, 2), "merge"),
+    EpsilonRecord(7, F(15, 2), F(3), "deactivate"),
+    RoundBoundary(1, 1),
 ]
 
 
@@ -491,7 +489,7 @@ def test_over_long_rational_is_named_with_its_line(tmp_path):
 def test_over_long_integer_is_named_with_its_line(tmp_path):
     # the JSON decoder refuses it before any field is decoded
     path = tmp_path / "t.jsonl"
-    path.write_text('{"kind": "phase", "step": 0}\n{"kind": "phase", "step": ' + "7" * 5000 + "}\n")
+    path.write_text('{"kind": "round", "step": 0, "leader": 1}\n{"kind": "round", "step": ' + "7" * 5000 + "}\n")
     limit = sys.get_int_max_str_digits()
     with pytest.raises(
         sim.TraceFormatError, match=f"t.jsonl:2: a trace integer has at most {limit} digits$"
@@ -528,7 +526,10 @@ def _old_format_records(lines, inst):
     - a root_flag change wherever the prize flag changes, to its negation;
     - an lc change wherever a node's round leader changes: to the leader of
       the last round record of the step, which the stepping node leads, or
-      else of the Initiate delivered to it.
+      else of the Initiate delivered to it;
+    - a round record's number, from its place among the round records;
+    - a decision's leader, from the round record before it;
+    - the phase record, right after the root's prune decision, at its step.
 
     A node's state changes are recorded together, last, at the step of its
     transition, root_flag and lc after the others.  Digests of what this
@@ -545,7 +546,7 @@ def _old_format_records(lines, inst):
         })
     merge_eps1 = {}  # round -> eps1 of its merge decision
     round_index = 0
-    step = node = leader = None
+    step = node = leader = round_leader = None
     flag_changed = False
 
     def change(field, new):
@@ -585,10 +586,16 @@ def _old_format_records(lines, inst):
                 leads = msg["root_flag"] or rec["link"][0] > rec["link"][1]
                 rec["message"] = {"type": "Accept", "leader_flag": leads, **msg}
         elif rec["kind"] == "round":
-            round_index = rec["round"]
-            node = leader = rec["leader"]
-        elif rec["kind"] == "epsilon" and rec["chosen"] == "merge":
-            merge_eps1[round_index] = rec["eps1"]
+            round_index += 1
+            rec["round"] = round_index
+            node = leader = round_leader = rec["leader"]
+        elif rec["kind"] == "epsilon":
+            rec = {"kind": "epsilon", "step": step, "leader": round_leader, **rec}
+            if rec["chosen"] == "merge":
+                merge_eps1[round_index] = rec["eps1"]
+            elif rec["chosen"] == "prune":
+                yield rec
+                rec = {"kind": "phase", "step": step}
         elif rec["kind"] == "state":
             node = rec["node"]
             flag_changed |= rec["field"] == "prize_flag"
@@ -604,11 +611,11 @@ def _old_format_text(lines, inst) -> str:
 @pytest.mark.parametrize(
     "n, seed, digest, old_digest",
     [
-        (40, None, "0ee30904421f01b7e3caa4b42738703f2298e8bd3ce80581c4a2aefdf9480b55",
+        (40, None, "9f4d6718b29fabee49deec6fe5ac2b28d23969235fb84e1d2c71126c16646ccf",
          "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
-        (80, None, "fef0d210b0025a5f771f5fc0fa8a4550eb708a925f7dce62529de55793dff140",
+        (80, None, "33d8fc3737fff1ecdb866f2cf05eaf613fa632b0024cf4be53389a158e16f7f5",
          "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
-        (40, 0, "5e40dd3faf98fa3e208fa08f0abd0d8e903cad53a56a83e3d509a7729cf9b7c6",
+        (40, 0, "b09596926e93de7468697c3868e69384711d91b757bbad91094cb04598193268",
          "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
@@ -652,7 +659,7 @@ def test_refactor_corpus_trace_digest():
         old.update(_old_format_text(lines, inst).encode())
         runs += 1
     assert runs == 432
-    assert h.hexdigest() == "b1004796d50bda12449cb47ddce15ee84903c77f83b2f85cd80846452f3b8a23"
+    assert h.hexdigest() == "14fab3c52b2365813281ca57ed99594374803f5093522197d3605d9596807d2b"
     assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
@@ -663,14 +670,12 @@ def test_refactor_corpus_trace_digest():
 )
 def test_phase_boundary_follows_the_root_prune_decision(seed, example11):
     # the prune phase opens only through the root's decision, which comes
-    # before its first Prune send, so the one phase boundary is written
-    # right after that decision, at its step
+    # before its first Prune send: the one prune decision is the phase
+    # boundary, the last round or decision record, in a round the root leads
     instances = [parse_instance("nodes 4\nroot 4"), parse_instance(TWO_MERGE), example11]
     instances += [generate_random_instance(n, 2 * n, n) for n in range(5, 31, 5)]
     for inst in instances:
-        trace = run(inst, seed).trace
-        phases = [i for i, r in enumerate(trace) if isinstance(r, PhaseBoundary)]
-        assert len(phases) == 1
-        decision = trace[phases[0] - 1]
-        assert decision == EpsilonRecord(decision.step, inst.root, nd.INF, None, "prune")
-        assert trace[phases[0]].step == decision.step
+        growth = [r for r in run(inst, seed).trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
+        assert [r.chosen for r in growth[1::2]].count("prune") == 1
+        assert growth[-2] == RoundBoundary(growth[-2].step, inst.root)
+        assert growth[-1] == EpsilonRecord(growth[-1].step, nd.INF, None, "prune")

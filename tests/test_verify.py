@@ -9,7 +9,8 @@ from dpcst import sim
 from dpcst.exact import exact_pcst
 from dpcst.gw import gw_solve
 from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
-from dpcst.sim import EpsilonRecord, RoundBoundary, count_messages, extract_solution, run
+from dpcst.node import EpsilonRecord, RoundBoundary
+from dpcst.sim import count_messages, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
     Moat,
@@ -121,7 +122,7 @@ def test_replay_divergence_on_edited_epsilon(tmp_path):
     doctored = []
     for rec in s.trace:
         if isinstance(rec, EpsilonRecord) and rec.chosen == "deactivate":
-            rec = EpsilonRecord(rec.step, rec.leader, rec.eps1, rec.eps2 + 1, rec.chosen)
+            rec = EpsilonRecord(rec.step, rec.eps1, rec.eps2 + 1, rec.chosen)
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
@@ -165,20 +166,18 @@ def test_replay_divergence_on_repeated_connect():
 
 
 def test_replay_requires_every_round_decision_and_phase_record():
-    # an honest eager trace with any one round, decision or phase record
-    # deleted, or cut just before the root's prune decision
+    # an honest eager trace with any one round or decision record deleted,
+    # or cut just before the root's prune decision, which ends the growth
+    # phase
     inst = generate_random_instance(10, 20, 3)
     trace = run(inst).trace
-    at = [
-        i for i, r in enumerate(trace)
-        if isinstance(r, (RoundBoundary, EpsilonRecord, sim.PhaseBoundary))
-    ]
-    assert len(trace) == 536 and len(at) == 31
+    at = [i for i, r in enumerate(trace) if isinstance(r, (RoundBoundary, EpsilonRecord))]
+    assert len(trace) == 535 and len(at) == 30
     reconstruct_duals(trace, inst)
     for i in at:
         with pytest.raises(ReplayDivergence, match="out of place|the trace ends where"):
             reconstruct_duals(trace[:i] + trace[i + 1 :], inst)
-    prune = at[-2]
+    prune = at[-1]
     assert trace[prune].chosen == "prune"
     with pytest.raises(ReplayDivergence, match="the trace ends where a decision record is due"):
         reconstruct_duals(trace[:prune], inst)
@@ -193,28 +192,22 @@ def _edit(trace, cls, k, edit):
 @pytest.mark.parametrize(
     "doctor, culprit",
     [
-        (lambda t: _edit(t, RoundBoundary, 1, lambda r: [RoundBoundary(r.step, r.leader, 3)]),
-         "RoundBoundary(step=8, leader=7, round_index=3)"),
-        (lambda t: _edit(t, EpsilonRecord, 0, lambda r: [
-            EpsilonRecord(r.step, 2, r.eps1, r.eps2, r.chosen)]),
-         "EpsilonRecord(step=7, leader=2,"),
         (lambda t: _edit(t, EpsilonRecord, 0, lambda r: [r, r]),
-         "EpsilonRecord(step=7, leader=1,"),
+         "EpsilonRecord(step=7, eps1=Fraction(2, 1), eps2=None, chosen='proceed') out of place; "
+         "due: round in round 1, led by 1"),
         (lambda t: _edit(t, EpsilonRecord, 1, lambda r: [
-            EpsilonRecord(r.step, r.leader, r.eps1, r.eps2, "prune")]),
-         "EpsilonRecord(step=20, leader=7,"),
-        (lambda t: _edit(t, sim.PhaseBoundary, 0, lambda r: [r, r]),
-         "PhaseBoundary(step=362)"),
-        (lambda t: t + [RoundBoundary(t[-1].step + 1, 1, 16)],
-         "RoundBoundary(step="),
+            EpsilonRecord(r.step, r.eps1, r.eps2, "prune")]),
+         "EpsilonRecord(step=20, eps1=Fraction(2, 1), eps2=Fraction(3, 1), chosen='prune') out of place; "
+         "due: decision in round 2, led by 7"),
+        (lambda t: t + [RoundBoundary(t[-1].step + 1, 1)],
+         "RoundBoundary(step=373, leader=1) out of place; due: nothing in round 15, led by 1"),
     ],
-    ids=["round-number", "not-the-leader", "two-decisions", "non-root-prune", "two-phases",
-         "round-after-phase"],
+    ids=["two-decisions", "non-root-prune", "round-after-prune"],
 )
 def test_replay_rejects_misplaced_round_records(doctor, culprit):
     # the eager trace of test_replay_requires_every_round_decision_and_phase_record:
     # round 1 is the root's (node 1) proceed at step 7, round 2 node 7's
-    # merge at step 20, and the prune's phase record is at step 362
+    # merge at step 20, and round 15 the root's prune at step 362
     inst = generate_random_instance(10, 20, 3)
     with pytest.raises(ReplayDivergence, match="out of place") as exc:
         reconstruct_duals(doctor(run(inst).trace), inst)
@@ -335,7 +328,7 @@ def test_bounds_flag_round_overflow():
     inst = generate_random_instance(4, 4, 3)
     s = run(inst)
     doctored = list(s.trace) + [
-        RoundBoundary(s.step + i, inst.root, s.round_index + 1 + i) for i in range(100)
+        RoundBoundary(s.step + i, inst.root) for i in range(100)
     ]
     rep = check_bounds(count_messages(doctored), inst)
     assert not rep.ok
