@@ -183,6 +183,7 @@ def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbag
     [
         {"kind": "delivery", "step": 1, "link": [1, 99], "round": 0,
          "message": {"type": "Back", "root_flag": False}},
+        {"kind": "state", "step": 1, "node": 99, "field": "cs", "new": "active"},
         {"kind": "round", "step": 1, "leader": 99},
     ],
 )
