@@ -189,9 +189,10 @@ Message = (
 
 # ---------------------------------------------------------------------------
 # Actions: a round's start and its leader's decision, emitted alongside the
-# sends and stamped with the step of the transition.  They are the trace's
-# round and decision records as the simulator writes them; a decision's
-# leader is its round's, and a round's number is its place among them.
+# sends.  They are the trace's round and decision records as the simulator
+# writes them.  Neither names its node or step: each is part of the
+# transition it is emitted in, a round is led by that transition's node,
+# and a decision is its round leader's.
 
 # a leader's decision once it knows its round's epsilons
 Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
@@ -199,13 +200,11 @@ Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
 
 @dataclass(frozen=True, slots=True)
 class RoundBoundary:
-    step: int
-    leader: int
+    """A round's start, led by the node whose transition emits it."""
 
 
 @dataclass(frozen=True, slots=True)
 class EpsilonRecord:
-    step: int
     eps1: Fraction | float
     eps2: Fraction | None
     chosen: Choice
@@ -345,7 +344,7 @@ def _flood(ctx: _Ctx, exclude: Edge | None, msg: Message) -> int:
 
 
 def _start_round(ctx: _Ctx):
-    ctx.append(RoundBoundary(ctx.seq, ctx.st.id))
+    ctx.append(RoundBoundary())
     _join_round(ctx, ctx.st.id, None)
 
 
@@ -562,22 +561,22 @@ def _decide(ctx: _Ctx):
     if not st.root_flag and st.cs == CS.ACTIVE:
         eps2 = st.tp - st.comp_w
         if eps1 < eps2:
-            ctx.append(EpsilonRecord(ctx.seq, eps1, eps2, "merge"))
+            ctx.append(EpsilonRecord(eps1, eps2, "merge"))
             _route_merge(ctx)
         else:
-            ctx.append(EpsilonRecord(ctx.seq, eps1, eps2, "deactivate"))
+            ctx.append(EpsilonRecord(eps1, eps2, "deactivate"))
             # the leader takes its deactivation as the update it floods
             _take_update(ctx, None, UpdateInfo(eps2, False, True, st.comp_w + eps2, st.d_h + eps2))
             _start_round(ctx)
     elif st.cs == CS.INACTIVE:
         if eps1 != INF:
-            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "proceed"))
+            ctx.append(EpsilonRecord(eps1, None, "proceed"))
             _route_proceed(ctx, st.d_h)
         elif st.ts != INF:
-            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "back"))
+            ctx.append(EpsilonRecord(eps1, None, "back"))
             _route_back(ctx)
         elif st.is_root:
-            ctx.append(EpsilonRecord(ctx.seq, eps1, None, "prune"))
+            ctx.append(EpsilonRecord(eps1, None, "prune"))
             _send_prunes(ctx, None)
         else:
             raise ProtocolError(

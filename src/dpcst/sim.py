@@ -64,21 +64,22 @@ _tracked = attrgetter(*_TRACKED_FIELDS)
 
 @dataclass(frozen=True, slots=True)
 class Delivery:
-    step: int
     link: tuple[int, int]  # (sender, receiver)
-    round_index: int
+    round: int
     message: nd.Message
 
 
 @dataclass(frozen=True, slots=True)
 class StateChange:
-    step: int
-    node: int
     field: TrackedField
     new: object  # typed by the NodeState field
 
 
-# the round and decision records are the node's actions, written as emitted
+# the round and decision records are the node's actions, written as emitted.
+# No record names its step or node: each belongs to the transition of the
+# last delivery before it (the root's wakeup before the first), whose step
+# is one more than the deliveries so far and whose node is that delivery's
+# receiver (the root).
 Record = Delivery | StateChange | nd.EpsilonRecord | nd.RoundBoundary
 
 
@@ -180,7 +181,7 @@ class Simulation:
         if before != after:
             for f, a, b in zip(_TRACKED_FIELDS, before, after):
                 if a is not b and a != b:
-                    self.trace.append(StateChange(self.step, node_id, f, b))
+                    self.trace.append(StateChange(f, b))
 
     def _pick(self) -> tuple[int, int]:
         """The link to deliver from next.
@@ -227,7 +228,7 @@ class Simulation:
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
-        self.trace.append(Delivery(self.step, link, tag, msg))
+        self.trace.append(Delivery(link, tag, msg))
         self._apply(receiver, edge, msg, tag)
 
     def run_to_quiescence(self) -> list[Record]:
@@ -287,7 +288,7 @@ class MessageCounter:
                 name = type(rec.message).__name__
                 by_type[name] = by_type.get(name, 0) + 1
                 if name in GROWTH_TYPES:
-                    per_round[rec.round_index] = per_round.get(rec.round_index, 0) + 1
+                    per_round[rec.round] = per_round.get(rec.round, 0) + 1
                 elif name == "Prune":
                     receipts[rec.link[1]] = receipts.get(rec.link[1], 0) + 1
             elif isinstance(rec, nd.EpsilonRecord):
@@ -427,10 +428,6 @@ def _codec(hint) -> tuple:
     return _CODECS[hint]
 
 
-# the one field whose JSON key differs from its name
-_KEYS = {"round_index": "round"}
-
-
 def _undeclared(head: str, keys: tuple, d: dict):
     """Raise the error of a JSON object whose keys are not exactly keys:
     a KeyError for the first one missing, else a ValueError naming the
@@ -452,10 +449,9 @@ def _compile(cls, tag: str, name: str, hints: dict, end: str = "") -> tuple:
     head = f'"{tag}": "{name}"'
     env = {"cls": cls, "undeclared": _undeclared, "head": head}
     keys, args, parts = [tag], [], [head]
-    for i, f in enumerate(fields(cls)):
-        key = _KEYS.get(f.name, f.name)
-        env[f"d{i}"], encode = _codec(hints[f.name])
-        value = f"x.{f.name}"
+    for i, key in enumerate(f.name for f in fields(cls)):
+        env[f"d{i}"], encode = _codec(hints[key])
+        value = f"x.{key}"
         if encode is not str:  # an int is written by the f-string itself
             env[f"e{i}"] = encode
             value = f"e{i}({value})"

@@ -200,15 +200,23 @@ class MoatLedger:
 
 # the decisions whose record holds the penalty epsilon eps2; the others hold none
 _EPS2_CHOICES = ("merge", "deactivate")
+# whether a decision's eps1 is infinite: a leader backs or prunes only without
+# an outgoing option, and proceeds or merges over one; it deactivates either way
+_EPS1_INFINITE = {"back": True, "prune": True, "proceed": False, "merge": False}
 
 
 class _Replay:
-    """Replay-only state beside the ledger: the nodes the growth has not
-    reached yet, the mirrors of the traced state and the round structure."""
+    """Replay-only state beside the ledger: the transition the records
+    belong to, the nodes the growth has not reached yet, the mirrors of the
+    traced state and the round structure."""
 
     def __init__(self, inst: PcstInstance):
         self.inst = inst
         self.ledger = MoatLedger(inst.node_ids, inst.root)
+        # the step and node of the current transition: the root's wakeup,
+        # then each delivery's, at its receiver
+        self.step = 1
+        self.node = inst.root
         # left only on wake
         self.asleep = set(inst.node_ids) - {inst.root}
         # mirror of the system under test, driven by StateChange records
@@ -232,26 +240,31 @@ class _Replay:
 
     def follow(self, rec: nd.RoundBoundary | nd.EpsilonRecord):
         """Take a round or decision record in its place: rounds and
-        decisions alternate, a round first, and each decision is its round
-        leader's; only a round the root leads may decide prune, and that
-        decision ends the growth, so no round or decision follows it.  A
-        merge or deactivate decision holds its penalty epsilon eps2, the
-        others none."""
+        decisions alternate, a round first, a round is led by the node of
+        its transition, and each decision is made in a transition of its
+        round's leader; only a round the root leads may decide prune, and
+        that decision ends the growth, so no round or decision follows it.
+        A merge or deactivate decision holds its penalty epsilon eps2, the
+        others none; a back or prune decision's eps1 is infinite, and a
+        proceed or merge decision's finite."""
         if isinstance(rec, nd.RoundBoundary):
             ok, due = self.due == "round", "decision"
         else:
-            ok = self.due == "decision" and (rec.chosen != "prune" or self.leader == self.inst.root)
+            ok = self.due == "decision" and self.node == self.leader
+            ok = ok and (rec.chosen != "prune" or self.leader == self.inst.root)
             due = None if rec.chosen == "prune" else "round"
         if not ok:
             raise ReplayDivergence(
-                f"step {rec.step}: {rec} out of place; due: {self.due or 'nothing'} "
-                f"in round {self.rounds}, led by {self.leader}"
+                f"step {self.step}: {rec} at node {self.node} out of place; "
+                f"due: {self.due or 'nothing'} in round {self.rounds}, led by {self.leader}"
             )
         if due == "decision":
             self.rounds += 1
-            self.leader = rec.leader
+            self.leader = self.node
         elif (rec.eps2 is None) == (rec.chosen in _EPS2_CHOICES):
-            raise ReplayDivergence(f"step {rec.step}: a {rec.chosen} decision with eps2 {rec.eps2}")
+            raise ReplayDivergence(f"step {self.step}: a {rec.chosen} decision with eps2 {rec.eps2}")
+        elif rec.chosen in _EPS1_INFINITE and _EPS1_INFINITE[rec.chosen] != (rec.eps1 == nd.INF):
+            raise ReplayDivergence(f"step {self.step}: a {rec.chosen} decision with eps1 {rec.eps1}")
         self.due = due
 
     def merge(self, sender: int, receiver: int):
@@ -275,38 +288,32 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
     """
     rp = _Replay(inst)
     lg = rp.ledger
-    # the round checks of a step run once all of its records are in
-    pending_checks: list[tuple[int, int]] = []  # (step, leader)
-    current_step = None
-
-    def run_checks():
-        for (step, leader) in pending_checks:
-            _check_identities(rp, leader, step)
-        pending_checks.clear()
-
+    # whether the current transition started a round, whose checks run once
+    # all of the transition's records are in; it leads all of its rounds
+    round_started = False
     for rec in trace:
-        _check_in_instance(rec, inst)
-        if rec.step != current_step:
-            run_checks()
-            current_step = rec.step
         if isinstance(rec, sm.Delivery):
+            if round_started:
+                _check_identities(rp)
+                round_started = False
             _replay_delivery(rp, rec)
         elif isinstance(rec, sm.StateChange):
             if rec.field == "d_v":
-                rp.traced_d[rec.node] = rec.new
+                rp.traced_d[rp.node] = rec.new
             elif rec.field == "comp_w":
-                rp.traced_w[rec.node] = rec.new
+                rp.traced_w[rp.node] = rec.new
             elif rec.field == "prize_flag":
-                rp.traced_prize[rec.node] = rec.new
+                rp.traced_prize[rp.node] = rec.new
         else:
             rp.follow(rec)
             if isinstance(rec, nd.RoundBoundary):
-                pending_checks.append((rec.step, rec.leader))
+                round_started = True
             elif rec.chosen == "deactivate":
                 rp.check_awake(rp.leader, "deactivates")
                 lg.grow(rp.leader, rec.eps2)
                 lg.deactivate(rp.leader)
-    run_checks()
+    if round_started:
+        _check_identities(rp)
     if rp.due is not None:
         raise ReplayDivergence(f"the trace ends where a {rp.due} record is due")
     for v in inst.node_ids:
@@ -326,24 +333,11 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
     return lg.certificate(solution)
 
 
-def _check_in_instance(rec: sm.Record, inst: PcstInstance):
-    """A record naming a node or link the instance lacks is not from a run on it."""
-    if isinstance(rec, sm.Delivery):
-        ok = norm_edge(*rec.link) in inst.weights
-    elif isinstance(rec, sm.StateChange):
-        ok = rec.node in inst.prizes
-    elif isinstance(rec, nd.RoundBoundary):
-        ok = rec.leader in inst.prizes
-    else:
-        ok = True
-    if not ok:
-        raise ReplayDivergence(f"step {rec.step}: {rec} is outside the instance")
-
-
-def _check_identities(rp: _Replay, leader: int, step: int):
-    """Deficits and component weights must equal their moat sums; the round
-    leader's replicas must match the trace exactly."""
-    lg = rp.ledger
+def _check_identities(rp: _Replay):
+    """Deficits and component weights must equal their moat sums; the
+    replicas of the current transition's node, the round leader, must match
+    the trace exactly."""
+    lg, leader, step = rp.ledger, rp.node, rp.step
     if rp.traced_d[leader] != lg.d[leader]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} deficit traced {rp.traced_d[leader]} "
@@ -360,9 +354,14 @@ def _check_identities(rp: _Replay, leader: int, step: int):
 
 
 def _replay_delivery(rp: _Replay, rec: sm.Delivery):
+    """Move to the delivery's transition and replay its growth."""
     msg = rec.message
     sender, receiver = rec.link
-    w_e = rp.inst.weights[norm_edge(sender, receiver)]
+    rp.step += 1
+    w_e = rp.inst.weights.get(norm_edge(sender, receiver))
+    if w_e is None:  # not from a run on this instance
+        raise ReplayDivergence(f"step {rp.step}: {rec} is outside the instance")
+    rp.node = receiver
     lg = rp.ledger
     if isinstance(msg, nd.Proceed):
         if receiver in rp.asleep:

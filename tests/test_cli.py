@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -115,26 +116,38 @@ def test_verify_corrupted_trace_exits_three(two_penal, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "chosen, eps2",
-    [("deactivate", None), ("merge", None), ("proceed", "1"), ("back", "0"), ("prune", "1")],
+    "chosen, key, value",
+    [
+        ("deactivate", "eps2", None), ("merge", "eps2", None), ("proceed", "eps2", "1"),
+        ("back", "eps2", "0"), ("prune", "eps2", "1"),
+        ("back", "eps1", "3"), ("prune", "eps1", "3"), ("proceed", "eps1", "inf"),
+        ("merge", "eps1", "inf"),
+    ],
+    ids=[
+        "deactivate-None", "merge-None", "proceed-1", "back-0", "prune-1",
+        "back-eps1-3", "prune-eps1-3", "proceed-eps1-inf", "merge-eps1-inf",
+    ],
 )
-def test_verify_decision_eps2_against_its_choice_exits_three(tmp_path, capsys, chosen, eps2):
-    # a merge or deactivate decision holds its eps2 and the others none, as
-    # the node emits them; the first decision of the kind gets the other
+def test_verify_decision_eps2_against_its_choice_exits_three(tmp_path, capsys, chosen, key, value):
+    # a merge or deactivate decision holds its eps2 and the others none, and
+    # a back or prune decision's eps1 is infinite and a proceed or merge
+    # decision's finite, as the node emits them; the first decision of the
+    # kind gets the other
     inst_path = tmp_path / "g.pcst"
     inst_path.write_text(render_instance(generate_random_instance(6, 12, 1)))
     trace_path = tmp_path / "t.jsonl"
     assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
     capsys.readouterr()
     records = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    rec = next(r for r in records if r["kind"] == "epsilon" and r["chosen"] == chosen)
-    rec["eps2"] = eps2
+    at = next(i for i, r in enumerate(records) if r["kind"] == "epsilon" and r["chosen"] == chosen)
+    records[at][key] = value
     trace_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert main(["verify", str(inst_path), str(trace_path)]) == 3
     cap = capsys.readouterr()
     out = [json.loads(line) for line in cap.out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
-    assert f"step {rec['step']}: a {chosen} decision with eps2 " in out[0]["witnesses"][0]
+    step = 1 + sum(r["kind"] == "delivery" for r in records[:at])
+    assert f"step {step}: a {chosen} decision with {key} " in out[0]["witnesses"][0]
     assert "Traceback" not in cap.err
 
 
@@ -161,6 +174,9 @@ def test_verify_trace_missing_field_exits_one(two_penal, tmp_path, capsys):
     [
         "[1, 2]",
         "{not json",
+        '{"kind": "delivery", "link": [1, 2, 3], "round": 0, "message": {"type": "Reject"}}',
+        '{"kind": "delivery", "link": [1, 2], "round": 0, "message": {"type": "Nope"}}',
+        # as lines were written when every record held its step
         '{"kind": "delivery", "step": 1, "link": [1, 2, 3], "round": 0, "message": {"type": "Reject"}}',
         '{"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": {"type": "Nope"}}',
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
@@ -180,14 +196,11 @@ def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbag
 
 @pytest.mark.parametrize(
     "record",
-    [
-        {"kind": "delivery", "step": 1, "link": [1, 99], "round": 0,
-         "message": {"type": "Back", "root_flag": False}},
-        {"kind": "state", "step": 1, "node": 99, "field": "cs", "new": "active"},
-        {"kind": "round", "step": 1, "leader": 99},
-    ],
+    [{"kind": "delivery", "link": [1, 99], "round": 0, "message": {"type": "Back", "root_flag": False}}],
 )
 def test_verify_trace_outside_instance_exits_three(two_penal, tmp_path, capsys, record):
+    # a link is the one node a record names: every other record belongs to
+    # the transition of the delivery before it, at that link's receiver
     trace_path = tmp_path / "t.jsonl"
     trace_path.write_text(json.dumps(record) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 3
@@ -251,6 +264,14 @@ def test_verify_trace_bad_record_field_exits_one(tmp_path, capsys, kind, field, 
         ("round", None, "sn"),
         ("round", None, "round"),  # as round records once held their number
         ("epsilon", None, "leader"),  # as decisions once named their round's leader
+        # as every record once held its step, a state change its node and a
+        # round record its leader
+        ("delivery", None, "step"),
+        ("state", None, "step"),
+        ("epsilon", None, "step"),
+        ("round", None, "step"),
+        ("state", None, "node"),
+        ("round", None, "leader"),
         ("delivery", "Report", "pf"),  # as reports once held ts != inf
         ("delivery", "Report", "d_h"),  # as reports once held the sender's d_h
         ("delivery", "Merge", "d_h"),
@@ -284,13 +305,13 @@ def test_verify_trace_undeclared_key_exits_one(tmp_path, capsys, kind, message, 
 def test_verify_old_format_trace_exits_one(two_penal, tmp_path, capsys):
     # the eager trace of the two-node instance as written before state
     # changes dropped their old value: its first line, a round record, still
-    # holds the round's number
+    # holds its step, its leader and the round's number
     trace_path = tmp_path / "t.jsonl"
     trace_path.write_text((DATA / "two_penal_old_format.jsonl").read_text())
     assert main(["verify", two_penal, str(trace_path)]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err == 'error: ' + str(trace_path) + ":1: undeclared key 'round' in {\"kind\": \"round\", ...}\n"
+    assert cap.err == 'error: ' + str(trace_path) + ":1: undeclared key 'step' in {\"kind\": \"round\", ...}\n"
 
 
 def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):
@@ -301,8 +322,8 @@ def test_verify_bound_violation_exits_two(two_penal, tmp_path, capsys):
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
     last = json.loads(lines[-1])
-    again = {"kind": "delivery", "step": last["step"] + 1, "link": [1, 2],
-             "round": last["round"], "message": {"type": "Prune"}}
+    assert last["message"] == {"type": "Prune"}
+    again = {"kind": "delivery", "link": [1, 2], "round": last["round"], "message": {"type": "Prune"}}
     trace_path.write_text("\n".join(lines + [json.dumps(again)]) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 2
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -359,20 +380,33 @@ def test_missing_file_exits_one(capsys):
     assert main(["solve", "--alg", "exact", "/nonexistent.pcst"]) == 1
 
 
+def _transition_nodes(records: list[dict], root: int) -> list[int]:
+    """The node of each record's transition: the receiver of the last
+    delivery up to and including it, or the root before the first."""
+    nodes = []
+    for r in records:
+        if r["kind"] == "delivery":
+            root = r["link"][1]
+        nodes.append(root)
+    return nodes
+
+
 @pytest.mark.parametrize("node", [7, 6, 4, 5])
 def test_verify_prize_flags_not_a_tree_exits_three(tmp_path, capsys, node):
     # without the node's one prize_flag record the traced steiner set is not
     # connected by the merge forest: the trace disagrees with itself
+    inst = generate_random_instance(10, 20, 3)
     inst_path = tmp_path / "g.pcst"
-    inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
+    inst_path.write_text(render_instance(inst))
     trace_path = tmp_path / "t.jsonl"
     assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
     records = [json.loads(line) for line in lines]
+    owners = _transition_nodes(records, inst.root)
     flags = [
         i for i, r in enumerate(records)
-        if r["kind"] == "state" and r["field"] == "prize_flag" and r["node"] == node
+        if r["kind"] == "state" and r["field"] == "prize_flag" and owners[i] == node
     ]
     assert len(flags) == 1
     del lines[flags[0]]
@@ -437,13 +471,17 @@ def test_render_malformed_solution_exits_one(tmp_path, capsys, edit, problem):
     assert problem in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("how", ["delete", "reverse"])
+@pytest.mark.parametrize("how", ["delete", "reverse", "reject"])
 @pytest.mark.parametrize(
     "args, at", [((3, 3, 0), 6), ((7, 12, 3), 8), ((10, 20, 3), 8)], ids=["n3", "n7", "n10"]
 )
 def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
     # without the Proceed that wakes the first node, its connect or its
-    # deactivation is the first the replay hears of it
+    # deactivation is the first the replay hears of it.  Deleted or
+    # reversed, the Proceed leaves the woken node's round and decision
+    # records in transitions of other nodes, and its first decision is out
+    # of place; replaced by a Reject over the same link, it leaves them at
+    # the node, asleep in the replay
     inst_path = tmp_path / "g.pcst"
     inst_path.write_text(render_instance(generate_random_instance(*args)))
     trace_path = tmp_path / "t.jsonl"
@@ -455,13 +493,20 @@ def test_verify_node_never_woken_exits_three(tmp_path, capsys, args, at, how):
     if how == "delete":
         del lines[at]
     else:
-        rec["link"].reverse()
+        if how == "reverse":
+            rec["link"].reverse()
+        else:
+            rec["message"] = {"type": "Reject"}
         lines[at] = json.dumps(rec)
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(inst_path), str(trace_path)]) == 3
     out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
-    assert "before the trace wakes it" in out[0]["witnesses"][0]
+    if how == "reject":
+        assert re.search(f"node {rec['link'][1]} (connects|deactivates) before the trace wakes it",
+                         out[0]["witnesses"][0])
+    else:
+        assert "out of place" in out[0]["witnesses"][0]
 
 
 @pytest.mark.parametrize(
@@ -552,6 +597,29 @@ def test_verify_trace_cut_before_the_prune_decision_exits_three(tmp_path, capsys
     assert "the trace ends where a decision record is due" in out[0]["witnesses"][0]
 
 
+@pytest.mark.parametrize("kind", ["round", "epsilon"])
+def test_verify_record_moved_past_the_next_delivery_exits_three(tmp_path, capsys, kind):
+    # a round is led by the node of its transition and a decision is made
+    # in its round leader's: the first round record (the root's wakeup) or
+    # the first decision (the root's proceed), moved past the next
+    # delivery, lands in the transition of another node
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(10, 20, 3)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    kinds = [json.loads(line)["kind"] for line in lines]
+    at = kinds.index(kind)
+    to = kinds.index("delivery", at)
+    lines.insert(to, lines.pop(at))
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(inst_path), str(trace_path)]) == 3
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+    assert "out of place" in out[0]["witnesses"][0]
+
+
 def test_verify_trace_with_a_phase_record_exits_one(tmp_path, capsys):
     # the phase record that once followed the root's prune decision is no
     # longer a record kind
@@ -562,8 +630,7 @@ def test_verify_trace_with_a_phase_record_exits_one(tmp_path, capsys):
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
     at = _prune_decision_line(lines) + 1
-    step = json.loads(lines[at - 1])["step"]
-    lines.insert(at, json.dumps({"kind": "phase", "step": step}))
+    lines.insert(at, json.dumps({"kind": "phase"}))
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(inst_path), str(trace_path)]) == 1
     cap = capsys.readouterr()
@@ -572,9 +639,10 @@ def test_verify_trace_with_a_phase_record_exits_one(tmp_path, capsys):
 
 
 def _first_record_outside(lines: list[str]) -> list[str]:
-    rec = json.loads(lines[0])
-    rec["leader"] = 99
-    return [json.dumps(rec)] + lines[1:]
+    # the first record is the root's round record, and the second a delivery
+    rec = json.loads(lines[1])
+    rec["link"][1] = 99
+    return lines[:1] + [json.dumps(rec)] + lines[2:]
 
 
 @pytest.mark.parametrize(

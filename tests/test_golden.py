@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from dpcst import node as nd
 from dpcst.node import EpsilonRecord
-from dpcst.sim import Delivery, run, extract_solution
+from dpcst.sim import Delivery, StateChange, run, extract_solution
 
 F = Fraction
 
@@ -88,15 +88,14 @@ def test_wakeup_initializes_to_fifteen(example11):
         and r.message.d_h == 15
     ]
     assert deliveries
-    # the woken node settles at deficit and component weight 15
-    target = deliveries[0].link[1]
-    changes = {
-        (r.field): r.new
-        for r in sim_.trace
-        if not isinstance(r, (Delivery, EpsilonRecord))
-        and getattr(r, "node", None) == target
-        and r.step == deliveries[0].step
-    }
+    # the woken node settles at deficit and component weight 15: the state
+    # changes up to the next delivery are its own
+    changes = {}
+    for r in sim_.trace[sim_.trace.index(deliveries[0]) + 1 :]:
+        if isinstance(r, Delivery):
+            break
+        if isinstance(r, StateChange):
+            changes[r.field] = r.new
     assert changes.get("d_v") == 15
     assert changes.get("comp_w") == 15
 

@@ -612,6 +612,7 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     real = nd.transition
     real_step = Simulation.step_once
     checked = stepped = 0
+    actions = []  # (node, round or decision record) of the current run
 
     def transition_checked(st, e, msg, seq):
         nonlocal checked
@@ -621,6 +622,7 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
         elif isinstance(msg, Report):
             assert st.find_count > 0
         emits = real(st, e, msg, seq)
+        actions.extend((st.id, em) for em in emits if type(em) is not tuple)
         assert st.find_count >= 0 and st.test_count >= 0
         assert st.d_h >= st.d_v
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
@@ -636,13 +638,16 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     monkeypatch.setattr(Simulation, "step_once", step_counted)
     runs = steps = 0
     for inst, seed in _fact_corpus():
+        actions.clear()
         s = run(inst, seed)
-        trace = s.trace
         steps += s.step
-        # one prune decision, in a round the root leads
-        growth = [r for r in trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
-        prunes = [i for i, r in enumerate(growth) if isinstance(r, EpsilonRecord) and r.chosen == "prune"]
-        assert [growth[i - 1].leader for i in prunes] == [inst.root]
+        # one prune decision, made by the root in a round it started
+        prunes = [
+            i for i, (_v, r) in enumerate(actions) if isinstance(r, EpsilonRecord) and r.chosen == "prune"
+        ]
+        assert [(actions[i - 1], actions[i][0]) for i in prunes] == [
+            ((inst.root, RoundBoundary()), inst.root)
+        ]
         runs += 1
     assert runs == 156 and checked > 80_000
     assert checked == stepped == steps

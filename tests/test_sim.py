@@ -97,7 +97,7 @@ def test_exactly_one_phase_boundary_and_increasing_rounds():
     growth = [r for r in trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
     assert [type(r) for r in growth] == [RoundBoundary, EpsilonRecord] * (len(growth) // 2)
     assert [r.chosen for r in growth[1::2]].index("prune") == len(growth) // 2 - 1
-    tags = {r.round_index for r in trace if isinstance(r, Delivery)}
+    tags = {r.round for r in trace if isinstance(r, Delivery)}
     assert tags <= set(range(1, len(growth) // 2 + 1))
 
 
@@ -126,16 +126,15 @@ def test_trace_roundtrip_through_json(tmp_path, example11):
     back = list(read_trace(str(path)))
     assert len(back) == len(s.trace)
     assert back == s.trace
-    first = json.loads(path.read_text().splitlines()[0])
-    assert "kind" in first and "step" in first
+    # the root's wakeup starts the first round
+    assert json.loads(path.read_text().splitlines()[0]) == {"kind": "round"}
 
 
 def test_record_json_stable_fields():
-    rec = Delivery(3, (1, 2), 4, nd.Proceed(Fraction(15)))
+    rec = Delivery((1, 2), 4, nd.Proceed(Fraction(15)))
     d = record_to_json(rec)
     assert d == {
         "kind": "delivery",
-        "step": 3,
         "link": [1, 2],
         "round": 4,
         "message": {"type": "Proceed", "d_h": "15"},
@@ -144,14 +143,14 @@ def test_record_json_stable_fields():
 
 
 def test_back_record_carries_root_flag():
-    rec = Delivery(9, (5, 4), 3, nd.Back(root_flag=True))
+    rec = Delivery((5, 4), 3, nd.Back(root_flag=True))
     d = record_to_json(rec)
     assert d["message"] == {"type": "Back", "root_flag": True}
     assert record_from_json(d) == rec
 
 
 def test_report_record_round_trips_infinite_epsilon_and_timestamp():
-    rec = Delivery(4, (2, 1), 1, nd.Report(nd.INF, Fraction(3), nd.INF))
+    rec = Delivery((2, 1), 1, nd.Report(nd.INF, Fraction(3), nd.INF))
     d = record_to_json(rec)
     assert d["message"]["best_epsilon"] == "inf" and d["message"]["ts"] == "inf"
     assert record_from_json(d) == rec
@@ -172,8 +171,8 @@ def test_report_record_round_trips_infinite_epsilon_and_timestamp():
 )
 def test_bad_field_value_is_a_trace_format_error(tmp_path, message):
     path = tmp_path / "t.jsonl"
-    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0, "message": message}
-    path.write_text('{"kind": "round", "step": 0, "leader": 1}\n' + json.dumps(rec) + "\n")
+    rec = {"kind": "delivery", "link": [1, 2], "round": 0, "message": message}
+    path.write_text('{"kind": "round"}\n' + json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match="t.jsonl:2:"):
         list(read_trace(str(path)))
 
@@ -183,8 +182,7 @@ def test_non_string_rational_is_named_as_such(tmp_path, value):
     # the type is checked before parsed rationals are shared, so a value the
     # share could hash, or fail to hash, gets the same error as any other
     path = tmp_path / "t.jsonl"
-    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0,
-           "message": {"type": "Proceed", "d_h": value}}
+    rec = {"kind": "delivery", "link": [1, 2], "round": 0, "message": {"type": "Proceed", "d_h": value}}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(sim.TraceFormatError, match=r"t.jsonl:1: .* is not a rational string"):
         list(read_trace(str(path)))
@@ -242,7 +240,7 @@ class _ScanningSimulation(Simulation):
             link = min(pool, key=lambda l: self.queues[l][0][1])
         msg, _seq, tag = self.queues[link].popleft()
         self.step += 1
-        self.trace.append(Delivery(self.step, link, tag, msg))
+        self.trace.append(Delivery(link, tag, msg))
         sender, receiver = link
         self._apply(receiver, norm_edge(sender, receiver), msg, tag)
 
@@ -326,6 +324,46 @@ def test_control_message_behind_other_traffic_selects_its_link(seed):
         assert delivered == [((1, 2), "Test"), ((1, 2), "UpdateInfo")]
 
 
+class _UniformSimulation(Simulation):
+    """Seeded delivery from every non-empty link, per-link FIFO kept: the
+    schedule without the control preemption of Simulation._pick."""
+
+    def _pick(self):
+        return self.rng.choice(self.ready)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_test_reads_stale_state_without_the_control_preemption(seed):
+    # the protocol needs the preemption: on a triangle, a node answers a
+    # test of the root's round before the update that puts it in the root
+    # component reaches it, and the root reads it as active
+    inst = generate_random_instance(3, 3, 3)
+    s = _UniformSimulation(inst, seed)
+    with pytest.raises(nd.ProtocolError, match="^epsilon computed in state inactive against active$"):
+        s.run_to_quiescence()
+    if seed == 0:
+        step, last = 1, []  # the records of steps 20 to 22
+        for r in s.trace:
+            step += isinstance(r, Delivery)
+            if step >= 20:
+                last.append(r)
+        # at step 20 the root takes node 2's connect, which merges node 2's
+        # component (2 and 3) into the root's, and starts a round
+        assert last[:2] == [
+            Delivery((2, 1), 3, nd.Connect(Fraction(2), Fraction(1), Fraction(1))),
+            RoundBoundary(),
+        ]
+        # its test reaches node 3 before the root's Accept reaches node 2,
+        # so before the root-flag update node 2 floods after it; node 3
+        # answers that it is active, with its deficit 1
+        deliveries = [r for r in last if isinstance(r, Delivery)]
+        assert deliveries[1:] == [
+            Delivery((1, 3), 4, nd.Test(1)),
+            Delivery((3, 1), 4, nd.Status(nd.CS.ACTIVE, Fraction(1))),
+        ]
+        assert s.queues[(1, 2)][0][0] == nd.Accept(True, Fraction(6), Fraction(5))
+
+
 def test_step_at_quiescence_raises(example11):
     s = run(example11)
     assert not s.in_flight() and s.ready == [] and s.control_links == []
@@ -371,29 +409,21 @@ def _reference_record_dict(rec):
     if isinstance(rec, Delivery):
         return {
             "kind": "delivery",
-            "step": rec.step,
             "link": list(rec.link),
-            "round": rec.round_index,
+            "round": rec.round,
             "message": _message_to_json(rec.message),
         }
     if isinstance(rec, StateChange):
-        return {
-            "kind": "state",
-            "step": rec.step,
-            "node": rec.node,
-            "field": rec.field,
-            "new": _to_jsonable(rec.new),
-        }
+        return {"kind": "state", "field": rec.field, "new": _to_jsonable(rec.new)}
     if isinstance(rec, EpsilonRecord):
         return {
             "kind": "epsilon",
-            "step": rec.step,
             "eps1": _to_jsonable(rec.eps1),
             "eps2": _to_jsonable(rec.eps2),
             "chosen": rec.chosen,
         }
     if isinstance(rec, RoundBoundary):
-        return {"kind": "round", "step": rec.step, "leader": rec.leader}
+        return {"kind": "round"}
     raise TypeError(f"unknown record {rec!r}")
 
 
@@ -431,14 +461,14 @@ _EDGE_STATE_VALUES = {
     "labelled_flag": [True, False],
 }
 _EDGE_RECORDS = [
-    *(Delivery(3 + i, (i + 1, i + 2), i % 4, m) for i, m in enumerate(_EDGE_MESSAGES)),
-    *(StateChange(9, 5, f, new) for f, values in _EDGE_STATE_VALUES.items() for new in values),
-    EpsilonRecord(4, nd.INF, None, "prune"),
-    EpsilonRecord(4, nd.INF, None, "back"),
-    EpsilonRecord(5, F(10), None, "proceed"),
-    EpsilonRecord(6, F(-1, 6), F(7, 2), "merge"),
-    EpsilonRecord(7, F(15, 2), F(3), "deactivate"),
-    RoundBoundary(1, 1),
+    *(Delivery((i + 1, i + 2), i % 4, m) for i, m in enumerate(_EDGE_MESSAGES)),
+    *(StateChange(f, new) for f, values in _EDGE_STATE_VALUES.items() for new in values),
+    EpsilonRecord(nd.INF, None, "prune"),
+    EpsilonRecord(nd.INF, None, "back"),
+    EpsilonRecord(F(10), None, "proceed"),
+    EpsilonRecord(F(-1, 6), F(7, 2), "merge"),
+    EpsilonRecord(F(15, 2), F(3), "deactivate"),
+    RoundBoundary(),
 ]
 
 
@@ -476,7 +506,7 @@ def test_every_record_kind_and_message_type_takes_exactly_its_keys():
 
 def test_over_long_rational_is_named_with_its_line(tmp_path):
     path = tmp_path / "t.jsonl"
-    rec = {"kind": "delivery", "step": 1, "link": [1, 2], "round": 0,
+    rec = {"kind": "delivery", "link": [1, 2], "round": 0,
            "message": {"type": "Proceed", "d_h": "7" * 5000}}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(
@@ -489,7 +519,8 @@ def test_over_long_rational_is_named_with_its_line(tmp_path):
 def test_over_long_integer_is_named_with_its_line(tmp_path):
     # the JSON decoder refuses it before any field is decoded
     path = tmp_path / "t.jsonl"
-    path.write_text('{"kind": "round", "step": 0, "leader": 1}\n{"kind": "round", "step": ' + "7" * 5000 + "}\n")
+    rec = '{"kind": "delivery", "link": [1, 2], "round": ' + "7" * 5000 + ', "message": {"type": "Prune"}}'
+    path.write_text('{"kind": "round"}\n' + rec + "\n")
     limit = sys.get_int_max_str_digits()
     with pytest.raises(
         sim.TraceFormatError, match=f"t.jsonl:2: a trace integer has at most {limit} digits$"
@@ -514,6 +545,11 @@ def _old_format_records(lines, inst):
     object its line held before the format dropped the values that other
     fields of the same run restate.  It restores:
 
+    - every record's step, that of the transition it belongs to: one more
+      than the deliveries up to and including the last one before it;
+    - a state change's node, and a round record's leader: the node of that
+      transition, the receiver of that delivery (or the root, before the
+      first);
     - a state change's old value, from the previous new value of that node
       and field, or the NodeState constructor's;
     - Initiate.sn, always "find";
@@ -524,9 +560,9 @@ def _old_format_records(lines, inst):
     - Accept.leader_flag, from the acceptor (the sender) being in the root
       component or having the higher id of the link;
     - a root_flag change wherever the prize flag changes, to its negation;
-    - an lc change wherever a node's round leader changes: to the leader of
-      the last round record of the step, which the stepping node leads, or
-      else of the Initiate delivered to it;
+    - an lc change wherever a node's round leader changes: to the node
+      itself at a round record of its transition, or else to the leader of
+      the Initiate delivered to it;
     - a round record's number, from its place among the round records;
     - a decision's leader, from the round record before it;
     - the phase record, right after the root's prune decision, at its step.
@@ -546,7 +582,8 @@ def _old_format_records(lines, inst):
         })
     merge_eps1 = {}  # round -> eps1 of its merge decision
     round_index = 0
-    step = node = leader = round_leader = None
+    step, node = 1, inst.root  # the root's wakeup
+    leader = round_leader = None
     flag_changed = False
 
     def change(field, new):
@@ -561,11 +598,10 @@ def _old_format_records(lines, inst):
 
     for line in lines:
         rec = json.loads(line)
-        if rec["step"] != step:
-            yield from end_of_step()
-            step, node, leader, flag_changed = rec["step"], None, None, False
         if rec["kind"] == "delivery":
-            node = rec["link"][1]
+            yield from end_of_step()
+            step, node, leader, flag_changed = step + 1, rec["link"][1], None, False
+            rec = {"kind": "delivery", "step": step, **rec}
             msg = rec["message"]
             if msg["type"] == "Initiate":
                 leader = msg["leader"]
@@ -587,8 +623,8 @@ def _old_format_records(lines, inst):
                 rec["message"] = {"type": "Accept", "leader_flag": leads, **msg}
         elif rec["kind"] == "round":
             round_index += 1
-            rec["round"] = round_index
-            node = leader = round_leader = rec["leader"]
+            rec = {"kind": "round", "step": step, "leader": node, "round": round_index}
+            leader = round_leader = node
         elif rec["kind"] == "epsilon":
             rec = {"kind": "epsilon", "step": step, "leader": round_leader, **rec}
             if rec["chosen"] == "merge":
@@ -597,7 +633,6 @@ def _old_format_records(lines, inst):
                 yield rec
                 rec = {"kind": "phase", "step": step}
         elif rec["kind"] == "state":
-            node = rec["node"]
             flag_changed |= rec["field"] == "prize_flag"
             rec = change(rec["field"], rec["new"])
         yield rec
@@ -611,11 +646,11 @@ def _old_format_text(lines, inst) -> str:
 @pytest.mark.parametrize(
     "n, seed, digest, old_digest",
     [
-        (40, None, "9f4d6718b29fabee49deec6fe5ac2b28d23969235fb84e1d2c71126c16646ccf",
+        (40, None, "8a59c0cb8358bf348715ba469445c91f20419db6fcde74bd479b19bb2c941d76",
          "a71d986be8940e1ee13a3a1bda714b1fec95e4deff1ed43204af6a83b55b184f"),
-        (80, None, "33d8fc3737fff1ecdb866f2cf05eaf613fa632b0024cf4be53389a158e16f7f5",
+        (80, None, "556283dc4e74e7c7a1dae4dc4d1033d5630ece4611a21a7dee68a9396c779d04",
          "62389342a45f54b3081f01ad85c68255cf507d8adbf0a42aee73782cf1024cb1"),
-        (40, 0, "b09596926e93de7468697c3868e69384711d91b757bbad91094cb04598193268",
+        (40, 0, "2d932308873da489599d1caff306f50acf152813495ad39400b0661cbe3cfa22",
          "5e97b2d0638628a045af3209b943f1fd14c811c27e96edf75b5c5550050810ba"),
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
@@ -659,7 +694,7 @@ def test_refactor_corpus_trace_digest():
         old.update(_old_format_text(lines, inst).encode())
         runs += 1
     assert runs == 432
-    assert h.hexdigest() == "14fab3c52b2365813281ca57ed99594374803f5093522197d3605d9596807d2b"
+    assert h.hexdigest() == "6c42120b9b54ead84967ff6604d1f976fb32690a2ab46493d63f21df7b7ff0f9"
     assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
@@ -671,11 +706,20 @@ def test_refactor_corpus_trace_digest():
 def test_phase_boundary_follows_the_root_prune_decision(seed, example11):
     # the prune phase opens only through the root's decision, which comes
     # before its first Prune send: the one prune decision is the phase
-    # boundary, the last round or decision record, in a round the root leads
+    # boundary, the last round or decision record, in a round the root leads.
+    # A round is led by the node of its transition: the receiver of the last
+    # delivery before it, or the root.
     instances = [parse_instance("nodes 4\nroot 4"), parse_instance(TWO_MERGE), example11]
     instances += [generate_random_instance(n, 2 * n, n) for n in range(5, 31, 5)]
     for inst in instances:
-        growth = [r for r in run(inst, seed).trace if isinstance(r, (RoundBoundary, EpsilonRecord))]
-        assert [r.chosen for r in growth[1::2]].count("prune") == 1
-        assert growth[-2] == RoundBoundary(growth[-2].step, inst.root)
-        assert growth[-1] == EpsilonRecord(growth[-1].step, nd.INF, None, "prune")
+        node, growth = inst.root, []  # (node of its transition, round or decision record)
+        for r in run(inst, seed).trace:
+            if isinstance(r, Delivery):
+                node = r.link[1]
+            elif isinstance(r, (RoundBoundary, EpsilonRecord)):
+                growth.append((node, r))
+        assert [r.chosen for _v, r in growth[1::2]].count("prune") == 1
+        assert growth[-2:] == [
+            (inst.root, RoundBoundary()),
+            (inst.root, EpsilonRecord(nd.INF, None, "prune")),
+        ]

@@ -122,7 +122,7 @@ def test_replay_divergence_on_edited_epsilon(tmp_path):
     doctored = []
     for rec in s.trace:
         if isinstance(rec, EpsilonRecord) and rec.chosen == "deactivate":
-            rec = EpsilonRecord(rec.step, rec.eps1, rec.eps2 + 1, rec.chosen)
+            rec = EpsilonRecord(rec.eps1, rec.eps2 + 1, rec.chosen)
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
@@ -137,12 +137,7 @@ def test_replay_divergence_on_edited_connect_payload():
     for rec in s.trace:
         if isinstance(rec, sim.Delivery) and isinstance(rec.message, Connect):
             msg = rec.message
-            rec = sim.Delivery(
-                rec.step,
-                rec.link,
-                rec.round_index,
-                Connect(msg.comp_w, msg.deficit + 1, msg.d_h),
-            )
+            rec = sim.Delivery(rec.link, rec.round, Connect(msg.comp_w, msg.deficit + 1, msg.d_h))
         doctored.append(rec)
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
@@ -160,7 +155,7 @@ def test_replay_divergence_on_repeated_connect():
             # the same connect again, carrying the sender's deficit after the merge
             msg = rec.message
             again = Connect(msg.comp_w, inst.weights[(1, 2)], msg.d_h)
-            doctored.append(sim.Delivery(rec.step, rec.link, rec.round_index, again))
+            doctored.append(sim.Delivery(rec.link, rec.round, again))
     with pytest.raises(ReplayDivergence):
         reconstruct_duals(doctored, inst)
 
@@ -193,25 +188,54 @@ def _edit(trace, cls, k, edit):
     "doctor, culprit",
     [
         (lambda t: _edit(t, EpsilonRecord, 0, lambda r: [r, r]),
-         "EpsilonRecord(step=7, eps1=Fraction(2, 1), eps2=None, chosen='proceed') out of place; "
-         "due: round in round 1, led by 1"),
+         "step 7: EpsilonRecord(eps1=Fraction(2, 1), eps2=None, chosen='proceed') at node 1 "
+         "out of place; due: round in round 1, led by 1"),
         (lambda t: _edit(t, EpsilonRecord, 1, lambda r: [
-            EpsilonRecord(r.step, r.eps1, r.eps2, "prune")]),
-         "EpsilonRecord(step=20, eps1=Fraction(2, 1), eps2=Fraction(3, 1), chosen='prune') out of place; "
-         "due: decision in round 2, led by 7"),
-        (lambda t: t + [RoundBoundary(t[-1].step + 1, 1)],
-         "RoundBoundary(step=373, leader=1) out of place; due: nothing in round 15, led by 1"),
+            EpsilonRecord(r.eps1, r.eps2, "prune")]),
+         "step 20: EpsilonRecord(eps1=Fraction(2, 1), eps2=Fraction(3, 1), chosen='prune') at node 7 "
+         "out of place; due: decision in round 2, led by 7"),
+        (lambda t: _move_past_next_delivery(t, EpsilonRecord, 0),
+         "step 8: EpsilonRecord(eps1=Fraction(2, 1), eps2=None, chosen='proceed') at node 7 "
+         "out of place; due: decision in round 1, led by 1"),
+        (lambda t: t + [RoundBoundary()],
+         "step 372: RoundBoundary() at node 5 out of place; due: nothing in round 15, led by 1"),
     ],
-    ids=["two-decisions", "non-root-prune", "round-after-prune"],
+    ids=["two-decisions", "non-root-prune", "decision-of-another-node", "round-after-prune"],
 )
 def test_replay_rejects_misplaced_round_records(doctor, culprit):
     # the eager trace of test_replay_requires_every_round_decision_and_phase_record:
     # round 1 is the root's (node 1) proceed at step 7, round 2 node 7's
-    # merge at step 20, and round 15 the root's prune at step 362
+    # merge at step 20, round 15 the root's prune at step 362, and the last
+    # delivery, step 372, is node 5's
     inst = generate_random_instance(10, 20, 3)
-    with pytest.raises(ReplayDivergence, match="out of place") as exc:
+    with pytest.raises(ReplayDivergence) as exc:
         reconstruct_duals(doctor(run(inst).trace), inst)
-    assert culprit in str(exc.value)
+    assert str(exc.value) == culprit
+
+
+def _move_past_next_delivery(trace, cls, k):
+    """trace with its k-th record of class cls moved to just after the first
+    delivery that follows it, into that delivery's transition."""
+    i = [i for i, r in enumerate(trace) if isinstance(r, cls)][k]
+    j = next(j for j in range(i + 1, len(trace)) if isinstance(trace[j], sim.Delivery))
+    return trace[:i] + trace[i + 1 : j + 1] + [trace[i]] + trace[j + 1 :]
+
+
+@pytest.mark.parametrize("args, moved", [((10, 20, 3), 30), ((10, 30, 3), 34), ((12, 24, 1), 32)])
+def test_replay_rejects_a_round_or_decision_moved_past_the_next_delivery(args, moved):
+    # a round is led by the node of its transition and a decision is made
+    # in its round leader's, so neither may move into the next delivery's
+    # transition: every round and decision record of an eager trace, each
+    # moved on its own (every one has a delivery after it)
+    inst = generate_random_instance(*args)
+    trace = run(inst).trace
+    rejected = 0
+    for cls in (RoundBoundary, EpsilonRecord):
+        for k in range(sum(isinstance(r, cls) for r in trace)):
+            with pytest.raises(ReplayDivergence):
+                reconstruct_duals(_move_past_next_delivery(trace, cls, k), inst)
+            rejected += 1
+    assert rejected == moved
 
 
 def test_edge_packing_flags_violation():
@@ -328,7 +352,7 @@ def test_bounds_flag_round_overflow():
     inst = generate_random_instance(4, 4, 3)
     s = run(inst)
     doctored = list(s.trace) + [
-        RoundBoundary(s.step + i, inst.root) for i in range(100)
+        RoundBoundary() for i in range(100)
     ]
     rep = check_bounds(count_messages(doctored), inst)
     assert not rep.ok
