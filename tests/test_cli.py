@@ -199,8 +199,9 @@ def test_verify_trace_garbage_line_exits_one(two_penal, tmp_path, capsys, garbag
     [{"kind": "delivery", "link": [1, 99], "round": 0, "message": {"type": "Back", "root_flag": False}}],
 )
 def test_verify_trace_outside_instance_exits_three(two_penal, tmp_path, capsys, record):
-    # a link is the one node a record names: every other record belongs to
-    # the transition of the delivery before it, at that link's receiver
+    # a delivery's link holds the only node ids a trace names: every other
+    # record belongs to the transition of the delivery before it, at that
+    # link's receiver
     trace_path = tmp_path / "t.jsonl"
     trace_path.write_text(json.dumps(record) + "\n")
     assert main(["verify", two_penal, str(trace_path)]) == 3
@@ -221,6 +222,7 @@ def test_verify_trace_without_records_exits_one(two_penal, tmp_path, capsys, tex
         ("delivery", None, "link", ["1", 2]),
         ("delivery", None, "link", [1.0, 2]),
         ("delivery", None, "round", None),
+        # keys that lines no longer hold, so each is an undeclared key
         ("delivery", None, "step", "2"),
         ("round", None, "leader", [1]),
         ("epsilon", None, "chosen", "explode"),

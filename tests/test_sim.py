@@ -546,7 +546,7 @@ def _old_format_records(lines, inst):
     fields of the same run restate.  It restores:
 
     - every record's step, that of the transition it belongs to: one more
-      than the deliveries up to and including the last one before it;
+      than the deliveries up to and including it;
     - a state change's node, and a round record's leader: the node of that
       transition, the receiver of that delivery (or the root, before the
       first);
