@@ -37,6 +37,7 @@ def gw_grow(inst: PcstInstance) -> MoatLedger:
     smallest edge, resp. max member, and a penalty before an edge.
     """
     lg = MoatLedger(inst.node_ids, inst.root)
+    root_of = lg.root_of
     prize = dict(inst.prizes)  # prize sum by component root
     stamps = itertools.count()
     edge_stamp: dict[Edge, int] = {}
@@ -47,7 +48,7 @@ def gw_grow(inst: PcstInstance) -> MoatLedger:
 
     def time_edge(u: int, v: int):
         e = norm_edge(u, v)
-        ru, rv = lg.find(u), lg.find(v)
+        ru, rv = root_of[u], root_of[v]
         s = edge_stamp[e] = next(stamps)
         cs = lg.active[ru] + lg.active[rv]
         if ru != rv and cs:
@@ -76,7 +77,7 @@ def gw_grow(inst: PcstInstance) -> MoatLedger:
             "growth exceeded its iteration cap"
         )
         while edges and (
-            edge_stamp[edges[0][1]] != edges[0][2] or lg.find(edges[0][1][0]) == lg.find(edges[0][1][1])
+            edge_stamp[edges[0][1]] != edges[0][2] or root_of[edges[0][1][0]] == root_of[edges[0][1][1]]
         ):
             heapq.heappop(edges)
         while pens and pen_stamp.get(pens[0][2]) != pens[0][3]:
@@ -95,7 +96,7 @@ def gw_grow(inst: PcstInstance) -> MoatLedger:
             flipped(lg.members[r])
         else:
             u, v = heapq.heappop(edges)[1]
-            ru, rv = lg.find(u), lg.find(v)
+            ru, rv = root_of[u], root_of[v]
             sides = [(lg.members[ru], lg.active[ru]), (lg.members[rv], lg.active[rv])]
             lg.union(u, v)
             prize[rv] += prize.pop(ru)

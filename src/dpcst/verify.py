@@ -10,9 +10,12 @@ epsilons subtract with ordinary signed arithmetic.
 
 The moats, deficits, component weights and activity and the merge forest
 live in a ``MoatLedger``, which the centralized reference solver (``gw``)
-shares.  Divergence between the shadow and the traced state changes means
-the system under test and the reconstruction disagree: exit-code-3
-territory.
+shares.  The ledger grows a moat and its deficits and weight together, so
+each deficit and weight is its moat sum by construction, and the replay
+compares them with the trace only.  Divergence between the shadow and the
+traced state changes, or between a merge decision's epsilon and the connect
+it sends, means the system under test and the reconstruction disagree:
+exit-code-3 territory.
 """
 
 from __future__ import annotations
@@ -84,43 +87,28 @@ class Report:
         return {"check": self.check, "status": self.status, "witnesses": self.witnesses}
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 class MoatLedger:
     """Components that grow, merge and deactivate, and the moats credited
     to them.
 
     A moat is a component snapshot; components only merge, so the moats form
-    a laminar family.  Deficits are kept per node; member sets, component
-    weights and activity per union-find root; moat masses in crediting
-    order; and the forest of edges that components merged over.  A
-    component is active unless it was deactivated or holds the root.  Both
-    the reference solver and the trace replay keep their growth state here.
+    a laminar family.  Deficits are kept per node; the root of each node's
+    component in ``root_of``; member sets, component weights and activity
+    per component root; moat masses in crediting order; and the forest of
+    edges that components merged over.  A component is active unless it was
+    deactivated or holds the root.  Both the reference solver and the trace
+    replay keep their growth state here.
 
-    The moat sums that ``check_identities`` compares against are kept as of
-    its last call, plus the credits made since, so a check costs O(n) plus
-    the size of the moats credited since the previous one.
+    ``grow`` is the only writer of moats, deficits and weights, and adds the
+    same epsilon to all three.  So every node's deficit is the sum of the
+    moats that hold it, and every component's weight the sum of the moats
+    inside it: a moat is a member set that the component, or one merged
+    into it, once had.
     """
 
     def __init__(self, node_ids, root: int):
         self.root = root
-        self.uf = UnionFind(node_ids)
+        self.root_of = {v: v for v in node_ids}
         self.members = {v: frozenset([v]) for v in node_ids}  # by component root
         self.d = {v: Fraction(0) for v in node_ids}
         self.w = {v: Fraction(0) for v in node_ids}  # by component root
@@ -128,66 +116,35 @@ class MoatLedger:
         self.forest: set[Edge] = set()  # the edges components merged over
         self.y: dict[frozenset[int], Fraction] = {}  # in the order first credited
         self.deactivated: list[frozenset[int]] = []
-        self._covering = {v: Fraction(0) for v in node_ids}  # moat sum over moats holding v
-        self._inner = {v: Fraction(0) for v in node_ids}  # by component root
-        self._fresh: dict[frozenset[int], Fraction] = {}  # credits since the last check
-
-    def find(self, v: int) -> int:
-        return self.uf.find(v)
-
-    def credit(self, nodes: frozenset[int], eps: Fraction):
-        if eps != 0:
-            self.y[nodes] = self.y.get(nodes, Fraction(0)) + eps
-            self._fresh[nodes] = self._fresh.get(nodes, Fraction(0)) + eps
 
     def grow(self, v: int, eps: Fraction):
         """Grow the component of v by eps: its moat, member deficits and weight."""
-        r = self.uf.find(v)
+        r = self.root_of[v]
         members = self.members[r]
-        self.credit(members, eps)
+        if eps != 0:
+            self.y[members] = self.y.get(members, Fraction(0)) + eps
         for u in members:
             self.d[u] += eps
         self.w[r] += eps
 
     def union(self, u: int, v: int):
-        """Merge u's component into v's over the edge (u, v).  The merged
-        component is active unless it holds the root."""
-        ru, rv = self.uf.find(u), self.uf.find(v)
-        self.uf.union(ru, rv)
-        merged = self.members.pop(ru) | self.members[rv]
-        self.members[rv] = merged
+        """Merge u's component into v's over the edge (u, v); v's root stays
+        the merged component's.  The merged component is active unless it
+        holds the root."""
+        ru, rv = self.root_of[u], self.root_of[v]
+        moved = self.members.pop(ru)
+        for x in moved:
+            self.root_of[x] = rv
+        merged = self.members[rv] = moved | self.members[rv]
         self.w[rv] += self.w.pop(ru)
-        self._inner[rv] += self._inner.pop(ru)
         del self.active[ru]
         self.active[rv] = self.root not in merged
         self.forest.add(norm_edge(u, v))
 
     def deactivate(self, v: int):
-        r = self.uf.find(v)
+        r = self.root_of[v]
         self.active[r] = False
         self.deactivated.append(self.members[r])
-
-    def check_identities(self) -> str | None:
-        """The first node whose deficit, or component whose weight, differs
-        from its covering, resp. inner, moat sum; None if all agree.
-
-        Every credit since the last call is folded into the sums before
-        anything is compared, so a repeated call gives the same answer."""
-        covering, inner = self._covering, self._inner
-        for s, y in self._fresh.items():
-            for v in s:
-                covering[v] += y
-            r = self.uf.find(next(iter(s)))
-            if s <= self.members[r]:
-                inner[r] += y
-        self._fresh.clear()
-        for v, d in self.d.items():
-            if d != covering[v]:
-                return f"node {v} deficit {d} != moat sum {covering[v]}"
-        for r, members in self.members.items():
-            if self.w[r] != inner[r]:
-                return f"component of {min(members)} weight {self.w[r]} != moat sum {inner[r]}"
-        return None
 
     def certificate(self, solution: Solution) -> DualCertificate:
         moats = [Moat(s, y) for s, y in self.y.items()]
@@ -208,7 +165,7 @@ _EPS1_INFINITE = {"back": True, "prune": True, "proceed": False, "merge": False}
 class _Replay:
     """Replay-only state beside the ledger: the transition the records
     belong to, the nodes the growth has not reached yet, the mirrors of the
-    traced state and the round structure."""
+    traced state, the round structure and the open merge decision's eps1."""
 
     def __init__(self, inst: PcstInstance):
         self.inst = inst
@@ -228,6 +185,8 @@ class _Replay:
         self.rounds = 0
         self.leader: int | None = None
         self.due: str | None = "round"
+        # the eps1 of the merge decision whose connect has not been delivered
+        self.merge_eps1: Fraction | None = None
 
     def wake(self, v: int, d_k: Fraction):
         # a sleeping node is an untouched singleton (d = w = 0)
@@ -269,7 +228,7 @@ class _Replay:
 
     def merge(self, sender: int, receiver: int):
         lg = self.ledger
-        if lg.find(sender) == lg.find(receiver):
+        if lg.root_of[sender] == lg.root_of[receiver]:
             raise ReplayDivergence(f"connect from {sender} to {receiver} within one component")
         self.check_awake(sender, "connects")
         lg.union(sender, receiver)
@@ -279,12 +238,15 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
     """Replay a growth trace into an explicit dual certificate, in one pass
     over its records.
 
-    Credits moats from delivery events, cross-checks its shadow state against
-    the traced StateChange stream, and confirms the bookkeeping identities
-    (deficit = sum of covering moats, component weight = sum of inner moats)
-    at every round boundary.  The certified solution is the one the trace
-    gives: the traced prize flags name the steiner part, and its tree is the
-    merge forest restricted to it.
+    Credits moats from delivery events and deactivate decisions into a
+    ``MoatLedger``, whose deficits and component weights are their moat sums
+    by construction, and cross-checks them against the traced StateChange
+    stream: each round leader's deficit and component weight once its
+    round's transition is over, and every deficit at the end.  A merge
+    decision's eps1 must be the epsilon of the connect that follows it.
+    The certified solution is the one the trace gives: the traced prize
+    flags name the steiner part, and its tree is the merge forest
+    restricted to it.
     """
     rp = _Replay(inst)
     lg = rp.ledger
@@ -294,7 +256,7 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
     for rec in trace:
         if isinstance(rec, sm.Delivery):
             if round_started:
-                _check_identities(rp)
+                _check_leader(rp)
                 round_started = False
             _replay_delivery(rp, rec)
         elif isinstance(rec, sm.StateChange):
@@ -312,8 +274,10 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
                 rp.check_awake(rp.leader, "deactivates")
                 lg.grow(rp.leader, rec.eps2)
                 lg.deactivate(rp.leader)
+            elif rec.chosen == "merge":
+                rp.merge_eps1 = rec.eps1
     if round_started:
-        _check_identities(rp)
+        _check_leader(rp)
     if rp.due is not None:
         raise ReplayDivergence(f"the trace ends where a {rp.due} record is due")
     for v in inst.node_ids:
@@ -333,24 +297,20 @@ def reconstruct_duals(trace: Iterable[sm.Record], inst: PcstInstance) -> DualCer
     return lg.certificate(solution)
 
 
-def _check_identities(rp: _Replay):
-    """Deficits and component weights must equal their moat sums; the
-    replicas of the current transition's node, the round leader, must match
-    the trace exactly."""
+def _check_leader(rp: _Replay):
+    """The replicas of the current transition's node, the round leader, must
+    match the trace exactly."""
     lg, leader, step = rp.ledger, rp.node, rp.step
     if rp.traced_d[leader] != lg.d[leader]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} deficit traced {rp.traced_d[leader]} "
             f"!= replayed {lg.d[leader]}"
         )
-    if leader not in rp.asleep and rp.traced_w[leader] != lg.w[lg.find(leader)]:
+    if leader not in rp.asleep and rp.traced_w[leader] != lg.w[lg.root_of[leader]]:
         raise ReplayDivergence(
             f"step {step}: leader {leader} component weight traced "
-            f"{rp.traced_w[leader]} != replayed {lg.w[lg.find(leader)]}"
+            f"{rp.traced_w[leader]} != replayed {lg.w[lg.root_of[leader]]}"
         )
-    mismatch = lg.check_identities()
-    if mismatch is not None:
-        raise ReplayDivergence(f"step {step}: {mismatch}")
 
 
 def _replay_delivery(rp: _Replay, rec: sm.Delivery):
@@ -374,7 +334,7 @@ def _replay_delivery(rp: _Replay, rec: sm.Delivery):
         if receiver in rp.asleep:
             rp.wake(receiver, msg.d_h)
             eps1 = (w_e - lg.d[receiver] - msg.deficit) / 2
-            eps2 = rp.inst.prizes[receiver] - lg.w[lg.find(receiver)]
+            eps2 = rp.inst.prizes[receiver] - lg.w[lg.root_of[receiver]]
             if eps1 < eps2:
                 lg.grow(receiver, eps1)
                 lg.grow(sender, eps1)
@@ -382,11 +342,19 @@ def _replay_delivery(rp: _Replay, rec: sm.Delivery):
             else:
                 lg.grow(receiver, eps2)
                 lg.deactivate(receiver)
-        elif not lg.active[lg.find(receiver)]:
-            lg.grow(sender, w_e - lg.d[receiver] - msg.deficit)
+        elif not lg.active[lg.root_of[receiver]]:
+            eps1 = w_e - lg.d[receiver] - msg.deficit
+            lg.grow(sender, eps1)
             rp.merge(sender, receiver)
         else:
             raise ReplayDivergence(f"connect delivered to active node {receiver}")
+        # the connect a merge decision sends is over the edge its eps1 was computed for
+        if rp.merge_eps1 not in (None, eps1):
+            raise ReplayDivergence(
+                f"step {rp.step}: connect from {sender} to {receiver} at epsilon {eps1}, "
+                f"its merge decision's eps1 {rp.merge_eps1}"
+            )
+        rp.merge_eps1 = None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import check_identities, checking_ledger
 from dpcst import gw, sim, verify
 from dpcst import node as nd
 from dpcst.exact import ExactResult, exact_pcst
@@ -51,19 +52,23 @@ class Case:
 
 @pytest.fixture(scope="module")
 def corpus():
+    """Every replay keeps its ledger through check_identities (criterion
+    3); a failed identity is a replay error, like a divergence."""
     cases = []
-    for k in range(N_INSTANCES):
-        inst = corpus_instance(k)
-        s = sim.run(inst)
-        sol = extract_solution(s)
-        res = exact_pcst(inst)
-        gsol, gcert = gw.gw_solve(inst)
-        cert, err = None, None
-        try:
-            cert = verify.reconstruct_duals(s.trace, inst)
-        except verify.ReplayDivergence as exc:
-            err = str(exc)
-        cases.append(Case(k, inst, sol, s.trace, res, gsol, gcert, cert, err))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "MoatLedger", checking_ledger(check_identities))
+        for k in range(N_INSTANCES):
+            inst = corpus_instance(k)
+            s = sim.run(inst)
+            sol = extract_solution(s)
+            res = exact_pcst(inst)
+            gsol, gcert = gw.gw_solve(inst)
+            cert, err = None, None
+            try:
+                cert = verify.reconstruct_duals(s.trace, inst)
+            except (verify.ReplayDivergence, AssertionError) as exc:
+                err = str(exc)
+            cases.append(Case(k, inst, sol, s.trace, res, gsol, gcert, cert, err))
     return cases
 
 
@@ -109,8 +114,9 @@ def test_criterion_2_dual_certificate_validity(corpus):
 
 
 def test_criterion_3_bookkeeping_identities(corpus):
-    """Replayed deficits and component weights equal their moat sums at every
-    round boundary; reconstruction raises on any mismatch."""
+    """Replayed deficits and component weights equal their moat sums, every
+    moat summed again after every merge and deactivation, and the replay
+    matches the traced state; reconstruction raises on any mismatch."""
     failures = [
         f"k={c.k}: {c.replay_error}" for c in corpus if c.replay_error is not None
     ]

@@ -3,12 +3,13 @@ import pathlib
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from dpcst import cli
 from dpcst.cli import main
-from dpcst.instance import generate_random_instance, render_instance
+from dpcst.instance import format_rational, generate_random_instance, render_instance
 from dpcst.node import EpsilonRecord
 from dpcst.sim import read_trace
 
@@ -149,6 +150,31 @@ def test_verify_decision_eps2_against_its_choice_exits_three(tmp_path, capsys, c
     step = 1 + sum(r["kind"] == "delivery" for r in records[:at])
     assert f"step {step}: a {chosen} decision with {key} " in out[0]["witnesses"][0]
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize(
+    "args, decisions", [((10, 20, 3), 10), ((10, 30, 3), 10), ((12, 24, 1), 12)], ids=str
+)
+def test_verify_merge_eps1_against_its_connect_exits_three(tmp_path, capsys, args, decisions):
+    # a merge decision's eps1 is the epsilon of the connect that follows it:
+    # half the slack of the edge to a sleeping node, all of it to an
+    # inactive one; each merge decision in turn gets eps1 + 1
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(*args)))
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    merges = [i for i, r in enumerate(records) if r["kind"] == "epsilon" and r["chosen"] == "merge"]
+    assert len(merges) == decisions
+    for at in merges:
+        rewritten = dict(records[at], eps1=format_rational(Fraction(records[at]["eps1"]) + 1))
+        lines = [json.dumps(r) + "\n" for r in [*records[:at], rewritten, *records[at + 1 :]]]
+        trace_path.write_text("".join(lines))
+        assert main(["verify", str(inst_path), str(trace_path)]) == 3
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["check"], r["status"]) for r in out] == [("replay", "divergence")]
+        assert f"its merge decision's eps1 {rewritten['eps1']}" in out[0]["witnesses"][0]
 
 
 def test_verify_trace_missing_field_exits_one(two_penal, tmp_path, capsys):

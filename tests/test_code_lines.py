@@ -36,3 +36,13 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["6", "a", "1", "b", "7", "total"]
+
+
+def test_a_file_or_missing_directory_is_a_usage_error(tmp_path, capsys):
+    module = tmp_path / "a.py"
+    module.write_text(SOURCE)
+    (tmp_path / "empty").mkdir()
+    for arg in (module, tmp_path / "missing", tmp_path / "empty"):
+        assert code_lines.main([str(arg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")

@@ -12,7 +12,6 @@ from dpcst.instance import (
     norm_edge,
     parse_instance,
 )
-from dpcst.verify import UnionFind
 
 
 def test_single_node():
@@ -76,11 +75,21 @@ def _induced_mst(
 ) -> tuple[Fraction, list[Edge]] | None:
     """Kruskal on the induced subgraph, given all edges in order by (weight,
     edge); None if the induced subgraph is disconnected."""
-    uf = UnionFind(nodes)
+    parent = {v: v for v in nodes}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
     total = Fraction(0)
     chosen: list[Edge] = []
     for e in order:
-        if e[0] in nodes and e[1] in nodes and uf.union(*e):
+        if e[0] not in nodes or e[1] not in nodes:
+            continue
+        ru, rv = find(e[0]), find(e[1])
+        if ru != rv:
+            parent[ru] = rv
             chosen.append(e)
             total += inst.weights[e]
     if len(chosen) != len(nodes) - 1:

@@ -22,7 +22,7 @@ def _scanning_gw_grow(inst):
         best_edge = None
         for e in sorted(inst.weights):
             u, v = e
-            ru, rv = lg.find(u), lg.find(v)
+            ru, rv = lg.root_of[u], lg.root_of[v]
             if ru == rv:
                 continue
             cs = lg.active[ru] + lg.active[rv]

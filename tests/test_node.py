@@ -603,12 +603,13 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     # a pending proceed is its in-edge and its timestamp at once; a status
     # or reject arrives only while the receiver awaits a test answer, and a
     # report only while it awaits a report, so neither count goes below 0
-    # and a node reports once per round; no node's deficit exceeds its
-    # component's highest deficit as the node holds it; the root decides
-    # prune once, and that decision opens the one prune phase.  The
-    # simulator calls nd.transition and Simulation.step_once through their
-    # attributes once per step, the root wakeup included, so wrappers
-    # patched there (as perfbench's probes are) see every step.
+    # and a node reports once per round; a back edge leads towards a
+    # pending proceed, so it is set only with a finite timestamp; no node's
+    # deficit exceeds its component's highest deficit as the node holds it;
+    # the root decides prune once, and that decision opens the one prune
+    # phase.  The simulator calls nd.transition and Simulation.step_once
+    # through their attributes once per step, the root wakeup included, so
+    # wrappers patched there (as perfbench's probes are) see every step.
     real = nd.transition
     real_step = Simulation.step_once
     checked = stepped = 0
@@ -626,6 +627,7 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
         assert st.find_count >= 0 and st.test_count >= 0
         assert st.d_h >= st.d_v
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
+        assert st.back_edge is None or st.ts != INF
         checked += 1
         return emits
 

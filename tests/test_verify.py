@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dpcst import sim
+from conftest import check_identities, checking_ledger
+from dpcst import sim, verify
 from dpcst.exact import exact_pcst
 from dpcst.gw import gw_solve
 from dpcst.instance import format_rational, generate_random_instance, make_solution, parse_instance
@@ -14,7 +15,6 @@ from dpcst.sim import count_messages, extract_solution, run
 from dpcst.verify import (
     DualCertificate,
     Moat,
-    MoatLedger,
     ReplayDivergence,
     check_bounds,
     check_edge_packing,
@@ -364,89 +364,13 @@ def test_verify_trace_end_to_end(example11):
     assert all(r.ok for r in reports)
 
 
-def test_identities_hold_at_round_boundaries_randomized():
-    # reconstruct_duals raises on any bookkeeping mismatch at a boundary
+def test_identities_hold_at_round_boundaries_randomized(monkeypatch):
+    # the replay's ledger keeps its deficits and weights equal to their moat
+    # sums through every merge and deactivation
+    monkeypatch.setattr(verify, "MoatLedger", checking_ledger(check_identities))
     for seed in range(25):
         n = 3 + seed % 7
         inst = generate_random_instance(n, min(n + 2, n * (n - 1) // 2), seed)
         s = run(inst)
         reconstruct_duals(s.trace, inst)
 
-
-# ---------------------------------------------------------------------------
-# Incremental identity check against the from-scratch reference
-
-
-def _moat_sums_from_scratch(lg):
-    covering = dict.fromkeys(lg.d, F(0))
-    inner = dict.fromkeys(lg.members, F(0))
-    for s, y in lg.y.items():
-        for v in s:
-            covering[v] += y
-        r = lg.uf.find(next(iter(s)))
-        if s <= lg.members[r]:
-            inner[r] += y
-    return covering, inner
-
-
-def _identities_from_scratch(lg):
-    """MoatLedger.check_identities as first written: every moat summed again
-    at every call.  Kept as the reference for the incremental check."""
-    covering, inner = _moat_sums_from_scratch(lg)
-    for v, d in lg.d.items():
-        if d != covering[v]:
-            return f"node {v} deficit {d} != moat sum {covering[v]}"
-    for r, members in lg.members.items():
-        if lg.w[r] != inner[r]:
-            return f"component of {min(members)} weight {lg.w[r]} != moat sum {inner[r]}"
-    return None
-
-
-def test_incremental_identity_check_matches_from_scratch(monkeypatch, checked_gw_grow):
-    incremental = MoatLedger.check_identities
-    checks = []
-
-    def both(lg):
-        expected = _identities_from_scratch(lg)
-        assert incremental(lg) == expected
-        assert (lg._covering, lg._inner) == _moat_sums_from_scratch(lg)
-        assert incremental(lg) == expected
-        checks.append(expected)
-        return expected
-
-    monkeypatch.setattr(MoatLedger, "check_identities", both)
-    for n in (6, 9, 13, 20, 28, 40):
-        inst = generate_random_instance(n, 2 * n, n)
-        for seed in [None, *range(3)]:
-            reconstruct_duals(run(inst, seed).trace, inst)
-        replayed = len(checks)
-        lg = checked_gw_grow(inst)
-        assert len(checks) - replayed == len(lg.forest) + len(lg.deactivated)  # one per iteration
-    assert len(checks) > 200 and set(checks) == {None}
-
-
-def _tamper_deficit(lg):
-    lg.d[sorted(lg.d)[len(lg.d) // 2]] += F(1, 2)
-
-
-def _tamper_weight(lg):
-    lg.w[max(lg.members, key=lambda r: len(lg.members[r]))] += 1
-
-
-def _tamper_credit_inside_component(lg):
-    comp = max(lg.members.values(), key=len)
-    lg.credit(frozenset(sorted(comp)[1:]), F(1, 3))  # members' deficits not grown
-
-
-@pytest.mark.parametrize("tamper", [_tamper_deficit, _tamper_weight, _tamper_credit_inside_component])
-def test_incremental_identity_check_reports_tampering_like_from_scratch(tamper, checked_gw_grow):
-    for seed in range(6):
-        inst = generate_random_instance(8 + seed, 3 * (8 + seed), seed)
-        lg = checked_gw_grow(inst)
-        assert lg.check_identities() is None
-        assert len(max(lg.members.values(), key=len)) > 1
-        tamper(lg)
-        expected = _identities_from_scratch(lg)
-        assert expected is not None
-        assert lg.check_identities() == expected
-        assert lg.check_identities() == expected

@@ -8,7 +8,8 @@ multi-line string that is not a docstring) counts on each of them.
     python tools/code_lines.py src/dpcst
 
 prints one "<lines>  <module>" row per module, sorted by name, then the
-total.
+total.  It exits 1 with its usage line unless given one directory that holds
+at least one ``.py`` file.
 """
 
 from __future__ import annotations
@@ -57,11 +58,13 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    # a file or a missing directory globs no module, which would read as 0 lines
+    paths = sorted(Path(argv[0]).glob("*.py")) if len(argv) == 1 and Path(argv[0]).is_dir() else []
+    if not paths:
         print("usage: python tools/code_lines.py <package-directory>", file=sys.stderr)
         return 1
     total = 0
-    for path in sorted(Path(argv[0]).glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text())
         total += count
         print(f"{count:6d}  {path.stem}")
