@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import typing
 from dataclasses import fields
@@ -10,7 +11,13 @@ import pytest
 from dpcst import node as nd
 from dpcst import sim
 from dpcst.exact import exact_pcst
-from dpcst.instance import format_rational, generate_random_instance, norm_edge, parse_instance
+from dpcst.instance import (
+    PcstInstance,
+    format_rational,
+    generate_random_instance,
+    norm_edge,
+    parse_instance,
+)
 from dpcst.node import EpsilonRecord, RoundBoundary
 from dpcst.sim import (
     Delivery,
@@ -696,6 +703,38 @@ def test_refactor_corpus_trace_digest():
     assert runs == 432
     assert h.hexdigest() == "6c42120b9b54ead84967ff6604d1f976fb32690a2ab46493d63f21df7b7ff0f9"
     assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
+
+
+_DIVISORS = (1, 2, 3, 4, 7)
+
+
+def _rational_corpus():
+    """n = 2..14, m in {n-1, 2n, 3n} capped at C(n, 2), instance seed n, each
+    weight and prize divided by a seeded choice of 1, 2, 3, 4 or 7, eager and
+    seeded:0..1: 102 runs on instances whose values are not all integers."""
+    for n in range(2, 15):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, min(2 * n, full), min(3 * n, full)}):
+            inst = generate_random_instance(n, m, n)
+            rng = random.Random(f"{n} {m}")
+            prizes = {v: inst.prizes[v] / rng.choice(_DIVISORS) for v in inst.node_ids}
+            weights = {e: inst.weights[e] / rng.choice(_DIVISORS) for e in sorted(inst.weights)}
+            inst = PcstInstance(inst.node_ids, inst.root, prizes, weights)
+            for seed in (None, 0, 1):
+                yield inst, seed
+
+
+def test_rational_corpus_trace_digest():
+    # one SHA-256 over the line of every record of every corpus run, pinned
+    # while the automaton still computed in Fractions
+    h = hashlib.sha256()
+    runs = 0
+    for inst, seed in _rational_corpus():
+        for rec in run(inst, seed).trace:
+            h.update(record_to_line(rec).encode())
+        runs += 1
+    assert runs == 102
+    assert h.hexdigest() == "67490be05c2db9ce658443468f8c7c0ce468c6d95382636b6f4e829750c86086"
 
 
 @pytest.mark.parametrize(
