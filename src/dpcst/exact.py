@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-from .instance import InstanceError, PcstInstance, Solution, make_solution
+from .instance import InstanceError, PcstInstance, Solution, common_denominator, make_solution
 
 MAX_EXACT_NODES = 16
 
@@ -33,7 +31,7 @@ def exact_pcst(inst: PcstInstance) -> ExactResult:
     smallest sorted MST edge tuple."""
     if inst.n > MAX_EXACT_NODES:
         raise InstanceError(f"too many nodes to enumerate: n={inst.n} > {MAX_EXACT_NODES}")
-    scale = lcm(*(x.denominator for x in (*inst.weights.values(), *inst.prizes.values())))
+    scale = common_denominator(inst)
     nodes = [inst.root] + [v for v in inst.node_ids if v != inst.root]
     index = {v: i for i, v in enumerate(nodes)}
     # Kruskal order, each edge as (mask of its non-root ends, ends, scaled weight, edge);

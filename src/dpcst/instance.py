@@ -13,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Edge = tuple[int, int]
 
@@ -153,6 +154,12 @@ class PcstInstance:
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
+
+
+def common_denominator(inst: PcstInstance) -> int:
+    """The lcm of the denominators of every weight and prize: each of them
+    times it is an integer."""
+    return lcm(*(x.denominator for x in (*inst.weights.values(), *inst.prizes.values())))
 
 
 @dataclass(frozen=True)

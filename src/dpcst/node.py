@@ -43,8 +43,40 @@ Two facts of the protocol keep the automaton and its wire small:
   the tree, and a merge, sent down it, would carry the receiver's own d_h:
   neither does, and no node raises d_h to its own d_v or to a child's.
 
+The automaton computes in integers.  A rational that a NodeState holds or a
+message carries (a weight, prize, deficit, component weight, total prize or
+epsilon) is an int in units of 1/S, where S is twice the lcm of the
+denominators of every weight and prize of the instance.  The simulator
+builds each NodeState in these units and records every value in the
+instance's units, as a Fraction, so the field annotations name the types
+of the trace, not the int held in flight.  No Fraction is built per
+delivery, and no value is rounded: the automaton divides only in its two
+halvings of w - d_v - d_h, compute_epsilon_edge's active-sleeping case
+(d_v and d_h the tester's) and a sleeping node's connect (the connector's
+deficit and d_h), and that value is always even:
+
+- every weight and prize is even, by the factor 2 in S;
+- every member of a component holds d_v = d_h (mod 2).  A node starts with
+  both 0, and a sleeping node keeps them 0.  Growth adds one epsilon to
+  both: a deactivation adds eps2 to every member's d_v and to the one d_h
+  the members share, and the joining side of a merge grows d_v by the
+  epsilon of its best edge and takes the acceptor's d_h, which is the
+  joining side's own d_h plus that epsilon if the acceptor slept.  A wake
+  sets them equal: a proceed sets both to the d_h it carries (no d_h is
+  negative in the runs of the facts test, which asserts it, so that d_h is
+  at least the sleeper's 0), and a sleeping
+  node taking a connect sets both to the connector's d_h and then grows or
+  settles both by one epsilon.  An inactive acceptor a of a connect from c
+  keeps its side's d_v and sets its side's d_h to the larger of d_h_a and
+  d_h_c + (w - d_v_c - d_v_a); both are d_v_a (mod 2), since d_h_c = d_v_c
+  (mod 2) and w is even.  The joining side grows d_v by that same
+  w - d_v_c - d_v_a, so it ends at d_v_a's parity in both d_v and d_h.
+
+So the halved value, an even weight less two values of one parity, is even.
+_half raises ProtocolError on an odd one rather than round it.
+
 Infinity is represented by float("inf"), used only as a sentinel in epsilon
-and timestamp fields: it is compared against exact Fractions but never enters
+and timestamp fields: it is compared against ints but never enters
 arithmetic.
 """
 
@@ -219,7 +251,8 @@ Action = RoundBoundary | EpsilonRecord
 
 @dataclass(slots=True)
 class NodeState:
-    """One node's whole state, from construction to quiescence."""
+    """One node's whole state, from construction to quiescence; each
+    rational is an int in units of 1/S (see the module docstring)."""
 
     id: int
     is_root: bool
@@ -229,9 +262,9 @@ class NodeState:
     cs: CS = field(init=False)
     se: dict[Edge, SE] = field(init=False)
     epm: dict[Edge, bool] = field(init=False)
-    d_v: Fraction = Fraction(0)
-    comp_w: Fraction = Fraction(0)  # W of own component, replicated
-    d_h: Fraction = Fraction(0)
+    d_v: Fraction = 0
+    comp_w: Fraction = 0  # W of own component, replicated
+    d_h: Fraction = 0
     prize_flag: bool = field(init=False)
     labelled_flag: bool = False
     # the edge of the pending proceed, whose delivery step is received_ts;
@@ -242,7 +275,7 @@ class NodeState:
     back_edge: Edge | None = None
     best_epsilon: Fraction | float = INF
     lc: int = field(init=False)  # leader id of the current round
-    tp: Fraction = Fraction(0)
+    tp: Fraction = 0
     # the reports and test answers the current round still awaits; the node
     # reports when both reach 0
     find_count: int = 0
@@ -271,15 +304,17 @@ class NodeState:
         return [e for e, s in self.se.items() if s == SE.BRANCH]
 
 
+def _half(x: int) -> int:
+    """x / 2, for the two halvings of the automaton, where x is even (see
+    the module docstring)."""
+    if x & 1:
+        raise ProtocolError(f"odd halving of {x}")
+    return x >> 1
+
+
 def compute_epsilon_edge(
-    cs_local: CS,
-    cs_remote: CS,
-    se_local: SE,
-    w_e: Fraction,
-    d_v: Fraction,
-    d_remote: Fraction,
-    d_h: Fraction,
-) -> Fraction | float:
+    cs_local: CS, cs_remote: CS, se_local: SE, w_e: int, d_v: int, d_remote: int, d_h: int
+) -> int | float:
     """Growth-rate headroom of one inter-component edge.
 
     A sleeping neighbor has no deficit of its own yet; the local component's
@@ -292,7 +327,7 @@ def compute_epsilon_edge(
         if cs_remote == CS.INACTIVE:
             return w_e - d_v - d_remote
         if cs_remote == CS.SLEEPING:
-            return (w_e - d_v - d_h) / 2
+            return _half(w_e - d_v - d_h)
     elif cs_local == CS.INACTIVE:
         if cs_remote == CS.SLEEPING:
             return w_e - d_v - d_h
@@ -355,7 +390,7 @@ def _join_round(ctx: _Ctx, leader: int, in_branch: Edge | None):
     st.best_epsilon = INF
     st.best_edge = None
     st.lc = leader
-    st.tp = Fraction(0)
+    st.tp = 0
     st.back_edge = None
     st.ts = INF
     st.in_branch = in_branch
@@ -384,7 +419,7 @@ def _route_merge(ctx: _Ctx):
         ctx.append((st.best_edge, Connect(st.comp_w, st.d_v, st.d_h)))
 
 
-def _route_proceed(ctx: _Ctx, d_h: Fraction):
+def _route_proceed(ctx: _Ctx, d_h: int):
     """Follow the best edge with a proceed and mark it if it leaves the tree."""
     st = ctx.st
     e = st.best_edge
@@ -601,7 +636,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect):
         st.d_h = msg.d_h
         st.d_v = msg.d_h
         st.comp_w = msg.d_h
-        eps1 = (st.weights[e] - st.d_v - msg.deficit) / 2
+        eps1 = _half(st.weights[e] - st.d_v - msg.deficit)
         eps2 = st.prize - st.comp_w
         if eps1 < eps2:
             st.d_h += eps1
@@ -627,7 +662,7 @@ def _on_connect(ctx: _Ctx, e: Edge, msg: Connect):
         d_t = msg.d_h + eps1
         if st.d_h < d_t:
             st.d_h = d_t
-        _flood(ctx, e, UpdateInfo(Fraction(0), st.root_flag, False, st.comp_w, st.d_h))
+        _flood(ctx, e, UpdateInfo(0, st.root_flag, False, st.comp_w, st.d_h))
         st.se[e] = SE.BRANCH
         _clear_pending(st, e)
         ctx.append((e, Accept(st.root_flag, st.comp_w, st.d_h)))
@@ -691,7 +726,7 @@ def _on_proceed(ctx: _Ctx, e: Edge, msg: Proceed):
         raise ProtocolError(f"proceed on {st.se[e].value} edge {e}")
 
 
-def _wakeup(ctx: _Ctx, d_k: Fraction):
+def _wakeup(ctx: _Ctx, d_k: int):
     st = ctx.st
     st.cs = CS.ACTIVE
     st.d_v = d_k

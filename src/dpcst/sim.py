@@ -27,6 +27,7 @@ from .instance import (
     Edge,
     PcstInstance,
     Solution,
+    common_denominator,
     format_rational,
     make_solution,
     norm_edge,
@@ -82,6 +83,40 @@ class StateChange:
 # receiver (the root).
 Record = Delivery | StateChange | nd.EpsilonRecord | nd.RoundBoundary
 
+# The automaton computes in integers, in units of 1/S for a scale S of the
+# instance (see node.py); the trace holds each rational in the instance's
+# units, as a Fraction.  Fields annotated with these types are rationals.
+_RATIONAL = (Fraction, Fraction | float, Fraction | None)
+_NODE_HINTS = typing.get_type_hints(nd.NodeState)
+_RATIONAL_TRACKED = frozenset(f for f in _TRACKED_FIELDS if _NODE_HINTS[f] in _RATIONAL)
+
+
+class _Rationals(dict):
+    """One run's values in the automaton's units of 1/scale -> their
+    Fractions in the instance's units, each built once and shared; INF and
+    None stand for themselves."""
+
+    def __init__(self, scale: int):
+        super().__init__({nd.INF: nd.INF, None: None})
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.scale)
+        return value
+
+
+def _rescaler(cls):
+    """The function (x, rationals) -> x with each rational field looked up
+    in rationals, or None if cls has no rational field; compiled like
+    _compile, since it runs once per delivery."""
+    hints = typing.get_type_hints(cls)
+    args = ", ".join(f"q[x.{f.name}]" if hints[f.name] in _RATIONAL else f"x.{f.name}" for f in fields(cls))
+    return eval(f"lambda x, q: cls({args})", {"cls": cls}) if "q[" in args else None
+
+
+# message or action class -> its rescaler
+_RESCALERS = {cls: _rescaler(cls) for cls in (*typing.get_args(nd.Message), *typing.get_args(nd.Action))}
+
 
 def message_bound(n: int, m: int) -> int:
     """Worst-case total message count for an (n, m) instance."""
@@ -111,10 +146,15 @@ class Simulation:
     def __init__(self, inst: PcstInstance, seed: int | None = None):
         self.inst = inst
         self.rng = None if seed is None else random.Random(seed)
+        # twice the common denominator, so every weight and prize is even
+        # in the automaton's units of 1/scale, and its halvings are exact
+        self.scale = scale = 2 * common_denominator(inst)
+        self.rationals = _Rationals(scale)
+        scaled = {e: int(w * scale) for e, w in inst.weights.items()}
         self.nodes: dict[int, nd.NodeState] = {}
         for v in inst.node_ids:
-            weights = {norm_edge(v, u): inst.weights[norm_edge(v, u)] for u in inst.neighbors(v)}
-            self.nodes[v] = nd.NodeState(v, v == inst.root, inst.prizes[v], weights)
+            weights = {norm_edge(v, u): scaled[norm_edge(v, u)] for u in inst.neighbors(v)}
+            self.nodes[v] = nd.NodeState(v, v == inst.root, int(inst.prizes[v] * scale), weights)
         # directed link -> queue of (message, send_seq, round_tag); a
         # delivery finds its receiver, edge and queue in ``incoming``, a send
         # its link and queue in ``outgoing`` (by sender, then edge).  Each
@@ -171,7 +211,7 @@ class Simulation:
             if type(em) is tuple:
                 self._enqueue(node_id, em[0], em[1], current_tag)
             else:
-                self.trace.append(em)
+                self.trace.append(self._recorded(em))
                 if type(em) is nd.RoundBoundary:
                     self.round_index += 1
                     current_tag = self.round_index
@@ -181,7 +221,12 @@ class Simulation:
         if before != after:
             for f, a, b in zip(_TRACKED_FIELDS, before, after):
                 if a is not b and a != b:
-                    self.trace.append(StateChange(f, b))
+                    self.trace.append(StateChange(f, self.rationals[b] if f in _RATIONAL_TRACKED else b))
+
+    def _recorded(self, x: nd.Message | nd.Action) -> nd.Message | nd.Action:
+        """x as the trace holds it: in the instance's units."""
+        rescale = _RESCALERS[type(x)]
+        return x if rescale is None else rescale(x, self.rationals)
 
     def _pick(self) -> tuple[int, int]:
         """The link to deliver from next.
@@ -228,7 +273,7 @@ class Simulation:
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
-        self.trace.append(Delivery(link, tag, msg))
+        self.trace.append(Delivery(link, tag, self._recorded(msg)))
         self._apply(receiver, edge, msg, tag)
 
     def run_to_quiescence(self) -> list[Record]:
@@ -480,7 +525,7 @@ _RECORD_CODECS = {
 # has the type of that NodeState field
 _STATE_CODECS = {
     f: _compile(StateChange, "kind", "state", {**typing.get_type_hints(StateChange), "new": t}, "\\n")
-    for f, t in typing.get_type_hints(nd.NodeState).items()
+    for f, t in _NODE_HINTS.items()
     if f in _TRACKED_FIELDS
 }
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from dpcst import node as nd
@@ -25,11 +23,9 @@ from dpcst.node import (
 )
 from dpcst.sim import Simulation, run
 
-F = Fraction
-
-
 def mk(node_id, is_root, prize, weights):
-    return NodeState(node_id, is_root, F(prize), {e: F(w) for e, w in weights.items()})
+    # the automaton computes in integers, in units of 1/S (see node.py)
+    return NodeState(node_id, is_root, prize, dict(weights))
 
 
 def sends(emits):
@@ -75,15 +71,15 @@ def test_node_state_has_no_field_beyond_its_declared_ones():
 
 def test_epsilon_five_cases():
     # active/inactive takes the residual whole
-    assert compute_epsilon_edge(CS.ACTIVE, CS.INACTIVE, SE.BASIC, F(10), F(2), F(3), F(2)) == 5
+    assert compute_epsilon_edge(CS.ACTIVE, CS.INACTIVE, SE.BASIC, 10, 2, 3, 2) == 5
     # active/sleeping halves it, with the own component's highest deficit
     # standing in for the sleeper's (a sleeping node's status carries 0)
-    assert compute_epsilon_edge(CS.ACTIVE, CS.SLEEPING, SE.BASIC, F(12), F(7), F(0), F(7)) == -1
+    assert compute_epsilon_edge(CS.ACTIVE, CS.SLEEPING, SE.BASIC, 12, 7, 0, 7) == -1
     # inactive/sleeping
-    assert compute_epsilon_edge(CS.INACTIVE, CS.SLEEPING, SE.BASIC, F(21), F(2), F(0), F(7)) == 12
+    assert compute_epsilon_edge(CS.INACTIVE, CS.SLEEPING, SE.BASIC, 21, 2, 0, 7) == 12
     # inactive/inactive: invisible unless the edge is marked refind
-    assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.BASIC, F(5), F(1), F(1), F(1)) == INF
-    assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.REFIND, F(5), F(1), F(1), F(1)) == 3
+    assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.BASIC, 5, 1, 1, 1) == INF
+    assert compute_epsilon_edge(CS.INACTIVE, CS.INACTIVE, SE.REFIND, 5, 1, 1, 1) == 3
 
 
 def test_epsilon_rejects_impossible_observations():
@@ -91,7 +87,7 @@ def test_epsilon_rejects_impossible_observations():
     # another; an inactive one sees none at all, and a sleeping node tests no one
     for cs_local in (CS.ACTIVE, CS.INACTIVE, CS.SLEEPING):
         with pytest.raises(ProtocolError, match=f"in state {cs_local.value} against active"):
-            compute_epsilon_edge(cs_local, CS.ACTIVE, SE.BASIC, F(10), F(0), F(0), F(0))
+            compute_epsilon_edge(cs_local, CS.ACTIVE, SE.BASIC, 10, 0, 0, 0)
 
 
 def test_root_wakeup_starts_round_and_tests():
@@ -107,8 +103,8 @@ def test_root_wakeup_starts_round_and_tests():
     "is_root, event",
     [
         (True, (None, None, 1)),
-        (False, ((1, 2), Connect(F(14), F(7), F(7)), 3)),
-        (False, ((2, 3), nd.Proceed(F(2)), 5)),
+        (False, ((1, 2), Connect(14, 7, 7), 3)),
+        (False, ((2, 3), nd.Proceed(2), 5)),
     ],
     ids=["root-wakeup", "connect", "proceed"],
 )
@@ -161,9 +157,9 @@ def test_test_same_component_rejects():
 def test_test_other_component_reports_status():
     st = mk(2, False, 4, {(1, 2): 3})
     st.cs = CS.INACTIVE
-    st.d_v = F(7)
+    st.d_v = 7
     emits = transition(st, (1, 2), Test(9), 1)
-    assert sends(emits) == [((1, 2), Status(CS.INACTIVE, F(7)))]
+    assert sends(emits) == [((1, 2), Status(CS.INACTIVE, 7))]
 
 
 def test_status_fold_strict_less_keeps_smaller_edge_on_tie():
@@ -171,11 +167,11 @@ def test_status_fold_strict_less_keeps_smaller_edge_on_tie():
     st.cs = CS.ACTIVE
     st.lc = 2
     st.test_count = 3
-    transition(st, (2, 4), Status(CS.INACTIVE, F(5)), 1)
+    transition(st, (2, 4), Status(CS.INACTIVE, 5), 1)
     assert st.best_epsilon == 3 and st.best_edge == (2, 4)
-    transition(st, (2, 3), Status(CS.INACTIVE, F(5)), 2)
+    transition(st, (2, 3), Status(CS.INACTIVE, 5), 2)
     assert st.best_edge == (2, 3)  # same epsilon, smaller edge wins
-    transition(st, (1, 2), Status(CS.INACTIVE, F(6)), 3)
+    transition(st, (1, 2), Status(CS.INACTIVE, 6), 3)
     assert st.best_epsilon == 2 and st.best_edge == (1, 2)
 
 
@@ -199,21 +195,21 @@ def test_report_aggregates_min_epsilon_and_prize():
     st.in_branch = (1, 2)
     st.se[(1, 2)] = SE.BRANCH
     st.find_count = 1
-    st.best_epsilon = F(3)
+    st.best_epsilon = 3
     st.best_edge = (1, 2)
-    emits = transition(st, (2, 3), Report(F(5), F(4), INF), 7)
+    emits = transition(st, (2, 3), Report(5, 4, INF), 7)
     # own candidate smaller than the child's; the child's prize plus its own
     assert st.best_epsilon == 3 and st.best_edge == (1, 2)
-    assert sends(emits) == [((1, 2), Report(F(3), F(4) + st.prize, INF))]
+    assert sends(emits) == [((1, 2), Report(3, 4 + st.prize, INF))]
 
 
 def test_connect_wakes_sleeping_and_accepts_worked_example():
     # payload from the worked merge: Connect(14, 7, 7) from node 2 on a
     # weight-12 edge
     st = mk(1, False, 10, {(1, 2): 12})
-    emits = transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
+    emits = transition(st, (1, 2), Connect(14, 7, 7), 3)
     accepts = [m for _, m in sends(emits) if isinstance(m, Accept)]
-    assert accepts == [Accept(False, F(19), F(6))]
+    assert accepts == [Accept(False, 19, 6)]
     assert not acts(emits)  # 1 < 2, the connect sender leads
     assert st.d_v == 6 and st.comp_w == 19 and st.cs == CS.ACTIVE
     assert st.se[(1, 2)] == SE.BRANCH
@@ -221,7 +217,7 @@ def test_connect_wakes_sleeping_and_accepts_worked_example():
 
 def test_connect_refused_by_cheap_sleeping_node():
     st = mk(1, False, 2, {(1, 2): 12})  # prize 2 < any growth headroom
-    emits = transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
+    emits = transition(st, (1, 2), Connect(14, 7, 7), 3)
     assert [type(m).__name__ for _, m in sends(emits)] == ["RefindEpsilon"]
     assert st.cs == CS.INACTIVE and st.labelled_flag
     assert st.d_v == 2  # deficit settles at the prize
@@ -232,27 +228,27 @@ def test_connect_while_active_asserts():
     st = mk(1, False, 10, {(1, 2): 12})
     st.cs = CS.ACTIVE
     with pytest.raises(ProtocolError):
-        transition(st, (1, 2), Connect(F(14), F(7), F(7)), 3)
+        transition(st, (1, 2), Connect(14, 7, 7), 3)
 
 
 def test_merge_routed_by_frontier_emits_connect():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.cs = CS.ACTIVE
     st.se[(2, 5)] = SE.BRANCH
-    st.comp_w = F(14)
-    st.d_v = F(7)
+    st.comp_w = 14
+    st.d_v = 7
     st.best_edge = (1, 2)
-    st.best_epsilon = F(-1)
-    st.d_h = F(7)
+    st.best_epsilon = -1
+    st.d_h = 7
     emits = transition(st, (2, 5), Merge(), 4)
-    assert sends(emits) == [((1, 2), Connect(F(14), F(7), F(7)))]
+    assert sends(emits) == [((1, 2), Connect(14, 7, 7))]
 
 
 def test_accept_on_unexpected_edge_asserts():
     st = mk(2, False, 12, {(1, 2): 12, (2, 5): 14})
     st.best_edge = (2, 5)
     with pytest.raises(ProtocolError):
-        transition(st, (1, 2), Accept(False, F(1), F(1)), 4)
+        transition(st, (1, 2), Accept(False, 1, 1), 4)
 
 
 @pytest.mark.parametrize(
@@ -267,8 +263,8 @@ def test_accept_starts_a_round_unless_the_acceptor_leads(node_id, root_flag, sta
     st = mk(node_id, False, 10, {e: 12})
     st.cs = CS.ACTIVE
     st.best_edge = e
-    st.best_epsilon = F(1)
-    emits = transition(st, e, Accept(root_flag, F(20), F(8)), 4)
+    st.best_epsilon = 1
+    emits = transition(st, e, Accept(root_flag, 20, 8), 4)
     assert st.se[e] == SE.BRANCH and st.d_v == 1 and st.d_h == 8 and st.root_flag is root_flag
     assert any(isinstance(a, RoundBoundary) for a in acts(emits)) is starts
 
@@ -278,8 +274,8 @@ def test_update_info_deactivation_flood():
     st.cs = CS.ACTIVE
     st.se[(2, 5)] = SE.BRANCH
     st.se[(1, 2)] = SE.BRANCH
-    st.d_v = F(7)
-    msg = nd.UpdateInfo(F(3), False, True, F(30), F(10))
+    st.d_v = 7
+    msg = nd.UpdateInfo(3, False, True, 30, 10)
     emits = transition(st, (2, 5), msg, 4)
     assert st.cs == CS.INACTIVE and st.labelled_flag
     assert st.d_v == 10 and st.comp_w == 30 and st.d_h == 10
@@ -289,7 +285,7 @@ def test_update_info_deactivation_flood():
 def test_update_info_root_flood_sets_steiner_membership():
     st = mk(2, False, 12, {(1, 2): 12})
     st.cs = CS.ACTIVE
-    msg = nd.UpdateInfo(F(3), True, False, F(30), F(10))
+    msg = nd.UpdateInfo(3, True, False, 30, 10)
     transition(st, (1, 2), msg, 4)
     assert st.cs == CS.INACTIVE and not st.prize_flag and st.root_flag
 
@@ -313,7 +309,7 @@ def test_refind_at_leader_restarts_round():
 
 def test_proceed_wakes_sleeping_node():
     st = mk(4, False, 26, {(3, 4): 40})
-    emits = transition(st, (3, 4), nd.Proceed(F(15)), 11)
+    emits = transition(st, (3, 4), nd.Proceed(15), 11)
     assert st.cs == CS.ACTIVE
     assert st.d_v == 15 and st.comp_w == 15 and st.d_h == 15
     assert st.proceed_in_edge == (3, 4)
@@ -325,7 +321,7 @@ def test_proceed_pokes_inactive_leader():
     st = mk(3, False, 15, {(3, 9): 21, (3, 4): 40})
     st.cs = CS.INACTIVE
     st.in_branch = None
-    emits = transition(st, (3, 9), nd.Proceed(F(7)), 11)
+    emits = transition(st, (3, 9), nd.Proceed(7), 11)
     assert st.proceed_in_edge == (3, 9) and st.received_ts == 11
     assert any(isinstance(a, RoundBoundary) for a in acts(emits))
 
@@ -499,11 +495,11 @@ def _routed_to():
     return st
 
 
-_LAST_REPORT = ((2, 3), Report(INF, F(0), INF), 4)
+_LAST_REPORT = ((2, 3), Report(INF, 0, INF), 4)
 
 
 def test_decided_merge_without_best_edge_names_the_node():
-    st = _leader_awaiting_last_report(CS.ACTIVE, F(1), INF)  # 1 < eps2 = 5
+    st = _leader_awaiting_last_report(CS.ACTIVE, 1, INF)  # 1 < eps2 = 5
     with pytest.raises(ProtocolError, match="merge at node 2 without a best edge"):
         transition(st, *_LAST_REPORT)
 
@@ -525,14 +521,14 @@ def test_routed_back_without_pending_proceed_names_the_node():
 
 
 def test_decided_proceed_without_best_edge_names_the_node():
-    st = _leader_awaiting_last_report(CS.INACTIVE, F(2), INF)
+    st = _leader_awaiting_last_report(CS.INACTIVE, 2, INF)
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
         transition(st, *_LAST_REPORT)
 
 
 def test_routed_proceed_without_best_edge_names_the_node():
     with pytest.raises(ProtocolError, match="proceed at node 2 without a best edge"):
-        transition(_routed_to(), (1, 2), nd.Proceed(F(0)), 4)
+        transition(_routed_to(), (1, 2), nd.Proceed(0), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -547,33 +543,38 @@ def test_routed_proceed_without_best_edge_names_the_node():
         ({}, ((2, 3), Reject(), 4), r"delivery on unknown edge \(2, 3\) at node 2"),
         (
             {},
-            ((1, 2), nd.UpdateInfo(F(0), True, True, F(0), F(0)), 4),
+            ((1, 2), nd.UpdateInfo(0, True, True, 0, 0), 4),
             "deactivation flood inside the root component",
         ),
         (
             {"cs": CS.INACTIVE, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
-            ((1, 2), Report(INF, F(0), INF), 4),
+            ((1, 2), Report(INF, 0, INF), 4),
             "non-root leader 2 has no outgoing option and no pending proceed",
         ),
         (
             {"cs": CS.ACTIVE, "prize_flag": False, "se": {(1, 2): SE.BRANCH}, "find_count": 1},
-            ((1, 2), Report(INF, F(0), INF), 4),
+            ((1, 2), Report(INF, 0, INF), 4),
             "decide reached in state CS.ACTIVE root_flag=True",
         ),
         (
             {"cs": CS.ACTIVE},
-            ((1, 2), nd.Proceed(F(0)), 4),
+            ((1, 2), nd.Proceed(0), 4),
             "proceed delivered to an active component",
         ),
         (
             {"se": {(1, 2): SE.REJECTED}},
-            ((1, 2), nd.Proceed(F(0)), 4),
+            ((1, 2), nd.Proceed(0), 4),
             r"proceed on rejected edge \(1, 2\)",
+        ),
+        (
+            {},
+            ((1, 2), Connect(0, 0, 0), 4),
+            "odd halving of 3",
         ),
     ],
     ids=[
         "wakeup-at-non-root", "unknown-edge", "root-deactivation", "leader-without-option",
-        "decide-in-root-active", "proceed-to-active", "proceed-on-rejected",
+        "decide-in-root-active", "proceed-to-active", "proceed-on-rejected", "odd-halving",
     ],
 )
 def test_unreachable_state_raises(fields, event, match):
@@ -628,6 +629,12 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
         assert st.d_h >= st.d_v
         assert (st.proceed_in_edge is None) == (st.received_ts == INF)
         assert st.back_edge is None or st.ts != INF
+        # integers in units of 1/S, the parity that makes each halving exact,
+        # and the sign of d_h that a wake relies on (see node.py)
+        assert all(type(x) is int for x in (st.d_v, st.d_h, st.comp_w, st.tp))
+        assert type(st.best_epsilon) is int or st.best_epsilon == INF
+        assert st.cs == CS.SLEEPING or (st.d_v - st.d_h) % 2 == 0
+        assert st.d_h >= 0
         checked += 1
         return emits
 

@@ -247,7 +247,7 @@ class _ScanningSimulation(Simulation):
             link = min(pool, key=lambda l: self.queues[l][0][1])
         msg, _seq, tag = self.queues[link].popleft()
         self.step += 1
-        self.trace.append(Delivery(link, tag, msg))
+        self.trace.append(Delivery(link, tag, self._recorded(msg)))
         sender, receiver = link
         self._apply(receiver, norm_edge(sender, receiver), msg, tag)
 
@@ -318,7 +318,7 @@ def test_control_message_behind_other_traffic_selects_its_link(seed):
         s.root_wakeup_pending = False
         s._enqueue(3, (2, 3), nd.Test(3), 0)  # the oldest message
         s._enqueue(1, (1, 2), nd.Test(1), 0)
-        s._enqueue(1, (1, 2), nd.UpdateInfo(Fraction(0), True, False, Fraction(0), Fraction(0)), 0)
+        s._enqueue(1, (1, 2), nd.UpdateInfo(0, True, False, 0, 0), 0)
         if sim_cls is Simulation:
             assert s.ready == [(1, 2), (3, 2)]
             assert s.control_links == [(1, 2)]
@@ -368,7 +368,8 @@ def test_a_test_reads_stale_state_without_the_control_preemption(seed):
             Delivery((1, 3), 4, nd.Test(1)),
             Delivery((3, 1), 4, nd.Status(nd.CS.ACTIVE, Fraction(1))),
         ]
-        assert s.queues[(1, 2)][0][0] == nd.Accept(True, Fraction(6), Fraction(5))
+        # queued in the automaton's units of 1/scale
+        assert s.queues[(1, 2)][0][0] == nd.Accept(True, 6 * s.scale, 5 * s.scale)
 
 
 def test_step_at_quiescence_raises(example11):
