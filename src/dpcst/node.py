@@ -64,13 +64,13 @@ deficit and d_h), and that value is always even:
   joining side's own d_h plus that epsilon if the acceptor slept.  A wake
   sets them equal: a proceed sets both to the d_h it carries (no d_h is
   negative in the runs of the facts test, which asserts it, so that d_h is
-  at least the sleeper's 0), and a sleeping
-  node taking a connect sets both to the connector's d_h and then grows or
-  settles both by one epsilon.  An inactive acceptor a of a connect from c
-  keeps its side's d_v and sets its side's d_h to the larger of d_h_a and
-  d_h_c + (w - d_v_c - d_v_a); both are d_v_a (mod 2), since d_h_c = d_v_c
-  (mod 2) and w is even.  The joining side grows d_v by that same
-  w - d_v_c - d_v_a, so it ends at d_v_a's parity in both d_v and d_h.
+  at least the sleeper's 0), and a sleeping node taking a connect sets
+  both to the connector's d_h and then grows or settles both by one
+  epsilon.  An inactive acceptor a of a connect from c keeps its side's
+  d_v and sets its side's d_h to the larger of d_h_a and
+  d_h_c + (w - d_v_c - d_v_a); both are d_v_a (mod 2), since
+  d_h_c = d_v_c (mod 2) and w is even.  The joining side grows d_v by that
+  same w - d_v_c - d_v_a, so it ends at d_v_a's parity in both d_v and d_h.
 
 So the halved value, an even weight less two values of one parity, is even.
 _half raises ProtocolError on an odd one rather than round it.
