@@ -88,7 +88,7 @@ def cmd_solve(args) -> int:
     elif args.alg == "gw":
         sol, _cert = gw.gw_solve(inst)
     else:  # dpcst; argparse admits no other choice
-        s = sim.run(inst, _parse_schedule(args.schedule))
+        s = sim.run(inst, _parse_schedule(args.schedule), record=args.trace is not None)
         sol = sim.extract_solution(s)
         if args.trace:
             sim.write_trace(s.trace, args.trace)

@@ -112,64 +112,67 @@ class ProtocolError(AssertionError):
 # ---------------------------------------------------------------------------
 # Wire messages: a receiver knows the edge a message came over, so no message
 # names its sender, and no report or merge restates the receiver's own d_h
-# (see the module docstring)
+# (see the module docstring).  The classes are not frozen, which would make
+# each construction set every field through object.__setattr__; no handler
+# changes a message it receives, since its queue, its trace record and its
+# handler share one object.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Initiate:
     leader: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Test:
     __test__ = False  # not a pytest class
 
     leader: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Status:
     cs: CS
     deficit: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Reject:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Report:
     best_epsilon: Fraction | float
     tp: Fraction
     ts: int | float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Merge:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Connect:
     comp_w: Fraction
     deficit: Fraction
     d_h: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Accept:
     root_flag: bool
     total_w: Fraction
     d_h: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RefindEpsilon:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UpdateInfo:
     epsilon: Fraction
     root_flag: bool
@@ -178,12 +181,12 @@ class UpdateInfo:
     d_h: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Proceed:
     d_h: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Back:
     # The sender's root flag.  A back that crosses a wake edge from a rooted
     # node tells the waker that the tree flood will reach the woken side, so
@@ -191,12 +194,12 @@ class Back:
     root_flag: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prune:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BackwardPrune:
     pass
 
@@ -230,12 +233,12 @@ Message = (
 Choice = Literal["merge", "deactivate", "proceed", "back", "prune"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundBoundary:
     """A round's start, led by the node whose transition emits it."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EpsilonRecord:
     eps1: Fraction | float
     eps2: Fraction | None
@@ -512,7 +515,7 @@ def _on_initiate(ctx: _Ctx, e: Edge, msg: Initiate):
 
 def _proc_test(ctx: _Ctx):
     st = ctx.st
-    test = Test(st.lc)  # one frozen message, sent over every tested edge
+    test = Test(st.lc)  # one message, sent over every tested edge
     out = [(e, test) for e, s in st.se.items() if s in (SE.BASIC, SE.REFIND)]
     ctx.extend(out)
     st.test_count = len(out)

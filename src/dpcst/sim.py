@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulator for the node protocol.
 
 Per-directed-link FIFO queues, two delivery policies (eager, or drawn from a
-seeded generator), and a total-order trace of everything that happens; a run
-is a function of the instance and the seed.  Messages carry a causal round
-tag: a handler's sends inherit the tag of the delivery that triggered them,
-and starting a round bumps the tag, so per-round message accounting is exact
-even while floods from the previous action are still in flight.
+seeded generator), and, for a recorded run, a total-order trace of everything
+that happens; a run is a function of the instance and the seed, and an
+unrecorded one makes the same deliveries and ends in the same states without
+building a record.  Messages carry a causal round tag: a handler's sends
+inherit the tag of the delivery that triggered them, and starting a round
+bumps the tag, so per-round message accounting is exact even while floods
+from the previous action are still in flight.
 """
 
 from __future__ import annotations
@@ -63,14 +65,14 @@ _TRACKED_FIELDS = typing.get_args(TrackedField)
 _tracked = attrgetter(*_TRACKED_FIELDS)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Delivery:
     link: tuple[int, int]  # (sender, receiver)
     round: int
     message: nd.Message
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StateChange:
     field: TrackedField
     new: object  # typed by the NodeState field
@@ -129,7 +131,9 @@ def round_message_bound(n: int, m: int) -> int:
 
 class Simulation:
     """One protocol execution over an instance: eager when seed is None,
-    otherwise drawn from a generator seeded with it.
+    otherwise drawn from a generator seeded with it.  A recorded run keeps
+    the trace of everything that happens; with record false, ``trace``
+    stays empty and no delivery builds a record.
 
     The scheduler's view of the queues is kept up to date as messages are
     queued and delivered, so a delivery costs O(log m) bookkeeping plus a
@@ -143,8 +147,9 @@ class Simulation:
       still queued, and then it is at the head of its link.
     """
 
-    def __init__(self, inst: PcstInstance, seed: int | None = None):
+    def __init__(self, inst: PcstInstance, seed: int | None = None, record: bool = True):
         self.inst = inst
+        self.record = record
         self.rng = None if seed is None else random.Random(seed)
         # twice the common denominator, so every weight and prize is even
         # in the automaton's units of 1/scale, and its halvings are exact
@@ -200,9 +205,12 @@ class Simulation:
 
     def _apply(self, node_id: int, edge: Edge | None, msg: nd.Message | None, round_tag: int):
         """Run node_id's transition on msg over edge (the root's wakeup if
-        msg is None) and queue and record what it emits."""
+        msg is None) and queue what it emits; a recorded run also records
+        the emitted actions and the changed tracked fields."""
         st = self.nodes[node_id]
-        before = _tracked(st)
+        record = self.record
+        if record:
+            before = _tracked(st)
         emissions = nd.transition(st, edge, msg, self.step)
         # Sends inherit the round tag current at their emission point; a round
         # started mid-handler re-tags only what follows it.
@@ -211,10 +219,13 @@ class Simulation:
             if type(em) is tuple:
                 self._enqueue(node_id, em[0], em[1], current_tag)
             else:
-                self.trace.append(self._recorded(em))
+                if record:
+                    self.trace.append(self._recorded(em))
                 if type(em) is nd.RoundBoundary:
                     self.round_index += 1
                     current_tag = self.round_index
+        if not record:
+            return
         # most transitions change no tracked field: one tuple comparison,
         # which like the loop takes identity before equality, rules them out
         after = _tracked(st)
@@ -273,7 +284,8 @@ class Simulation:
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
-        self.trace.append(Delivery(link, tag, self._recorded(msg)))
+        if self.record:
+            self.trace.append(Delivery(link, tag, self._recorded(msg)))
         self._apply(receiver, edge, msg, tag)
 
     def run_to_quiescence(self) -> list[Record]:
@@ -286,9 +298,10 @@ class Simulation:
         return self.trace
 
 
-def run(inst: PcstInstance, seed: int | None = None) -> Simulation:
-    """Run to quiescence: eager if seed is None, else seeded with it."""
-    sim = Simulation(inst, seed)
+def run(inst: PcstInstance, seed: int | None = None, record: bool = True) -> Simulation:
+    """Run to quiescence: eager if seed is None, else seeded with it;
+    recorded unless record is false."""
+    sim = Simulation(inst, seed, record)
     sim.run_to_quiescence()
     return sim
 

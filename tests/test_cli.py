@@ -44,6 +44,28 @@ def test_solve_dpcst_writes_trace(two_penal, tmp_path, capsys):
     assert any(isinstance(r, EpsilonRecord) for r in trace)
 
 
+@pytest.mark.parametrize("schedule", ["eager", "seeded:3"])
+def test_solve_records_only_a_traced_run(tmp_path, capsys, monkeypatch, schedule):
+    # solve prints the same with or without --trace, and its run builds
+    # records only when a trace is written
+    p = tmp_path / "g.pcst"
+    p.write_text(render_instance(generate_random_instance(12, 30, 2)))
+    runs = []
+    real_run = cli.sim.run
+
+    def run_captured(*args, **kwargs):
+        runs.append(real_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli.sim, "run", run_captured)
+    solve = ["solve", "--schedule", schedule, str(p)]
+    assert main(solve) == 0
+    plain = capsys.readouterr().out
+    assert main([*solve, "--trace", str(tmp_path / "t.jsonl")]) == 0
+    assert capsys.readouterr().out == plain
+    assert [(s.record, len(s.trace) > 0) for s in runs] == [(False, False), (True, True)]
+
+
 def test_solve_gw_matches(two_penal, capsys):
     assert main(["solve", "--alg", "gw", two_penal]) == 0
     assert json.loads(capsys.readouterr().out)["objective"] == "3"

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from dpcst import node as nd
@@ -608,9 +610,12 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
     # pending proceed, so it is set only with a finite timestamp; no node's
     # deficit exceeds its component's highest deficit as the node holds it;
     # the root decides prune once, and that decision opens the one prune
-    # phase.  The simulator calls nd.transition and Simulation.step_once
-    # through their attributes once per step, the root wakeup included, so
-    # wrappers patched there (as perfbench's probes are) see every step.
+    # phase.  No transition changes a field of the message it receives: one
+    # message object sits in its queue, its trace record and its handler,
+    # and the message classes are not frozen.  The simulator calls
+    # nd.transition and Simulation.step_once through their attributes once
+    # per step, the root wakeup included, so wrappers patched there (as
+    # perfbench's probes are) see every step.
     real = nd.transition
     real_step = Simulation.step_once
     checked = stepped = 0
@@ -623,7 +628,9 @@ def test_derived_state_facts_hold_on_every_transition(monkeypatch):
             assert st.test_count > 0
         elif isinstance(msg, Report):
             assert st.find_count > 0
+        received = copy.copy(msg)
         emits = real(st, e, msg, seq)
+        assert msg == received
         actions.extend((st.id, em) for em in emits if type(em) is not tuple)
         assert st.find_count >= 0 and st.test_count >= 0
         assert st.d_h >= st.d_v

@@ -706,6 +706,24 @@ def test_refactor_corpus_trace_digest():
     assert old.hexdigest() == "7866c9e6bf65b66af1ad89d34ef7bca3a5e826302426632dc40d3550bc09413d"
 
 
+def test_unrecorded_run_matches_the_recorded_run():
+    # a run without a trace makes the same deliveries, sends and rounds, and
+    # ends in the same node states, as the recorded run of its schedule
+    runs = 0
+    for inst, seed in _refactor_corpus():
+        recorded, bare = run(inst, seed), run(inst, seed, record=False)
+        assert extract_solution(bare) == extract_solution(recorded)
+        assert (bare.step, bare.send_seq, bare.round_index) == (
+            recorded.step,
+            recorded.send_seq,
+            recorded.round_index,
+        )
+        assert bare.nodes == recorded.nodes
+        assert bare.trace == [] and recorded.trace
+        runs += 1
+    assert runs == 432
+
+
 _DIVISORS = (1, 2, 3, 4, 7)
 
 

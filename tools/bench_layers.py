@@ -8,9 +8,11 @@ generate_random_instance(n, 3n, 1) for n = 40, 80, 160 and 320 (for the exact
 oracle, n = 8 to 16):
 
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
-  seeded 1..8 on generate_random_instance(60, 360, 1), timed together; beside
-  each median, the deliveries it made (every step but the root wakeup) and
-  the microseconds per delivery;
+  seeded 1..8 on generate_random_instance(60, 360, 1), timed together, once
+  recorded and once unrecorded (``record=False``, as ``dpcst solve`` runs
+  without ``--trace``; left out for a checkout whose ``sim.run`` records
+  every run); beside each median, the deliveries it made (every step but the
+  root wakeup) and the microseconds per delivery;
 - ``gw``: ``gw_solve``, per n;
 - ``exact``: ``exact_pcst``, with its ``enumerated_count``, per n;
 - ``write``: ``sim.write_trace`` of the eager run's records, per n;
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -88,13 +91,16 @@ def main(argv=None) -> int:
             raise SystemExit(f"dpcst {' '.join(argv)}: exit {code}")
 
     insts = {n: generate_random_instance(n, 3 * n, 1) for n in SIZES}
-    sim_runs = {str(n): [(inst, None)] for n, inst in insts.items()}
-    seeded = generate_random_instance(*SEEDED)
-    sim_runs["seeded:1..8"] = [(seeded, seed) for seed in SEEDS]
+    # row -> its (instance, seed) runs and sim.run's keyword arguments
+    sim_runs = {str(n): ([(inst, None)], {}) for n, inst in insts.items()}
+    seeded = [(generate_random_instance(*SEEDED), seed) for seed in SEEDS]
+    sim_runs["seeded:1..8"] = (seeded, {})
+    if "record" in inspect.signature(sim.run).parameters:
+        sim_runs["seeded:1..8 unrecorded"] = (seeded, {"record": False})
     sim_s, deliveries = {}, {}
-    for key, runs in sim_runs.items():
+    for key, (runs, kwargs) in sim_runs.items():
         counts = []
-        sim_s[key] = median_cpu_s(lambda: counts.append(sum(sim.run(i, k).step - 1 for i, k in runs)))
+        sim_s[key] = median_cpu_s(lambda: counts.append(sum(sim.run(i, k, **kwargs).step - 1 for i, k in runs)))
         deliveries[key] = counts[0]
     gw_s = {str(n): median_cpu_s(lambda: gw_solve(inst)) for n, inst in insts.items()}
     exact_s, subsets = {}, {}
@@ -129,7 +135,8 @@ def main(argv=None) -> int:
             "metric": "sim.run process CPU, median; deliveries; microseconds per delivery",
             "unit": "s",
             "instances": "generate_random_instance(n, 3n, 1), eager; "
-            "seeded:1..8 is the eight seeded runs on generate_random_instance(60, 360, 1)",
+            "seeded:1..8 is the eight seeded runs on generate_random_instance(60, 360, 1), "
+            "recorded, and seeded:1..8 unrecorded the same runs with record=False",
             "reps": REPS,
             "median_s": sim_s,
             "deliveries": deliveries,
