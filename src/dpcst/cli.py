@@ -20,6 +20,7 @@ from .instance import (
     generate_random_instance,
     make_solution,
     parse_instance,
+    parse_int,
     render_instance,
 )
 
@@ -39,7 +40,7 @@ def _parse_schedule(text: str) -> int | None:
         return None
     if text.startswith("seeded:"):
         try:
-            return int(text[len("seeded:"):])
+            return parse_int(text[len("seeded:"):])
         except ValueError:
             pass
     raise InstanceError(f"unknown schedule {text!r} (want eager or seeded:<n>)")
@@ -150,8 +151,16 @@ def render_dot(inst: PcstInstance, sol: Solution) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors go to main's error path, not
+    to argparse's own exit 2, the code of a verification violation."""
+
+    def error(self, message):
+        raise InstanceError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dpcst", description=__doc__)
+    p = _Parser(prog="dpcst", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve an instance")
@@ -174,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_render)
 
     pg = sub.add_parser("gen", help="emit a random instance in text form")
-    pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--m", type=int, required=True)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--wmax", type=int, default=20)
-    pg.add_argument("--pmax", type=int, default=20)
+    pg.add_argument("--n", type=parse_int, required=True)
+    pg.add_argument("--m", type=parse_int, required=True)
+    pg.add_argument("--seed", type=parse_int, default=0)
+    pg.add_argument("--wmax", type=parse_int, default=20)
+    pg.add_argument("--pmax", type=parse_int, default=20)
     pg.set_defaults(func=cmd_gen)
     return p
 
@@ -187,8 +196,8 @@ _PARSER = build_parser()  # built once: parse_args keeps each call's options apa
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (InstanceError, OSError, sim.TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Union
 
 from .instance import Edge
 
@@ -202,24 +202,6 @@ class Prune:
 @dataclass(slots=True)
 class BackwardPrune:
     pass
-
-
-Message = (
-    Initiate
-    | Test
-    | Status
-    | Reject
-    | Report
-    | Merge
-    | Connect
-    | Accept
-    | RefindEpsilon
-    | UpdateInfo
-    | Proceed
-    | Back
-    | Prune
-    | BackwardPrune
-)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +321,6 @@ def compute_epsilon_edge(
                 return w_e - d_v - d_remote
             return INF
     raise ProtocolError(f"epsilon computed in state {cs_local.value} against {cs_remote.value}")
-
-
-Send = tuple[Edge, Message]
-Emission = Send | Action  # in true emission order; round tags depend on it
 
 
 class _Ctx(list):
@@ -799,6 +777,7 @@ def _on_backward_prune(ctx: _Ctx, e: Edge, msg: BackwardPrune):
         _leave_tree(ctx, st.in_branch)
 
 
+# wire type -> its handler: the one list of wire types, in trace and report order
 _HANDLERS = {
     Initiate: _on_initiate,
     Test: _on_test,
@@ -815,3 +794,6 @@ _HANDLERS = {
     Prune: _on_prune,
     BackwardPrune: _on_backward_prune,
 }
+Message = Union[tuple(_HANDLERS)]
+Send = tuple[Edge, Message]
+Emission = Send | Action  # in true emission order; round tags depend on it

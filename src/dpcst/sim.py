@@ -83,7 +83,9 @@ class StateChange:
 # last delivery before it (the root's wakeup before the first), whose step
 # is one more than the deliveries so far and whose node is that delivery's
 # receiver (the root).
-Record = Delivery | StateChange | nd.EpsilonRecord | nd.RoundBoundary
+# record class -> its kind: the one list of record types
+_RECORD_KINDS = {Delivery: "delivery", StateChange: "state", nd.EpsilonRecord: "epsilon", nd.RoundBoundary: "round"}
+Record = typing.Union[tuple(_RECORD_KINDS)]
 
 # The automaton computes in integers, in units of 1/S for a scale S of the
 # instance (see node.py); the trace holds each rational in the instance's
@@ -526,8 +528,6 @@ def _compile(cls, tag: str, name: str, hints: dict, end: str = "") -> tuple:
 _MESSAGE_CODECS = {
     name: _compile(cls, "type", name, typing.get_type_hints(cls)) for name, cls in _MSG_TYPES.items()
 }
-# record class -> its kind, in the order of Record
-_RECORD_KINDS = dict(zip(typing.get_args(Record), ("delivery", "state", "epsilon", "round")))
 # record kind -> the codec of its lines; a state change's is its field's
 _RECORD_CODECS = {
     kind: _compile(cls, "kind", kind, typing.get_type_hints(cls), "\\n")

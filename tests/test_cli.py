@@ -467,7 +467,10 @@ def test_verify_prize_flags_not_a_tree_exits_three(tmp_path, capsys, node):
     assert "not a tree" in out[0]["witnesses"][0]
 
 
-@pytest.mark.parametrize("schedule", ["seeded:x", "seeded:", "seeded:1.5"])
+# a seed follows the instance format's integer rule, -?[0-9]+ in ASCII digits
+@pytest.mark.parametrize(
+    "schedule", ["seeded:x", "seeded:", "seeded:1.5", "seeded:1_0", "seeded: 7", "seeded:+3", "seeded:\u0663"]
+)
 def test_solve_bad_schedule_exits_one(two_penal, capsys, schedule):
     assert main(["solve", "--schedule", schedule, two_penal]) == 1
     err = capsys.readouterr().err
@@ -608,6 +611,33 @@ def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):
     assert cap.err.splitlines() == [cap.err.strip()]
     assert cap.err.startswith("error: ") and problem in cap.err
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["verify"], "the following arguments are required: instance, trace"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["solve", "g.pcst", "--alg", "nope"], "invalid choice: 'nope'"),
+        (["gen", "--n", "1_0", "--m", "3"], "argument --n: invalid parse_int value: '1_0'"),
+    ],
+    ids=["verify-without-arguments", "unknown-command", "unknown-alg", "gen-underscored-n"],
+)
+def test_usage_error_exits_one(capsys, argv, problem):
+    # not argparse's own exit 2, which is the code of a verification violation
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.splitlines() == [cap.err.strip()]
+    assert cap.err.startswith("error: ") and problem in cap.err
+    assert "Traceback" not in cap.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dpcst")
 
 
 @pytest.mark.parametrize("flag", ["--wmax", "--pmax"])
