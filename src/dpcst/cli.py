@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import gw, sim, verify
@@ -44,6 +45,30 @@ def _parse_schedule(text: str) -> int | None:
         except ValueError:
             pass
     raise InstanceError(f"unknown schedule {text!r} (want eager or seeded:<n>)")
+
+
+def _int_option(text: str) -> int:
+    """parse_int for an option, whose error argparse reports as given."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _solve_dpcst(inst: PcstInstance, seed: int | None, trace: str | None) -> Solution:
+    """The protocol's solution.  Given a trace path, the run writes each
+    record's line there as soon as the record is made, and a run that
+    raises leaves no file there."""
+    if not trace:
+        return sim.extract_solution(sim.run(inst, seed, None))
+    fh = open(trace, "w")
+    try:
+        with fh:
+            return sim.extract_solution(sim.run(inst, seed, sim.line_writer(fh)))
+    except BaseException:
+        if os.path.isfile(trace) and not os.path.islink(trace):  # never a device or its link
+            os.remove(trace)
+        raise
 
 
 def _node_list(x) -> bool:
@@ -89,10 +114,7 @@ def cmd_solve(args) -> int:
     elif args.alg == "gw":
         sol, _cert = gw.gw_solve(inst)
     else:  # dpcst; argparse admits no other choice
-        s = sim.run(inst, _parse_schedule(args.schedule), record=args.trace is not None)
-        sol = sim.extract_solution(s)
-        if args.trace:
-            sim.write_trace(s.trace, args.trace)
+        sol = _solve_dpcst(inst, _parse_schedule(args.schedule), args.trace)
     out = sol.to_json_dict()
     out["algorithm"] = args.alg
     print(json.dumps(out, indent=None if args.json else 2, sort_keys=False))
@@ -129,24 +151,13 @@ def render_dot(inst: PcstInstance, sol: Solution) -> str:
     """DOT text: bold branch edges, dashed penalty nodes, double-circled root."""
     lines = ["graph pcst {"]
     for v in inst.node_ids:
-        attrs = []
-        if v == inst.root:
-            attrs.append("shape=doublecircle")
-        if v in sol.steiner_nodes:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-        else:
-            attrs.append("style=dashed")
-        label = f'label="{v} (p={format_rational(inst.prizes[v])})"'
-        attrs.append(label)
+        attrs = ["shape=doublecircle"] if v == inst.root else []
+        attrs += ["style=filled", "fillcolor=lightgray"] if v in sol.steiner_nodes else ["style=dashed"]
+        attrs.append(f'label="{v} (p={format_rational(inst.prizes[v])})"')
         lines.append(f"  {v} [{', '.join(attrs)}];")
     for (u, v) in sorted(inst.weights):
-        attrs = [f'label="{format_rational(inst.weights[(u, v)])}"']
-        if (u, v) in sol.branch_edges:
-            attrs.append("style=bold")
-        else:
-            attrs.append("style=dotted")
-        lines.append(f"  {u} -- {v} [{', '.join(attrs)}];")
+        style = "bold" if (u, v) in sol.branch_edges else "dotted"
+        lines.append(f'  {u} -- {v} [label="{format_rational(inst.weights[(u, v)])}", style={style}];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -183,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_render)
 
     pg = sub.add_parser("gen", help="emit a random instance in text form")
-    pg.add_argument("--n", type=parse_int, required=True)
-    pg.add_argument("--m", type=parse_int, required=True)
-    pg.add_argument("--seed", type=parse_int, default=0)
-    pg.add_argument("--wmax", type=parse_int, default=20)
-    pg.add_argument("--pmax", type=parse_int, default=20)
+    pg.add_argument("--n", type=_int_option, required=True)
+    pg.add_argument("--m", type=_int_option, required=True)
+    pg.add_argument("--seed", type=_int_option, default=0)
+    pg.add_argument("--wmax", type=_int_option, default=20)
+    pg.add_argument("--pmax", type=_int_option, default=20)
     pg.set_defaults(func=cmd_gen)
     return p
 

@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulator for the node protocol.
 
 Per-directed-link FIFO queues, two delivery policies (eager, or drawn from a
-seeded generator), and, for a recorded run, a total-order trace of everything
-that happens; a run is a function of the instance and the seed, and an
-unrecorded one makes the same deliveries and ends in the same states without
-building a record.  Messages carry a causal round tag: a handler's sends
-inherit the tag of the delivery that triggered them, and starting a round
-bumps the tag, so per-round message accounting is exact even while floods
-from the previous action are still in flight.
+seeded generator), and a record sink that receives the total-order trace of
+everything that happens, each record as it is made; a run is a function of
+the instance and the seed, and one without a sink makes the same deliveries
+and ends in the same states without building a record.  Messages carry a
+causal round tag: a handler's sends inherit the tag of the delivery that
+triggered them, and starting a round bumps the tag, so per-round message
+accounting is exact even while floods from the previous action are still in
+flight.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import typing
 from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -86,6 +87,10 @@ class StateChange:
 # record class -> its kind: the one list of record types
 _RECORD_KINDS = {Delivery: "delivery", StateChange: "state", nd.EpsilonRecord: "epsilon", nd.RoundBoundary: "round"}
 Record = typing.Union[tuple(_RECORD_KINDS)]
+# receives a run's records one by one, in emission order
+Sink = Callable[[Record], object]
+# the default sink: the run's own trace list
+_OWN_TRACE = object()
 
 # The automaton computes in integers, in units of 1/S for a scale S of the
 # instance (see node.py); the trace holds each rational in the instance's
@@ -133,9 +138,10 @@ def round_message_bound(n: int, m: int) -> int:
 
 class Simulation:
     """One protocol execution over an instance: eager when seed is None,
-    otherwise drawn from a generator seeded with it.  A recorded run keeps
-    the trace of everything that happens; with record false, ``trace``
-    stays empty and no delivery builds a record.
+    otherwise drawn from a generator seeded with it.  ``sink`` receives
+    each record as it is made; by default the run keeps them in ``trace``,
+    and with sink None no delivery builds a record.  ``trace`` stays empty
+    under any other sink.
 
     The scheduler's view of the queues is kept up to date as messages are
     queued and delivered, so a delivery costs O(log m) bookkeeping plus a
@@ -149,9 +155,8 @@ class Simulation:
       still queued, and then it is at the head of its link.
     """
 
-    def __init__(self, inst: PcstInstance, seed: int | None = None, record: bool = True):
+    def __init__(self, inst: PcstInstance, seed: int | None = None, sink: Sink | None = _OWN_TRACE):
         self.inst = inst
-        self.record = record
         self.rng = None if seed is None else random.Random(seed)
         # twice the common denominator, so every weight and prize is even
         # in the automaton's units of 1/scale, and its halvings are exact
@@ -181,6 +186,7 @@ class Simulation:
         self.control_count = dict.fromkeys(self.queues, 0)
         self.sends: deque[tuple[int, tuple[int, int]]] | None = deque() if self.rng is None else None
         self.trace: list[Record] = []
+        self.sink: Sink | None = self.trace.append if sink is _OWN_TRACE else sink
         self.step = 0
         self.send_seq = 0
         self.round_index = 0
@@ -207,11 +213,11 @@ class Simulation:
 
     def _apply(self, node_id: int, edge: Edge | None, msg: nd.Message | None, round_tag: int):
         """Run node_id's transition on msg over edge (the root's wakeup if
-        msg is None) and queue what it emits; a recorded run also records
-        the emitted actions and the changed tracked fields."""
+        msg is None) and queue what it emits; a run with a sink also hands
+        it the emitted actions and the changed tracked fields."""
         st = self.nodes[node_id]
-        record = self.record
-        if record:
+        sink = self.sink
+        if sink is not None:
             before = _tracked(st)
         emissions = nd.transition(st, edge, msg, self.step)
         # Sends inherit the round tag current at their emission point; a round
@@ -221,12 +227,12 @@ class Simulation:
             if type(em) is tuple:
                 self._enqueue(node_id, em[0], em[1], current_tag)
             else:
-                if record:
-                    self.trace.append(self._recorded(em))
+                if sink is not None:
+                    sink(self._recorded(em))
                 if type(em) is nd.RoundBoundary:
                     self.round_index += 1
                     current_tag = self.round_index
-        if not record:
+        if sink is None:
             return
         # most transitions change no tracked field: one tuple comparison,
         # which like the loop takes identity before equality, rules them out
@@ -234,7 +240,7 @@ class Simulation:
         if before != after:
             for f, a, b in zip(_TRACKED_FIELDS, before, after):
                 if a is not b and a != b:
-                    self.trace.append(StateChange(f, self.rationals[b] if f in _RATIONAL_TRACKED else b))
+                    sink(StateChange(f, self.rationals[b] if f in _RATIONAL_TRACKED else b))
 
     def _recorded(self, x: nd.Message | nd.Action) -> nd.Message | nd.Action:
         """x as the trace holds it: in the instance's units."""
@@ -286,8 +292,8 @@ class Simulation:
             if not self.control_count[link]:
                 del self.control_links[bisect_left(self.control_links, link)]
         self.step += 1
-        if self.record:
-            self.trace.append(Delivery(link, tag, self._recorded(msg)))
+        if self.sink is not None:
+            self.sink(Delivery(link, tag, self._recorded(msg)))
         self._apply(receiver, edge, msg, tag)
 
     def run_to_quiescence(self) -> list[Record]:
@@ -300,10 +306,10 @@ class Simulation:
         return self.trace
 
 
-def run(inst: PcstInstance, seed: int | None = None, record: bool = True) -> Simulation:
-    """Run to quiescence: eager if seed is None, else seeded with it;
-    recorded unless record is false."""
-    sim = Simulation(inst, seed, record)
+def run(inst: PcstInstance, seed: int | None = None, sink: Sink | None = _OWN_TRACE) -> Simulation:
+    """Run to quiescence: eager if seed is None, else seeded with it; each
+    record goes to sink, by default the run's own trace."""
+    sim = Simulation(inst, seed, sink)
     sim.run_to_quiescence()
     return sim
 
@@ -558,6 +564,12 @@ def record_from_json(d: dict) -> Record:
     if codec is None:
         raise ValueError(f"unknown record kind {kind!r}")
     return codec[0](d)
+
+
+def line_writer(fh: typing.TextIO) -> Sink:
+    """A sink that writes each record's trace line to the open file fh."""
+    write = fh.write
+    return lambda rec: write(record_to_line(rec))
 
 
 def write_trace(trace: list[Record], path: str):

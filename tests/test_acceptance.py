@@ -140,7 +140,7 @@ def test_criterion_5_termination_and_schedule_invariance(corpus):
     for c in corpus:
         try:
             for s2 in range(N_RANDOM_SCHEDULES):
-                got = extract_solution(sim.run(c.inst, s2, record=False))
+                got = extract_solution(sim.run(c.inst, s2, sink=None))
                 if got != c.solution:
                     failures.append(f"k={c.k}: seed {s2} solution differs")
                     break

@@ -10,8 +10,8 @@ import pytest
 from dpcst import cli
 from dpcst.cli import main
 from dpcst.instance import format_rational, generate_random_instance, render_instance
-from dpcst.node import EpsilonRecord
-from dpcst.sim import read_trace
+from dpcst.node import EpsilonRecord, ProtocolError
+from dpcst.sim import read_trace, write_trace
 
 TWO_PENAL = "nodes 1 2\nroot 1\nprize 2 3\nedge 1 2 10\n"
 TWO_MERGE = "nodes 1 2\nroot 1\nprize 2 5\nedge 1 2 2\n"
@@ -46,10 +46,12 @@ def test_solve_dpcst_writes_trace(two_penal, tmp_path, capsys):
 
 @pytest.mark.parametrize("schedule", ["eager", "seeded:3"])
 def test_solve_records_only_a_traced_run(tmp_path, capsys, monkeypatch, schedule):
-    # solve prints the same with or without --trace, and its run builds
-    # records only when a trace is written
+    # solve prints the same with or without --trace; a traced solve streams
+    # its records to the file and keeps none, and the file holds what
+    # write_trace writes of a recorded run of the same schedule
+    inst = generate_random_instance(12, 30, 2)
     p = tmp_path / "g.pcst"
-    p.write_text(render_instance(generate_random_instance(12, 30, 2)))
+    p.write_text(render_instance(inst))
     runs = []
     real_run = cli.sim.run
 
@@ -61,9 +63,51 @@ def test_solve_records_only_a_traced_run(tmp_path, capsys, monkeypatch, schedule
     solve = ["solve", "--schedule", schedule, str(p)]
     assert main(solve) == 0
     plain = capsys.readouterr().out
-    assert main([*solve, "--trace", str(tmp_path / "t.jsonl")]) == 0
+    trace_path = tmp_path / "t.jsonl"
+    assert main([*solve, "--trace", str(trace_path)]) == 0
     assert capsys.readouterr().out == plain
-    assert [(s.record, len(s.trace) > 0) for s in runs] == [(False, False), (True, True)]
+    assert [(s.sink is None, s.trace) for s in runs] == [(True, []), (False, [])]
+    recorded = tmp_path / "recorded.jsonl"
+    write_trace(real_run(inst, cli._parse_schedule(schedule)).trace, str(recorded))
+    assert trace_path.read_bytes() == recorded.read_bytes()
+
+
+def test_failed_solve_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    # the run streams into the file it opened, and removes it when it raises
+    p = tmp_path / "g.pcst"
+    p.write_text(render_instance(generate_random_instance(12, 30, 2)))
+    trace_path = tmp_path / "t.jsonl"
+    real_transition = cli.sim.nd.transition
+
+    def transition(st, e, msg, seq):
+        if seq == 50:
+            assert trace_path.exists()
+            raise ProtocolError("injected at step 50")
+        return real_transition(st, e, msg, seq)
+
+    monkeypatch.setattr(cli.sim.nd, "transition", transition)
+    with pytest.raises(ProtocolError, match="injected"):
+        main(["solve", "--trace", str(trace_path), str(p)])
+    assert not trace_path.exists()
+
+
+def test_bad_schedule_leaves_the_trace_path_alone(two_penal, tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--schedule", "bogus", "--trace", str(trace_path), two_penal]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: unknown schedule 'bogus' (want eager or seeded:<n>)"]
+    assert not trace_path.exists()
+
+
+def test_unopenable_trace_exits_one_before_the_run(two_penal, tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli.sim, "run", lambda *args: runs.append(args))
+    trace_path = tmp_path / "missing" / "t.jsonl"
+    assert main(["solve", "--trace", str(trace_path), two_penal]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and runs == []
+    assert cap.err.splitlines() == [cap.err.strip()]
+    assert cap.err.startswith("error: ") and str(trace_path) in cap.err
 
 
 def test_solve_gw_matches(two_penal, capsys):
@@ -619,7 +663,7 @@ def test_solve_invalid_instance_exits_one(tmp_path, capsys, text, problem):
         (["verify"], "the following arguments are required: instance, trace"),
         (["nope"], "invalid choice: 'nope'"),
         (["solve", "g.pcst", "--alg", "nope"], "invalid choice: 'nope'"),
-        (["gen", "--n", "1_0", "--m", "3"], "argument --n: invalid parse_int value: '1_0'"),
+        (["gen", "--n", "1_0", "--m", "3"], "argument --n: '1_0' is not an integer"),
     ],
     ids=["verify-without-arguments", "unknown-command", "unknown-alg", "gen-underscored-n"],
 )
@@ -777,3 +821,22 @@ def test_verify_holds_a_fraction_of_the_records(tmp_path, capsys):
         tracemalloc.stop()
     assert len(records) > 20000
     assert verify_peak < records_size / 5, (verify_peak, records_size)
+
+
+def test_traced_solve_holds_a_fraction_of_its_trace(tmp_path, capsys):
+    # solve --trace writes each record's line as the record is made: its
+    # traced peak stays under half the bytes of the trace it writes (eager
+    # n = 80, m = 3n, seed 1)
+    inst_path = tmp_path / "g.pcst"
+    inst_path.write_text(render_instance(generate_random_instance(80, 240, 1)))
+    trace_path = tmp_path / "t.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--trace", str(trace_path), str(inst_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = trace_path.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 2, (peak, size)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import random
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from dpcst import node as nd
 from dpcst import sim
+from dpcst.cli import main
 from dpcst.exact import exact_pcst
 from dpcst.instance import (
     PcstInstance,
@@ -17,6 +19,7 @@ from dpcst.instance import (
     generate_random_instance,
     norm_edge,
     parse_instance,
+    render_instance,
 )
 from dpcst.node import EpsilonRecord, RoundBoundary
 from dpcst.sim import (
@@ -25,6 +28,7 @@ from dpcst.sim import (
     StateChange,
     count_messages,
     extract_solution,
+    line_writer,
     message_bound,
     read_trace,
     record_from_json,
@@ -663,16 +667,23 @@ def _old_format_text(lines, inst) -> str:
     ],
     ids=["n40-eager", "n80-eager", "n40-seeded:0"],
 )
-def test_pinned_trace_digests(tmp_path, n, seed, digest, old_digest):
+def test_pinned_trace_digests(tmp_path, capsys, n, seed, digest, old_digest):
     # eager and seeded traces of the m = 3n, instance-seed-1 corpus, as
-    # written by the one-prune protocol; old_digest was pinned before the
-    # trace format dropped the values other fields restate
+    # written by the one-prune protocol, and as solve --trace streams them;
+    # old_digest was pinned before the trace format dropped the values other
+    # fields restate
     inst = generate_random_instance(n, 3 * n, 1)
     path = tmp_path / "t.jsonl"
     write_trace(run(inst, seed).trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     old = _old_format_text(path.read_text().splitlines(), inst)
     assert hashlib.sha256(old.encode()).hexdigest() == old_digest
+    inst_path, streamed = tmp_path / "g.pcst", tmp_path / "streamed.jsonl"
+    inst_path.write_text(render_instance(inst))
+    schedule = "eager" if seed is None else f"seeded:{seed}"
+    assert main(["solve", "--schedule", schedule, "--trace", str(streamed), str(inst_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(streamed.read_bytes()).hexdigest() == digest
 
 
 def _refactor_corpus():
@@ -711,7 +722,7 @@ def test_unrecorded_run_matches_the_recorded_run():
     # ends in the same node states, as the recorded run of its schedule
     runs = 0
     for inst, seed in _refactor_corpus():
-        recorded, bare = run(inst, seed), run(inst, seed, record=False)
+        recorded, bare = run(inst, seed), run(inst, seed, sink=None)
         assert extract_solution(bare) == extract_solution(recorded)
         assert (bare.step, bare.send_seq, bare.round_index) == (
             recorded.step,
@@ -745,15 +756,21 @@ def _rational_corpus():
 
 def test_rational_corpus_trace_digest():
     # one SHA-256 over the line of every record of every corpus run, pinned
-    # while the automaton still computed in Fractions
-    h = hashlib.sha256()
+    # while the automaton still computed in Fractions; the same again over
+    # the lines the writer sink writes as the runs make their records
+    h, streamed = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for inst, seed in _rational_corpus():
         for rec in run(inst, seed).trace:
             h.update(record_to_line(rec).encode())
+        fh = io.StringIO()
+        assert run(inst, seed, line_writer(fh)).trace == []
+        streamed.update(fh.getvalue().encode())
         runs += 1
     assert runs == 102
-    assert h.hexdigest() == "67490be05c2db9ce658443468f8c7c0ce468c6d95382636b6f4e829750c86086"
+    pinned = "67490be05c2db9ce658443468f8c7c0ce468c6d95382636b6f4e829750c86086"
+    assert h.hexdigest() == pinned
+    assert streamed.hexdigest() == pinned
 
 
 @pytest.mark.parametrize(

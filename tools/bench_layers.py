@@ -9,24 +9,26 @@ oracle, n = 8 to 16):
 
 - ``sim``: ``sim.run`` with the eager schedule, per n, and the eight runs
   seeded 1..8 on generate_random_instance(60, 360, 1), timed together, once
-  recorded and once unrecorded (``record=False``, as ``dpcst solve`` runs
-  without ``--trace``; left out for a checkout whose ``sim.run`` records
-  every run); beside each median, the deliveries it made (every step but the
-  root wakeup) and the microseconds per delivery;
+  recorded and once unrecorded (``sink=None``, as ``dpcst solve`` runs
+  without ``--trace``, or ``record=False`` in a checkout from before the
+  record sink; left out for a checkout whose ``sim.run`` records every run);
+  beside each median, the deliveries it made (every step but the root
+  wakeup) and the microseconds per delivery;
 - ``gw``: ``gw_solve``, per n;
 - ``exact``: ``exact_pcst``, with its ``enumerated_count``, per n;
 - ``write``: ``sim.write_trace`` of the eager run's records, per n;
 - ``read``: draining ``sim.read_trace`` over the trace ``write`` wrote, per n;
 - ``solve``: ``dpcst solve --trace``, run in-process through dpcst.cli.main
-  with the eager schedule, per n, with the bytes of the trace it writes;
+  with the eager schedule, per n, with the bytes of the trace it writes and
+  the tracemalloc peak of one more solve run;
 - ``verify``: ``dpcst verify --no-exact``, run in-process through
   dpcst.cli.main on the eager trace that ``dpcst solve --trace`` wrote, with
-  the trace's records and the tracemalloc peak of one more verify run
-  (traced apart from the timed runs, since tracing slows every allocation);
+  the trace's records and the tracemalloc peak of one more verify run;
 
 with the git SHA of the checkout holding that directory and the Python
-version.  Point it at two checkouts to compare them; both run the same
-instances, so the medians differ only by the code.
+version.  Each tracemalloc peak is taken apart from the timed runs, since
+tracing slows every allocation.  Point it at two checkouts to compare them;
+both run the same instances, so the medians differ only by the code.
 """
 
 from __future__ import annotations
@@ -95,7 +97,10 @@ def main(argv=None) -> int:
     sim_runs = {str(n): ([(inst, None)], {}) for n, inst in insts.items()}
     seeded = [(generate_random_instance(*SEEDED), seed) for seed in SEEDS]
     sim_runs["seeded:1..8"] = (seeded, {})
-    if "record" in inspect.signature(sim.run).parameters:
+    params = inspect.signature(sim.run).parameters
+    if "sink" in params:
+        sim_runs["seeded:1..8 unrecorded"] = (seeded, {"sink": None})
+    elif "record" in params:
         sim_runs["seeded:1..8 unrecorded"] = (seeded, {"record": False})
     sim_s, deliveries = {}, {}
     for key, (runs, kwargs) in sim_runs.items():
@@ -109,7 +114,17 @@ def main(argv=None) -> int:
         exact_s[str(n)] = median_cpu_s(lambda: exact_pcst(inst))
         subsets[str(n)] = exact_pcst(inst).enumerated_count
 
-    write_s, read_s, solve_s, trace_bytes, records, verify_s, peaks = {}, {}, {}, {}, {}, {}, {}
+    write_s, read_s, solve_s, trace_bytes, records, verify_s = {}, {}, {}, {}, {}, {}
+    solve_peaks, verify_peaks = {}, {}
+
+    def peak_mb(*argv: str) -> float:
+        tracemalloc.start()
+        try:
+            dpcst(*argv)
+            return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        finally:
+            tracemalloc.stop()
+
     with tempfile.TemporaryDirectory() as tmp:
         for n, inst in insts.items():
             inst_path, trace_path = f"{tmp}/n{n}.pcst", f"{tmp}/n{n}.jsonl"
@@ -118,25 +133,22 @@ def main(argv=None) -> int:
             read_s[str(n)] = median_cpu_s(lambda: deque(sim.read_trace(trace_path), maxlen=0))
             del trace
             Path(inst_path).write_text(render_instance(inst))
-            solve_s[str(n)] = median_cpu_s(lambda: dpcst("solve", "--trace", trace_path, inst_path))
+            solve = ("solve", "--trace", trace_path, inst_path)
+            solve_s[str(n)] = median_cpu_s(lambda: dpcst(*solve))
+            solve_peaks[str(n)] = peak_mb(*solve)
             trace_bytes[str(n)] = os.path.getsize(trace_path)
             with open(trace_path) as fh:
                 records[str(n)] = sum(1 for _line in fh)
             verify = ("verify", inst_path, trace_path, "--no-exact")
             verify_s[str(n)] = median_cpu_s(lambda: dpcst(*verify))
-            tracemalloc.start()
-            try:
-                dpcst(*verify)
-                peaks[str(n)] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
-            finally:
-                tracemalloc.stop()
+            verify_peaks[str(n)] = peak_mb(*verify)
     print(json.dumps({
         "sim": {
             "metric": "sim.run process CPU, median; deliveries; microseconds per delivery",
             "unit": "s",
             "instances": "generate_random_instance(n, 3n, 1), eager; "
             "seeded:1..8 is the eight seeded runs on generate_random_instance(60, 360, 1), "
-            "recorded, and seeded:1..8 unrecorded the same runs with record=False",
+            "recorded, and seeded:1..8 unrecorded the same runs with sink=None (record=False before the sink)",
             "reps": REPS,
             "median_s": sim_s,
             "deliveries": deliveries,
@@ -172,11 +184,12 @@ def main(argv=None) -> int:
             "median_s": read_s,
         },
         "solve": {
-            "metric": "dpcst solve --trace: process CPU, median; bytes of the trace",
+            "metric": "dpcst solve --trace: process CPU, median; bytes of the trace; tracemalloc peak",
             "instances": "generate_random_instance(n, 3n, 1), eager",
             "reps": REPS,
             "median_s": solve_s,
             "trace_bytes": trace_bytes,
+            "peak_mb": solve_peaks,
         },
         "verify": {
             "metric": "dpcst verify --no-exact: process CPU, median; tracemalloc peak",
@@ -184,7 +197,7 @@ def main(argv=None) -> int:
             "reps": REPS,
             "records": records,
             "median_s": verify_s,
-            "peak_mb": peaks,
+            "peak_mb": verify_peaks,
         },
         "git_sha": git_sha(args.src.resolve()),
         "python": platform.python_version(),
