@@ -511,7 +511,10 @@ def verify_trace(
     also against the optimum ``oracle(inst)`` finds if an oracle is given.
 
     The records are read once, passing through the message counter on their
-    way into the replay, so a file's records are never all held at once.
+    way into the replay, so a file's records are never all held at once;
+    read from a file by sim.read_trace, records of equal lines may share
+    one object, and each distinct message text is decoded once, within a
+    bounded memo.
     The oracle runs after the replay: a trace that does not read or replay
     costs no enumeration."""
     counter = sm.MessageCounter()

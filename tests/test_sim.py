@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 import typing
 from dataclasses import fields
 from fractions import Fraction
@@ -798,3 +799,166 @@ def test_phase_boundary_follows_the_root_prune_decision(seed, example11):
             (inst.root, RoundBoundary()),
             (inst.root, EpsilonRecord(nd.INF, None, "prune")),
         ]
+
+
+# ---------------------------------------------------------------------------
+# Trace reader against the JSON-only reference
+
+
+def _reference_read_trace(path):
+    """The trace reader as it was before canonical delivery lines skipped
+    the JSON parser: every line through json and record_from_json, with the
+    same errors.  Kept as the reference read_trace must match, record for
+    record and error for error."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise sim.TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise sim.TraceFormatError(f"{path}:{lineno}: a trace integer has at most {limit} digits")
+            try:
+                records.append(record_from_json(obj))
+            except KeyError as exc:
+                raise sim.TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise sim.TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not records:
+        raise sim.TraceFormatError(f"{path}: no records")
+    return records
+
+
+def _read_both(path):
+    """(read_trace's records, the reference's), or the error texts each raised."""
+    out = []
+    for read in (lambda p: list(read_trace(p)), _reference_read_trace):
+        try:
+            out.append(read(str(path)))
+        except sim.TraceFormatError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_reader_matches_reference_on_corpus_traces(tmp_path, example11):
+    runs = [run(example11).trace]
+    for n in (10, 20, 40, 80):
+        for seed in (1, 2):
+            inst = generate_random_instance(n, 3 * n, seed)
+            runs += [run(inst).trace, run(inst, 0).trace]
+    path = tmp_path / "t.jsonl"
+    for trace in runs:
+        write_trace(trace, str(path))
+        ours, reference = _read_both(path)
+        assert ours == reference == trace
+        assert [type(r) for r in ours] == [type(r) for r in reference]
+
+
+_CANONICAL = '{"kind": "delivery", "link": [1, 2], "round": 3, "message": {"type": "Proceed", "d_h": "15"}}'
+_PROCEED = Delivery((1, 2), 3, nd.Proceed(Fraction(15)))
+
+
+@pytest.mark.parametrize(
+    "line, rec",
+    [
+        (_CANONICAL, _PROCEED),
+        (_CANONICAL.replace(": ", ":").replace(", ", ","), _PROCEED),
+        (" " + _CANONICAL.replace(": ", " :  ").replace("[1, 2]", "[ 1 ,2 ]") + " ", _PROCEED),
+        ('{"round": 3, "message": {"d_h": "15", "type": "Proceed"}, "link": [1, 2], "kind": "delivery"}', _PROCEED),
+        (_CANONICAL.replace('"round": 3', '"round": 4, "round": 3'), _PROCEED),
+        (_CANONICAL.replace('"type"', '"type": "Prune", "type"'), _PROCEED),
+        (_CANONICAL.replace("[1, 2], \"round\": 3", "[-0, 2], \"round\": -0"), Delivery((0, 2), 0, _PROCEED.message)),
+        (_CANONICAL.replace('"round": 3', '"round": 1' + "0" * 150), Delivery((1, 2), 10**150, _PROCEED.message)),
+        (_CANONICAL.replace("Proceed", "\\u0050roceed"), _PROCEED),
+        (_CANONICAL.replace('"kind": "delivery"', '"kind": "\\u0064elivery"'), _PROCEED),
+        (_CANONICAL.replace('{"type"', '{"type": "}", "type"'), _PROCEED),
+        (_CANONICAL.replace('{"kind"', '{"kind": "{", "kind"'), _PROCEED),
+        (_CANONICAL + "\r", _PROCEED),
+    ],
+    ids=[
+        "canonical", "no-spaces", "extra-spaces", "reordered", "duplicate-key", "duplicate-message-key",
+        "minus-zero", "past-digit-cap", "escaped-type", "escaped-kind", "close-brace-in-string",
+        "open-brace-in-string", "carriage-return",
+    ],
+)
+def test_any_json_spelling_of_a_delivery_reads_as_the_reference(tmp_path, line, rec):
+    path = tmp_path / "t.jsonl"
+    path.write_text(f'{{"kind": "round"}}\n{line}\n{line}')
+    ours, reference = _read_both(path)
+    assert ours == reference == [RoundBoundary(), rec, rec]
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        b'{"type": "Pro\xffceed", "d_h": "15"}',
+        b'{"type": "Proceed", "d_h": {"a": 1}}',
+        b'{"type": "Proceed", "d_h": "15", "x": {}}',
+        b'{"type": "Bogus"}',
+        b'{"type": "Test", "leader": ' + b"7" * 5000 + b"}",
+        b'{"type": "Proceed", "d_h": "15", "step": 3}',
+        b'{"type": "Proceed"}',
+        b'{"d_h": "15"}',
+        b'{"type": ["Proceed"], "d_h": "15"}',
+        b'{"type": "Proceed", "d_h": "1/0"}',
+        b'{"type": "Proceed", "d_h": NaN}',
+        b'{"type": "Proceed", "d_h": "15"',
+    ],
+    ids=[
+        "non-utf8", "nested-object", "nested-empty-object", "unknown-type", "5000-digit-integer",
+        "undeclared-key", "missing-key", "missing-type", "unhashable-type", "zero-denominator", "nan",
+        "unclosed",
+    ],
+)
+def test_a_bad_delivery_line_raises_the_reference_error(tmp_path, message):
+    path = tmp_path / "t.jsonl"
+    line = b'{"kind": "delivery", "link": [1, 2], "round": 3, "message": ' + message + b"}\n"
+    path.write_bytes(_CANONICAL.encode() + b"\n" + line)
+    ours, reference = _read_both(path)
+    assert isinstance(ours, str) and ours.startswith(f"{path}:2: ")
+    assert ours == reference
+
+
+def test_a_bad_round_integer_raises_the_reference_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_CANONICAL.replace('"round": 3', '"round": ' + "7" * 5000) + "\n")
+    ours, reference = _read_both(path)
+    assert ours == reference == f"{path}:1: a trace integer has at most {sys.get_int_max_str_digits()} digits"
+
+
+def test_records_share_a_message_within_a_file_only(tmp_path, example11):
+    trace = run(example11).trace
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_trace(trace, str(first))
+    write_trace(trace, str(second))
+    a, b = list(read_trace(str(first))), list(read_trace(str(second)))
+    messages = [r.message for r in a if isinstance(r, Delivery)]
+    by_text = {}
+    for msg in messages:
+        assert by_text.setdefault(sim._message_to_text(msg), msg) is msg
+    assert len(by_text) < len(messages)
+    assert not set(map(id, by_text.values())) & {id(r.message) for r in b if isinstance(r, Delivery)}
+
+
+def test_reading_distinct_messages_holds_a_bounded_memo(tmp_path):
+    # 100k deliveries whose messages all differ, each after a state line
+    # that differs too: the reader keeps at most 2**14 of each, so its
+    # traced peak stays far below what memos of every line would take
+    path = tmp_path / "t.jsonl"
+    with open(path, "w") as fh:
+        for k in range(100_000):
+            fh.write(record_to_line(StateChange("comp_w", Fraction(k, 7))))
+            fh.write(record_to_line(Delivery((1, 2), k, nd.Test(k))))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _rec in read_trace(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 200_000
+    assert peak < 12 * 2**20, peak

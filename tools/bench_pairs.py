@@ -22,6 +22,7 @@ each side's ``src`` (parent first in odd rounds), and
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import platform
 import statistics
@@ -43,11 +44,8 @@ def export(repo: Path, rev: str, dest: Path) -> str:
     ).stdout.strip()
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "-C", str(repo), "archive", sha], capture_output=True, check=True)
-    with tempfile.TemporaryFile() as fh:
-        fh.write(archive.stdout)
-        fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(dest, filter="data")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
     return sha
 
 
