@@ -585,8 +585,10 @@ _decode_json = json.JSONDecoder().decode
 # among its 11,021 others.  So read_trace matches each canonical delivery
 # line, the writer's own spelling, with one pattern, and decodes only the
 # message texts and other lines it has not met before in that file; each
-# memo keeps at most _MEMO_CAP entries and then stops growing.
+# memo keeps at most _MEMO_CAP keys of at most _MEMO_KEY_BYTES bytes each
+# (a canonical line is a few hundred at most) and then stops growing.
 _MEMO_CAP = 2**14
+_MEMO_KEY_BYTES = 512
 # a JSON integer of at most 100 digits, well under int()'s limit
 _INT = rb"(-?(?:0|[1-9][0-9]{0,99}))"
 # field annotation -> the pattern of its canonical text; a message is one
@@ -616,7 +618,8 @@ def _message_from_text(text: bytes) -> nd.Message | None:
     raises that line's error."""
     try:
         return _message_from_json(_decode_json(text.decode()))
-    except (KeyError, TypeError, ValueError, ArithmeticError):
+    # RecursionError: an array nested too deep inside the message
+    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError):
         return None
 
 
@@ -646,9 +649,10 @@ def read_trace(path: str) -> Iterator[Record]:
 
     Any JSON spelling of a record reads, but only a delivery line spelled
     as the writer spells it skips the JSON parser: its message text is
-    decoded once per file, within a bounded memo, and records with the same
-    text share one message object.  Every other line is decoded once per
-    distinct text, within a second memo, so equal lines share one record."""
+    decoded once per file, within a bounded memo of short texts, and records
+    with the same text share one message object.  Every other line is
+    decoded once per distinct text, within a second such memo, so equal
+    lines share one record."""
     records = 0
     messages: dict[bytes, nd.Message] = {}
     others: dict[bytes, Record] = {}
@@ -660,7 +664,7 @@ def read_trace(path: str) -> Iterator[Record]:
                 msg = messages.get(text)
                 if msg is None:
                     msg = _message_from_text(text)
-                    if msg is not None and len(messages) < _MEMO_CAP:
+                    if msg is not None and len(messages) < _MEMO_CAP and len(text) <= _MEMO_KEY_BYTES:
                         messages[text] = msg
                 if msg is not None:
                     records += 1
@@ -672,7 +676,7 @@ def read_trace(path: str) -> Iterator[Record]:
                 if not stripped:
                     continue
                 rec = _record_from_line(path, lineno, stripped)
-                if len(others) < _MEMO_CAP:
+                if len(others) < _MEMO_CAP and len(line) <= _MEMO_KEY_BYTES:
                     others[line] = rec
             records += 1
             yield rec

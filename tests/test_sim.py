@@ -908,11 +908,12 @@ def test_any_json_spelling_of_a_delivery_reads_as_the_reference(tmp_path, line, 
         b'{"type": "Proceed", "d_h": "1/0"}',
         b'{"type": "Proceed", "d_h": NaN}',
         b'{"type": "Proceed", "d_h": "15"',
+        b'{"type": "Reject", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     ],
     ids=[
         "non-utf8", "nested-object", "nested-empty-object", "unknown-type", "5000-digit-integer",
         "undeclared-key", "missing-key", "missing-type", "unhashable-type", "zero-denominator", "nan",
-        "unclosed",
+        "unclosed", "nested-array",
     ],
 )
 def test_a_bad_delivery_line_raises_the_reference_error(tmp_path, message):
@@ -945,20 +946,41 @@ def test_records_share_a_message_within_a_file_only(tmp_path, example11):
     assert not set(map(id, by_text.values())) & {id(r.message) for r in b if isinstance(r, Delivery)}
 
 
-def test_reading_distinct_messages_holds_a_bounded_memo(tmp_path):
+def _distinct_records(fh):
     # 100k deliveries whose messages all differ, each after a state line
-    # that differs too: the reader keeps at most 2**14 of each, so its
-    # traced peak stays far below what memos of every line would take
+    # that differs too
+    for k in range(100_000):
+        fh.write(record_to_line(StateChange("comp_w", Fraction(k, 7))))
+        fh.write(record_to_line(Delivery((1, 2), k, nd.Test(k))))
+
+
+def _padded_lines(fh):
+    # 2,500 round lines and 2,500 deliveries, each padded inside by 4,000
+    # spaces split at a different place, so that no two lines or message
+    # texts are equal
+    for k in range(2_500):
+        pad, rest = " " * k, " " * (4_000 - k)
+        fh.write(f'{{"kind": {pad}"round"{rest}}}\n')
+        fh.write(f'{{"kind": "delivery", "link": [1, 2], "round": 3, "message": {{"type": {pad}"Reject"{rest}}}}}\n')
+
+
+@pytest.mark.parametrize(
+    "write, count, bound",
+    [(_distinct_records, 200_000, 12 * 2**20), (_padded_lines, 5_000, 2 * 2**20)],
+    ids=["distinct-messages", "padded-lines"],
+)
+def test_reading_distinct_messages_holds_a_bounded_memo(tmp_path, write, count, bound):
+    # the reader keeps at most 2**14 short keys of each memo, so its traced
+    # peak stays far below what memos of every line would take: 20 MB of
+    # keys for the padded lines
     path = tmp_path / "t.jsonl"
     with open(path, "w") as fh:
-        for k in range(100_000):
-            fh.write(record_to_line(StateChange("comp_w", Fraction(k, 7))))
-            fh.write(record_to_line(Delivery((1, 2), k, nd.Test(k))))
+        write(fh)
     tracemalloc.start()
     try:
-        count = sum(1 for _rec in read_trace(str(path)))
+        count_read = sum(1 for _rec in read_trace(str(path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 200_000
-    assert peak < 12 * 2**20, peak
+    assert count_read == count
+    assert peak < bound, peak
